@@ -178,7 +178,7 @@ func CheckInvariants(a Artifact) error {
 	if a.Derived.BatchSpeedup < MinBatchSpeedup {
 		return fmt.Errorf("bench: batch decode speedup %.2fx below the %.1fx floor", a.Derived.BatchSpeedup, MinBatchSpeedup)
 	}
-	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store"} {
+	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store", "sim_replay/pif"} {
 		m, ok := a.find(name)
 		if !ok {
 			return fmt.Errorf("bench: missing benchmark %q", name)
@@ -352,20 +352,26 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 		}
 	})
 
-	engine := prefetch.Spec{Name: "nextline", Params: map[string]float64{"degree": 4}}
-	seq := run("sim_replay/store", records, storeBytes, 1, 1, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunJob(context.Background(), sim.Job{
-				Config:   simCfg,
-				Workload: wl,
-				From:     sim.StoreSource(dir),
-				Engine:   engine,
-			}); err != nil {
-				b.Fatal(err)
+	// The replay rows: the store-replay baseline with next-line
+	// prefetching, and the paper's engine over the same store.
+	replay := func(name string, engine prefetch.Spec) Measurement {
+		return run(name, records, storeBytes, 1, 1, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.RunJob(context.Background(), sim.Job{
+					Config:   simCfg,
+					Workload: wl,
+					From:     sim.StoreSource(dir),
+					Engine:   engine,
+				}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
+	engine := prefetch.Spec{Name: "nextline", Params: map[string]float64{"degree": 4}}
+	seq := replay("sim_replay/store", engine)
+	replay("sim_replay/pif", prefetch.Spec{Name: "pif"})
 	sharded := run(fmt.Sprintf("sim_replay/sharded_%d", cfg.Shards), records, storeBytes, shardPar, 1, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

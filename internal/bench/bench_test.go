@@ -32,7 +32,7 @@ func TestRunArtifactStructure(t *testing.T) {
 		t.Errorf("schema = %d, want %d", a.Schema, SchemaVersion)
 	}
 	want := []string{
-		"sim_replay/sharded_2", "sim_replay/store",
+		"sim_replay/pif", "sim_replay/sharded_2", "sim_replay/store",
 		"store_decode/batch", "store_decode/mmap", "store_decode/per_record",
 		"sweep_cell/serial", "sweep_cell/sharded_2", "sweep_expand/cell",
 	}
@@ -104,6 +104,7 @@ func TestCheckInvariants(t *testing.T) {
 			{Name: "store_decode/batch", AllocsPerRecord: 0.001},
 			{Name: "store_decode/mmap", AllocsPerRecord: 0.001},
 			{Name: "sim_replay/store", AllocsPerRecord: 0.01},
+			{Name: "sim_replay/pif", AllocsPerRecord: 0.01},
 		},
 		Derived: Derived{BatchSpeedup: 2.5, MmapSpeedup: 1.2, SweepCellSpeedup: 2.0},
 	}
@@ -120,9 +121,20 @@ func TestCheckInvariants(t *testing.T) {
 		{Name: "store_decode/batch", AllocsPerRecord: 0.5},
 		{Name: "store_decode/mmap", AllocsPerRecord: 0.001},
 		{Name: "sim_replay/store", AllocsPerRecord: 0.01},
+		{Name: "sim_replay/pif", AllocsPerRecord: 0.01},
 	}
 	if err := CheckInvariants(leaky); err == nil {
 		t.Error("allocating hot path accepted")
+	}
+	leakyPIF := good
+	leakyPIF.Benchmarks = []Measurement{
+		{Name: "store_decode/batch", AllocsPerRecord: 0.001},
+		{Name: "store_decode/mmap", AllocsPerRecord: 0.001},
+		{Name: "sim_replay/store", AllocsPerRecord: 0.01},
+		{Name: "sim_replay/pif", AllocsPerRecord: 0.2},
+	}
+	if err := CheckInvariants(leakyPIF); err == nil {
+		t.Error("allocating PIF replay accepted")
 	}
 	missing := good
 	missing.Benchmarks = missing.Benchmarks[:1]

@@ -1,8 +1,7 @@
 // Package cache implements the set-associative instruction cache model used
 // throughout the simulator: a configurable geometry with true-LRU
-// replacement, a per-line prefetched bit (PIF tags non-prefetched fetches to
-// gate index-table insertion), and a small MSHR file that bounds outstanding
-// fills.
+// replacement and a per-line prefetched bit (PIF tags non-prefetched
+// fetches to gate index-table insertion).
 //
 // The model is behavioural, not cycle-accurate: Probe/Fill mutate state
 // immediately, and the timing simulator (internal/sim) accounts for
@@ -24,8 +23,6 @@ type Config struct {
 	Assoc int
 	// BlockBytes is the line size; must equal isa.BlockBytes for the L1-I.
 	BlockBytes int
-	// MSHRs bounds outstanding misses; 0 means unlimited.
-	MSHRs int
 }
 
 // Validate checks the geometry for consistency.
@@ -39,9 +36,6 @@ func (c Config) Validate() error {
 	sets := c.Sets()
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: set count %d not a power of two", sets)
-	}
-	if c.MSHRs < 0 {
-		return fmt.Errorf("cache: MSHRs = %d", c.MSHRs)
 	}
 	return nil
 }
@@ -115,7 +109,6 @@ type Cache struct {
 	sets    [][]line // sets[i] ordered MRU..LRU
 	setMask uint64
 	stats   Stats
-	mshr    map[isa.Block]struct{}
 }
 
 // New builds a cache; it panics on an invalid geometry (a configuration
@@ -132,7 +125,6 @@ func New(cfg Config) *Cache {
 		cfg:     cfg,
 		sets:    sets,
 		setMask: uint64(cfg.Sets() - 1),
-		mshr:    make(map[isa.Block]struct{}),
 	}
 }
 
@@ -258,29 +250,3 @@ func (c *Cache) Resident() int {
 	}
 	return n
 }
-
-// MSHRAcquire reserves a miss-status register for block b. It returns false
-// when all MSHRs are busy or when a fill for b is already outstanding
-// (secondary misses merge and do not need a new register).
-func (c *Cache) MSHRAcquire(b isa.Block) bool {
-	if _, outstanding := c.mshr[b]; outstanding {
-		return false
-	}
-	if c.cfg.MSHRs > 0 && len(c.mshr) >= c.cfg.MSHRs {
-		return false
-	}
-	c.mshr[b] = struct{}{}
-	return true
-}
-
-// MSHROutstanding reports whether a fill for b is in flight.
-func (c *Cache) MSHROutstanding(b isa.Block) bool {
-	_, ok := c.mshr[b]
-	return ok
-}
-
-// MSHRRelease completes the outstanding fill for b.
-func (c *Cache) MSHRRelease(b isa.Block) { delete(c.mshr, b) }
-
-// MSHRInUse returns the number of busy MSHRs.
-func (c *Cache) MSHRInUse() int { return len(c.mshr) }

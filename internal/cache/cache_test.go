@@ -9,7 +9,7 @@ import (
 )
 
 func l1Config() Config {
-	return Config{SizeBytes: 64 << 10, Assoc: 2, BlockBytes: 64, MSHRs: 32}
+	return Config{SizeBytes: 64 << 10, Assoc: 2, BlockBytes: 64}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -170,45 +170,6 @@ func TestResetStats(t *testing.T) {
 	c.ResetStats()
 	if c.Stats().Accesses != 0 {
 		t.Error("ResetStats should zero counters")
-	}
-}
-
-func TestMSHR(t *testing.T) {
-	cfg := l1Config()
-	cfg.MSHRs = 2
-	c := New(cfg)
-	if !c.MSHRAcquire(isa.Block(1)) {
-		t.Fatal("first acquire should succeed")
-	}
-	if c.MSHRAcquire(isa.Block(1)) {
-		t.Error("duplicate acquire should merge (fail)")
-	}
-	if !c.MSHROutstanding(isa.Block(1)) {
-		t.Error("block 1 should be outstanding")
-	}
-	if !c.MSHRAcquire(isa.Block(2)) {
-		t.Fatal("second acquire should succeed")
-	}
-	if c.MSHRAcquire(isa.Block(3)) {
-		t.Error("third acquire should fail: MSHRs exhausted")
-	}
-	c.MSHRRelease(isa.Block(1))
-	if c.MSHRInUse() != 1 {
-		t.Errorf("MSHRInUse = %d, want 1", c.MSHRInUse())
-	}
-	if !c.MSHRAcquire(isa.Block(3)) {
-		t.Error("acquire after release should succeed")
-	}
-}
-
-func TestMSHRUnlimited(t *testing.T) {
-	cfg := l1Config()
-	cfg.MSHRs = 0
-	c := New(cfg)
-	for i := 0; i < 1000; i++ {
-		if !c.MSHRAcquire(isa.Block(i)) {
-			t.Fatalf("unlimited MSHR acquire %d failed", i)
-		}
 	}
 }
 

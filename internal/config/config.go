@@ -38,7 +38,9 @@ type System struct {
 	BlockBytes   int
 	// L1ILoadToUse is the L1-I hit latency in cycles (2).
 	L1ILoadToUse int
-	// L1IMSHRs bounds outstanding instruction fills (32).
+	// L1IMSHRs bounds outstanding instruction fills (32; 0 means
+	// unlimited). Table I documentation only: prefetch fills are
+	// behavioral (DESIGN.md §4), so no model consumes it.
 	L1IMSHRs int
 
 	// L2SizeBytesPerCore, L2Assoc, L2HitCycles: 512KB/core, 16-way, 15.
@@ -103,7 +105,6 @@ func (s System) L1I() cache.Config {
 		SizeBytes:  s.L1ISizeBytes,
 		Assoc:      s.L1IAssoc,
 		BlockBytes: s.BlockBytes,
-		MSHRs:      s.L1IMSHRs,
 	}
 }
 
@@ -128,6 +129,9 @@ func (s System) Validate() error {
 	}
 	if err := s.Predictor.Validate(); err != nil {
 		return err
+	}
+	if s.L1IMSHRs < 0 {
+		return fmt.Errorf("config: L1IMSHRs = %d", s.L1IMSHRs)
 	}
 	if s.FetchWidth <= 0 {
 		return fmt.Errorf("config: FetchWidth = %d", s.FetchWidth)

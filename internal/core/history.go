@@ -1,6 +1,11 @@
 package core
 
-import "repro/internal/isa"
+import (
+	"math"
+
+	"repro/internal/blocktab"
+	"repro/internal/isa"
+)
 
 // HistoryBuffer is the circular FIFO of spatial region records
 // (Section 4.2). Positions are absolute (monotonically increasing), so a
@@ -42,49 +47,49 @@ func (h *HistoryBuffer) At(pos uint64) (Region, bool) {
 	return h.buf[pos%uint64(len(h.buf))], true
 }
 
-// indexEntry is one index-table mapping.
+// indexEntry is one index-table mapping, linked into the LRU list by
+// entry number.
 type indexEntry struct {
-	trigger isa.Block
-	pos     uint64
-	prev    int
-	next    int
-	valid   bool
+	trigger    isa.Block
+	pos        uint64
+	prev, next int32
 }
+
+// maxIndexEntries bounds an index's capacity so entry numbers fit the
+// int32 links; an entry pool that large would not fit in memory anyway.
+const maxIndexEntries = math.MaxInt32
 
 // IndexTable maps a trigger block to the history position of its most
 // recent record (Section 4.2). It is a bounded cache-like structure with
-// LRU replacement, implemented as a map plus an intrusive doubly-linked
-// LRU list over a fixed entry pool.
+// LRU replacement, implemented as a block table from trigger to entry
+// number plus an intrusive doubly-linked LRU list over an entry pool.
+// The pool and the table grow with the live entries, so an index sized
+// far beyond what a run touches costs only what the run touches.
 type IndexTable struct {
-	entries []indexEntry
-	lookup  map[isa.Block]int
-	head    int // MRU
-	tailIdx int // LRU
-	used    int
+	entries  []indexEntry
+	lookup   blocktab.Table[int32]
+	capacity int
+	head     int32 // MRU
+	tailIdx  int32 // LRU
 }
 
 // NewIndexTable builds an index with the given entry capacity (minimum 1).
 func NewIndexTable(capacity int) *IndexTable {
-	if capacity < 1 {
-		capacity = 1
+	return &IndexTable{
+		capacity: min(max(capacity, 1), maxIndexEntries),
+		head:     -1,
+		tailIdx:  -1,
 	}
-	t := &IndexTable{
-		entries: make([]indexEntry, capacity),
-		lookup:  make(map[isa.Block]int, capacity),
-		head:    -1,
-		tailIdx: -1,
-	}
-	return t
 }
 
 // Cap returns the entry capacity.
-func (t *IndexTable) Cap() int { return len(t.entries) }
+func (t *IndexTable) Cap() int { return t.capacity }
 
 // Len returns the number of live entries.
-func (t *IndexTable) Len() int { return t.used }
+func (t *IndexTable) Len() int { return len(t.entries) }
 
 // unlink removes entry i from the LRU list.
-func (t *IndexTable) unlink(i int) {
+func (t *IndexTable) unlink(i int32) {
 	e := &t.entries[i]
 	if e.prev >= 0 {
 		t.entries[e.prev].next = e.next
@@ -100,7 +105,7 @@ func (t *IndexTable) unlink(i int) {
 }
 
 // pushFront inserts entry i at the MRU position.
-func (t *IndexTable) pushFront(i int) {
+func (t *IndexTable) pushFront(i int32) {
 	e := &t.entries[i]
 	e.prev = -1
 	e.next = t.head
@@ -115,30 +120,30 @@ func (t *IndexTable) pushFront(i int) {
 
 // Put maps trigger to pos, updating an existing entry or evicting the LRU.
 func (t *IndexTable) Put(trigger isa.Block, pos uint64) {
-	if i, ok := t.lookup[trigger]; ok {
+	if i, ok := t.lookup.Get(trigger); ok {
 		t.entries[i].pos = pos
 		t.unlink(i)
 		t.pushFront(i)
 		return
 	}
-	var i int
-	if t.used < len(t.entries) {
-		i = t.used
-		t.used++
+	var i int32
+	if len(t.entries) < t.capacity {
+		i = int32(len(t.entries))
+		t.entries = append(t.entries, indexEntry{})
 	} else {
 		i = t.tailIdx
-		delete(t.lookup, t.entries[i].trigger)
+		t.lookup.Delete(t.entries[i].trigger)
 		t.unlink(i)
 	}
-	t.entries[i] = indexEntry{trigger: trigger, pos: pos, prev: -1, next: -1, valid: true}
-	t.lookup[trigger] = i
+	t.entries[i] = indexEntry{trigger: trigger, pos: pos, prev: -1, next: -1}
+	t.lookup.Put(trigger, i)
 	t.pushFront(i)
 }
 
 // Get returns the most recent history position recorded for trigger and
 // promotes the entry to MRU.
 func (t *IndexTable) Get(trigger isa.Block) (uint64, bool) {
-	i, ok := t.lookup[trigger]
+	i, ok := t.lookup.Get(trigger)
 	if !ok {
 		return 0, false
 	}
@@ -146,3 +151,6 @@ func (t *IndexTable) Get(trigger isa.Block) (uint64, bool) {
 	t.pushFront(i)
 	return t.entries[i].pos, true
 }
+
+// Has reports whether trigger has an entry, without promoting it.
+func (t *IndexTable) Has(trigger isa.Block) bool { return t.lookup.Has(trigger) }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -160,5 +161,78 @@ func TestIndexTableLatestWins(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// naiveIndex is the reference LRU index: a map from trigger to position
+// plus a recency list, most recent first.
+type naiveIndex struct {
+	capacity int
+	pos      map[isa.Block]uint64
+	lru      []isa.Block
+}
+
+func (n *naiveIndex) touch(k isa.Block) {
+	for i, x := range n.lru {
+		if x == k {
+			n.lru = append(n.lru[:i], n.lru[i+1:]...)
+			break
+		}
+	}
+	n.lru = append([]isa.Block{k}, n.lru...)
+}
+
+func (n *naiveIndex) Put(k isa.Block, pos uint64) {
+	if _, ok := n.pos[k]; !ok && len(n.pos) == n.capacity {
+		victim := n.lru[len(n.lru)-1]
+		n.lru = n.lru[:len(n.lru)-1]
+		delete(n.pos, victim)
+	}
+	n.pos[k] = pos
+	n.touch(k)
+}
+
+func (n *naiveIndex) Get(k isa.Block) (uint64, bool) {
+	pos, ok := n.pos[k]
+	if ok {
+		n.touch(k)
+	}
+	return pos, ok
+}
+
+// TestIndexTableMatchesNaiveLRU drives random Put/Get sequences through
+// IndexTable and the naive reference at several capacities and key
+// ranges (block 0 included) and requires identical answers throughout,
+// then identical contents.
+func TestIndexTableMatchesNaiveLRU(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 64, 3000} {
+		for _, keys := range []int{3, 40, 5000} {
+			rng := rand.New(rand.NewSource(int64(capacity*7919 + keys)))
+			idx := NewIndexTable(capacity)
+			ref := &naiveIndex{capacity: capacity, pos: map[isa.Block]uint64{}}
+			for op := 0; op < 20_000; op++ {
+				k := isa.Block(rng.Intn(keys))
+				if rng.Intn(2) == 0 {
+					idx.Put(k, uint64(op))
+					ref.Put(k, uint64(op))
+					continue
+				}
+				got, ok := idx.Get(k)
+				want, wok := ref.Get(k)
+				if got != want || ok != wok {
+					t.Fatalf("cap %d keys %d op %d: Get(%v) = %d, %v; reference %d, %v",
+						capacity, keys, op, k, got, ok, want, wok)
+				}
+			}
+			if idx.Len() != len(ref.pos) {
+				t.Fatalf("cap %d keys %d: Len = %d, reference %d", capacity, keys, idx.Len(), len(ref.pos))
+			}
+			for k := 0; k < keys; k++ {
+				_, want := ref.pos[isa.Block(k)]
+				if idx.Has(isa.Block(k)) != want {
+					t.Fatalf("cap %d keys %d: Has(%d) = %v, reference %v", capacity, keys, k, !want, want)
+				}
+			}
+		}
 	}
 }

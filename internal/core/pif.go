@@ -233,9 +233,7 @@ func (p *PIF) InWindow(b isa.Block, tl isa.TrapLevel) bool {
 // IndexHas reports whether the index table has an entry for trigger block b
 // at trap level tl, without promoting it (observability).
 func (p *PIF) IndexHas(b isa.Block, tl isa.TrapLevel) bool {
-	e := p.engineFor(tl)
-	_, ok := e.index.lookup[b]
-	return ok
+	return p.engineFor(tl).index.Has(b)
 }
 
 // LiveSABs returns the number of active stream address buffers across all

@@ -91,10 +91,13 @@ func (r *Region) Set(g Geometry, b isa.Block) bool {
 	return true
 }
 
-// Has reports whether block b is marked accessed.
+// Has reports whether block b is marked accessed. It is Geometry.BitFor
+// folded into one unsigned range check: d is b's bit position, and a
+// block before the region wraps d past every valid position. Small
+// enough to inline into the SAB window scan.
 func (r Region) Has(g Geometry, b isa.Block) bool {
-	bit, ok := g.BitFor(r.Trigger, b)
-	return ok && r.Bits&(1<<uint(bit)) != 0
+	d := uint64(b) - uint64(r.Trigger) + uint64(g.Prec)
+	return d < uint64(g.Size()) && r.Bits>>d&1 != 0
 }
 
 // SubsetOf reports whether every block of r is also in s (same trigger).

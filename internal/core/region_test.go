@@ -212,3 +212,68 @@ func TestRegionString(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// allGeometries lists every valid geometry: Prec, Succ >= 0 and at most
+// 64 blocks in all.
+func allGeometries() []Geometry {
+	var gs []Geometry
+	for prec := 0; prec < 64; prec++ {
+		for succ := 0; prec+1+succ <= 64; succ++ {
+			gs = append(gs, Geometry{Prec: prec, Succ: succ})
+		}
+	}
+	return gs
+}
+
+// TestHasMatchesBitFor: for every valid geometry, Region.Has agrees with
+// its definition through Geometry.BitFor on blocks inside, at the edges
+// of, and far from the region, for triggers at both ends of the block
+// space and random bit vectors.
+func TestHasMatchesBitFor(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, g := range allGeometries() {
+		if err := g.Validate(); err != nil {
+			t.Fatalf("geometry %+v: %v", g, err)
+		}
+		for _, trig := range []isa.Block{0, 1, 5, ^isa.Block(0), ^isa.Block(0) - 3, isa.Block(rng.Uint64())} {
+			r := Region{Trigger: trig, Bits: rng.Uint64()}
+			for d := -g.Prec - 3; d <= g.Succ+3; d++ {
+				for _, b := range []isa.Block{trig.Add(d), trig.Add(d) ^ 1<<63, isa.Block(rng.Uint64())} {
+					bit, ok := g.BitFor(r.Trigger, b)
+					want := ok && r.Bits&(1<<uint(bit)) != 0
+					if got := r.Has(g, b); got != want {
+						t.Fatalf("%+v %v: Has(%v) = %v, BitFor says %v", g, r, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSABIssueOrderMatchesBlocks: for every valid geometry, the SAB's
+// bit-vector walk issues exactly Region.Blocks, in the same order, for
+// random bit vectors within the geometry.
+func TestSABIssueOrderMatchesBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, g := range allGeometries() {
+		f := newSABFile(1, 1, g)
+		inGeom := ^uint64(0) >> (64 - g.Size())
+		for i := 0; i < 8; i++ {
+			r := Region{
+				Trigger: isa.Block(rng.Uint64() >> uint(rng.Intn(64))),
+				Bits:    rng.Uint64() >> uint(rng.Intn(64)) & inGeom,
+			}
+			iss := newFakeIssuer()
+			f.issue(r, iss)
+			want := r.Blocks(g, nil)
+			if len(iss.prefetched) != len(want) {
+				t.Fatalf("%+v %v: issued %v, Blocks %v", g, r, iss.prefetched, want)
+			}
+			for j := range want {
+				if iss.prefetched[j] != want[j] {
+					t.Fatalf("%+v %v: issued %v, Blocks %v", g, r, iss.prefetched, want)
+				}
+			}
+		}
+	}
+}

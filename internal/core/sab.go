@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/isa"
 	"repro/internal/prefetch"
 )
@@ -69,8 +71,8 @@ func (f *sabFile) allocate(pos uint64, hist *HistoryBuffer, iss prefetch.Issuer)
 	if s.live && f.onStreamEnd != nil {
 		f.onStreamEnd(s.advances)
 	}
-	*s = sab{nextPos: pos, live: true, lru: f.clock}
-	s.regions = s.regions[:0]
+	// Keep the window's backing array: a new stream reuses it.
+	*s = sab{regions: s.regions[:0], nextPos: pos, live: true, lru: f.clock}
 	for len(s.regions) < f.initial {
 		if !f.loadNext(s, hist, iss) {
 			break
@@ -90,13 +92,21 @@ func (f *sabFile) loadNext(s *sab, hist *HistoryBuffer, iss prefetch.Issuer) boo
 	}
 	s.nextPos++
 	s.regions = append(s.regions, r)
-	var blocks [64]isa.Block
-	for _, b := range r.Blocks(f.geom, blocks[:0]) {
+	f.issue(r, iss)
+	return true
+}
+
+// issue prefetches the blocks of region r that are not resident. It walks
+// the bit vector lowest bit first, which is the order Region.Blocks lists
+// the blocks in, without building the list. Recorded regions set no bit
+// outside their geometry (Region.Set), so every set bit is a block.
+func (f *sabFile) issue(r Region, iss prefetch.Issuer) {
+	for v := r.Bits; v != 0; v &= v - 1 {
+		b := r.Trigger.Add(bits.TrailingZeros64(v) - f.geom.Prec)
 		if !iss.Contains(b) {
 			iss.Prefetch(b)
 		}
 	}
-	return true
 }
 
 // advance reacts to a demand fetch of block b: if b falls within an active
@@ -128,12 +138,7 @@ func (f *sabFile) advance(b isa.Block, hist *HistoryBuffer, iss prefetch.Issuer)
 			// have been evicted before use under cache pressure; the SAB
 			// reissues it while the stream is still ahead of the demand.
 			if len(s.regions) > 1 {
-				var blocks [64]isa.Block
-				for _, nb := range s.regions[1].Blocks(f.geom, blocks[:0]) {
-					if !iss.Contains(nb) {
-						iss.Prefetch(nb)
-					}
-				}
+				f.issue(s.regions[1], iss)
 			}
 			s.lru = f.clock
 			s.advances++

@@ -392,9 +392,9 @@ func (s *Service) execute(id string) {
 		s.logf("execute %s: %v", id, err)
 		return
 	}
-	now := time.Now().UTC()
+	started := time.Now().UTC()
 	rec.State = StateRunning
-	rec.StartedAt = &now
+	rec.StartedAt = &started
 	rec.FinishedAt = nil
 	rec.Error = ""
 	rec.Attempts++
@@ -414,8 +414,8 @@ func (s *Service) execute(id string) {
 		// recovery, exactly as if the process had died here.
 		return
 	}
-	now = time.Now().UTC()
-	rec.FinishedAt = &now
+	finished := time.Now().UTC()
+	rec.FinishedAt = &finished
 	if runErr != nil {
 		rec.State = StateFailed
 		rec.Error = runErr.Error()

@@ -111,6 +111,56 @@ func TestServiceLifecycle(t *testing.T) {
 	}
 }
 
+// TestServiceStartedAtKept: the start time a running record shows is the
+// one the finished record keeps, and it precedes the finish time (the
+// finish must not overwrite the start).
+func TestServiceStartedAtKept(t *testing.T) {
+	if testing.Short() {
+		t.Skip("service tests run simulations; skipped in -short mode")
+	}
+	started := make(chan time.Time, 1)
+	var svc *Service
+	svc, err := New(Config{
+		DBDir:    t.TempDir(),
+		Parallel: 2,
+		hookRunning: func(id string) {
+			st, err := svc.Run(id)
+			if err != nil || st.StartedAt == nil {
+				t.Errorf("running record %s: %v, started %v", id, err, st.StartedAt)
+				close(started)
+				return
+			}
+			started <- *st.StartedAt
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	st, err := svc.Submit(testRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fin := waitTerminal(t, svc, st.ID)
+	if fin.State != StateDone {
+		t.Fatalf("final state = %s (error %q), want %s", fin.State, fin.Error, StateDone)
+	}
+	running, ok := <-started
+	if !ok {
+		t.FailNow()
+	}
+	if fin.StartedAt == nil || fin.FinishedAt == nil {
+		t.Fatalf("timing not recorded: started %v finished %v", fin.StartedAt, fin.FinishedAt)
+	}
+	if !fin.StartedAt.Equal(running) {
+		t.Errorf("finished record started at %v, running record at %v", *fin.StartedAt, running)
+	}
+	if !fin.StartedAt.Before(*fin.FinishedAt) {
+		t.Errorf("started at %v, not before finished at %v", *fin.StartedAt, *fin.FinishedAt)
+	}
+}
+
 // TestServiceSubmitValidation: malformed sweeps are refused at the API —
 // before they ever occupy the queue — with the CLI's diagnostics.
 func TestServiceSubmitValidation(t *testing.T) {

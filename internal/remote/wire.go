@@ -97,8 +97,9 @@ func EncodeJob(j runner.Job) (JobSpec, error) {
 		}
 		spec.Source = &ss
 	}
-	// Program images are deterministic functions of the profile; the
-	// worker rebuilds (and caches) them, so j.Program is dropped.
+	// Program images are deterministic functions of the profile, so
+	// j.Program is dropped: the worker's job leaves it nil and RunJob
+	// rebuilds the image for every job. Nothing caches it.
 	return spec, nil
 }
 

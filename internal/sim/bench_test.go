@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/prefetch"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -42,7 +43,9 @@ func BenchmarkReplayJob(b *testing.B) {
 // issuer boxing, no access-callback closure, no per-record buffers.
 // Engines that intentionally grow unbounded metadata (TIFS's miss
 // history) are excluded; the baselines here cover the frontend, cache,
-// polluter, and prefetch per-access paths.
+// polluter, and prefetch per-access paths, and PIF covers its recording
+// pipeline, index, and stream address buffers, whose tables grow only
+// up to their configured bounds.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	wl := workload.OLTPDB2()
 	cfg := replayConfig()
@@ -59,6 +62,7 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	for _, pf := range []prefetch.Prefetcher{
 		prefetch.None{},
 		prefetch.NewNextLine(4),
+		core.New(core.DefaultConfig()),
 	} {
 		s := New(cfg, pf, wl.Seed)
 		for _, r := range stream { // warm caches, maps, predictor state

@@ -15,6 +15,7 @@ package sim
 import (
 	"context"
 
+	"repro/internal/blocktab"
 	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/frontend"
@@ -113,8 +114,8 @@ type Simulator struct {
 
 	instrs     uint64
 	stall      uint64
-	everFilled map[isa.Block]struct{} // L2-resident approximation
-	readyAt    map[isa.Block]uint64   // in-flight prefetch completion times
+	everFilled blocktab.Table[struct{}] // L2-resident approximation
+	readyAt    blocktab.Table[uint64]   // in-flight prefetch completion times
 	polluter   *cache.Polluter
 
 	correctAccesses uint64
@@ -151,8 +152,6 @@ func New(cfg Config, pf prefetch.Prefetcher, feSeed int64) *Simulator {
 		l1:         cache.New(cfg.System.L1I()),
 		fe:         frontend.New(cfg.System.Frontend(feSeed)),
 		pf:         pf,
-		everFilled: make(map[isa.Block]struct{}, 1<<16),
-		readyAt:    make(map[isa.Block]uint64, 1<<10),
 		lastTagged: true,
 		polluter: cache.NewPolluter(
 			cfg.System.CtxSwitchEveryInstrs, cfg.System.CtxSwitchBlocks, feSeed^0x706f6c),
@@ -174,7 +173,7 @@ func (s *Simulator) now() uint64 {
 // touched blocks (the multi-megabyte working set is L2 resident), memory
 // for cold blocks.
 func (s *Simulator) fillLatency(b isa.Block) uint64 {
-	if _, ok := s.everFilled[b]; ok {
+	if s.everFilled.Has(b) {
 		return uint64(s.cfg.System.L2HitCycles)
 	}
 	return uint64(s.cfg.System.MemCycles())
@@ -196,8 +195,8 @@ func (i issuer) Prefetch(b isa.Block) {
 	}
 	lat := s.fillLatency(b)
 	s.l1.Fill(b, true)
-	s.everFilled[b] = struct{}{}
-	s.readyAt[b] = s.now() + lat
+	s.everFilled.Put(b, struct{}{})
+	s.readyAt.Put(b, s.now()+lat)
 	s.prefIssued++
 }
 
@@ -225,7 +224,7 @@ func (s *Simulator) access(a frontend.Access) {
 		if !hit {
 			s.stall += s.fillLatency(a.Block)
 		} else if wasPrefetched {
-			if ready, ok := s.readyAt[a.Block]; ok {
+			if ready, ok := s.readyAt.Get(a.Block); ok {
 				if now := s.now(); ready > now {
 					s.stall += ready - now // prefetch in flight: partial stall
 				}
@@ -233,13 +232,13 @@ func (s *Simulator) access(a frontend.Access) {
 		}
 	}
 	if hit {
-		delete(s.readyAt, a.Block)
+		s.readyAt.Delete(a.Block)
 	}
 
 	if !hit {
 		s.l1.Fill(a.Block, false)
-		s.everFilled[a.Block] = struct{}{}
-		delete(s.readyAt, a.Block)
+		s.everFilled.Put(a.Block, struct{}{})
+		s.readyAt.Delete(a.Block)
 	}
 
 	s.pf.OnAccess(prefetch.AccessEvent{
@@ -264,7 +263,7 @@ func (s *Simulator) Step(r trace.Record) {
 // are considered complete at the measurement boundary.
 func (s *Simulator) resetStats() {
 	s.l1.ResetStats()
-	clear(s.readyAt)
+	s.readyAt.Clear()
 	s.instrs = 0
 	s.stall = 0
 	s.correctAccesses = 0
