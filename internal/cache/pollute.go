@@ -51,10 +51,30 @@ func (p *Polluter) Tick(c *Cache) bool {
 	if p.in > 0 {
 		return false
 	}
+	p.fire(c)
+	return true
+}
+
+// TickN advances the polluter by n retired instructions: exactly n Tick
+// calls, with each context switch firing on the instruction it falls on
+// and drawing the same gaps and foreign blocks.
+func (p *Polluter) TickN(c *Cache, n int) {
+	if !p.enabled() {
+		return
+	}
+	for n >= p.in {
+		n -= p.in
+		p.fire(c)
+	}
+	p.in -= n
+}
+
+// fire runs one context switch: it fills the foreign thread's blocks into
+// c and draws the gap to the next switch.
+func (p *Polluter) fire(c *Cache) {
 	p.in = p.nextGap()
 	for i := 0; i < p.blocks; i++ {
 		b := foreignBase + isa.Block(p.rng.Intn(1<<16))
 		c.Fill(b, false)
 	}
-	return true
 }

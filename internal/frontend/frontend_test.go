@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -214,6 +215,49 @@ func TestDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("access %d differs", i)
+		}
+	}
+}
+
+// TestBlockRunEndpointsFeedIdentically: on every standard profile,
+// feeding the front end only the first and last record of each same-block
+// run (trace.BlockRun) gives the access stream, front-end statistics and
+// predictor statistics of feeding every record — the property the
+// simulator's block-grain stepping rests on.
+func TestBlockRunEndpointsFeedIdentically(t *testing.T) {
+	for _, wl := range workload.StandardSuite() {
+		s, err := workload.GenerateStream(wl, 200_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Seed = wl.Seed
+		every, ends := New(cfg), New(cfg)
+		var want, got []Access
+		for _, r := range s {
+			every.Feed(r, func(a Access) { want = append(want, a) })
+		}
+		emit := func(a Access) { got = append(got, a) }
+		skipped := 0
+		for i := 0; i < len(s); i++ {
+			ends.Feed(s[i], emit)
+			if k := trace.BlockRun(s[i:]); k > 0 {
+				i += k
+				skipped += k - 1
+				ends.Feed(s[i], emit)
+			}
+		}
+		if skipped == 0 {
+			t.Errorf("%s: no record skipped; the stream has no runs to test", wl.Name)
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: the endpoint feed's %d accesses differ from the every-record feed's %d", wl.Name, len(got), len(want))
+		}
+		if g, w := ends.Stats(), every.Stats(); g != w {
+			t.Errorf("%s: frontend stats %+v, want %+v", wl.Name, g, w)
+		}
+		if g, w := ends.Predictor().Stats(), every.Predictor().Stats(); g != w {
+			t.Errorf("%s: predictor stats %+v, want %+v", wl.Name, g, w)
 		}
 	}
 }

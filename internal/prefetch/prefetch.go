@@ -51,6 +51,13 @@ type Prefetcher interface {
 	// OnRetire observes a retired instruction. tagged reports that the
 	// instruction's fetch was not served by a prefetch (the paper's tag
 	// bit carried down the pipeline).
+	//
+	// The simulator does not deliver continuations (trace.BlockRun): a
+	// record in its predecessor's block and trap level that neither
+	// follows a branch nor starts a call, return or trap. A block-grain
+	// retire stream drops them, and every engine must ignore them: PIF
+	// collapses same-block retirements per trap level, and the baselines
+	// observe no retirement at all.
 	OnRetire(r trace.Record, tagged bool, iss Issuer)
 }
 

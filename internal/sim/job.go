@@ -63,16 +63,11 @@ type Job struct {
 	Observer Observer
 }
 
-// cancelCheckMask throttles context polling to once per 64K retired
-// instructions (~microseconds of real time), keeping the cancellation
-// check off the per-instruction hot path.
-const cancelCheckMask = 1<<16 - 1
-
 // RunJob executes one simulation job: resolve the engine spec into a
 // fresh prefetcher, resolve the record source, build (or adopt) the
 // program image when executing live, warm up, measure. The context is
-// polled periodically; on cancellation the run is aborted and ctx.Err()
-// returned. RunJob is safe for concurrent use — it shares no mutable
+// polled once per 4096-record batch; on cancellation the run is aborted
+// and ctx.Err() returned. RunJob is safe for concurrent use — it shares no mutable
 // state with other runs beyond the read-only Program.
 func RunJob(ctx context.Context, j Job) (Result, error) {
 	if j.Engine.Name == "" {
@@ -163,7 +158,9 @@ func runOpened(ctx context.Context, j Job, p prefetch.Prefetcher, it trace.Itera
 	return replayJob(ctx, j, p, it)
 }
 
-// liveJob executes the job by running the workload program.
+// liveJob executes the job by running the workload program. The
+// executor pushes its records into one batch buffer, which is stepped
+// (and the context polled) each time it fills and at each phase end.
 func liveJob(ctx context.Context, j Job, p prefetch.Prefetcher) (Result, error) {
 	prog := j.Program
 	if prog == nil {
@@ -176,94 +173,42 @@ func liveJob(ctx context.Context, j Job, p prefetch.Prefetcher) (Result, error) 
 
 	ex := workload.NewExecutor(prog)
 	s := New(j.Config, p, j.Workload.Seed)
-
-	// The cancellation wrapper does not perturb the instruction stream, so
-	// completed runs are bit-identical whether or not a cancelable context
-	// is attached.
-	step := s.Step
-	if ctx.Done() != nil {
-		var n uint64
-		step = func(r trace.Record) {
-			s.Step(r)
-			n++
-			if n&cancelCheckMask == 0 {
-				select {
-				case <-ctx.Done():
-					ex.Abort()
-				default:
-				}
+	buf := make([]trace.Record, 0, stepBatch)
+	var err error
+	emit := func(r trace.Record) {
+		buf = append(buf, r)
+		if len(buf) == stepBatch {
+			s.StepBatch(buf)
+			buf = buf[:0]
+			if err = ctx.Err(); err != nil {
+				ex.Abort()
 			}
 		}
 	}
-
-	if j.Config.WarmupInstrs > 0 {
-		ex.Run(j.Config.WarmupInstrs, step)
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
+	// Each phase is one executor Run, which starts a fresh transaction:
+	// the phase boundaries are part of the live stream.
+	return drive(j, s, func(n uint64) error {
+		ex.Run(n, emit)
+		s.StepBatch(buf)
+		buf = buf[:0]
+		if err != nil {
+			return err
 		}
-		s.resetStats()
-	}
-	var snap Result
-	if j.Config.MeasureOffsetInstrs > 0 {
-		// The offset runs with statistics accumulating (no reset): the
-		// measured interval is reported as deltas against this snapshot,
-		// so state and clock evolve exactly as in an offset-free run.
-		ex.Run(j.Config.MeasureOffsetInstrs, step)
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
-		}
-		snap = s.result(j.Workload.Name)
-	}
-	s.obs = j.Observer
-	ex.Run(j.Config.MeasureInstrs, step)
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
-	}
-	res := s.result(j.Workload.Name)
-	if j.Config.MeasureOffsetInstrs > 0 {
-		res = res.deltaFrom(snap)
-	}
-	return res, nil
+		return ctx.Err()
+	})
 }
 
-// replayBatch is the record batch replayJob decodes per NextBatch call:
-// large enough to amortize the batch call and the context poll, small
-// enough that the buffer stays cache-warm across the Step loop.
-const replayBatch = 4096
+// stepBatch is the record batch both drive loops step per call: large
+// enough to amortize the batch call and the context poll, small enough
+// that the buffer stays cache-warm across the step loop.
+const stepBatch = 4096
 
-// replayJob drives a job from a record iterator instead of a live
-// executor: records stream through the same Simulator in batches decoded
-// into one preallocated buffer, so the replay loop performs no per-record
-// interface calls and no allocation, and peak memory is the source's own
-// buffer (one store chunk, one executor batch), never the trace length.
-func replayJob(ctx context.Context, j Job, p prefetch.Prefetcher, src trace.Iterator) (Result, error) {
-	s := New(j.Config, p, j.Workload.Seed)
-	b := trace.Batched(src)
-	buf := make([]trace.Record, replayBatch)
-	feed := func(n uint64) error {
-		for done := uint64(0); done < n; {
-			want := n - done
-			if want > replayBatch {
-				want = replayBatch
-			}
-			k, err := b.NextBatch(buf[:want])
-			for _, r := range buf[:k] {
-				s.Step(r)
-			}
-			done += uint64(k)
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					return fmt.Errorf("sim: trace source for %q exhausted after %d of %d records: %w",
-						j.Workload.Name, done, n, io.ErrUnexpectedEOF)
-				}
-				return fmt.Errorf("sim: trace source for %q: %w", j.Workload.Name, err)
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// drive runs a job's warmup → offset → measure sequence on s. feed(n)
+// steps the source's next n records through s in batches, polling the
+// context once per batch; drive resets the statistics at the warmup
+// boundary, snapshots them after the offset and reports the measured
+// interval, so live and replay jobs share every phase rule.
+func drive(j Job, s *Simulator, feed func(n uint64) error) (Result, error) {
 	if j.Config.WarmupInstrs > 0 {
 		if err := feed(j.Config.WarmupInstrs); err != nil {
 			return Result{}, err
@@ -272,10 +217,10 @@ func replayJob(ctx context.Context, j Job, p prefetch.Prefetcher, src trace.Iter
 	}
 	var snap Result
 	if j.Config.MeasureOffsetInstrs > 0 {
-		// Replay the offset with statistics accumulating (no reset) and
-		// snapshot; the measured interval is reported as deltas, so the
-		// simulator's state and clock match an offset-free replay at
-		// every record (see Config.MeasureOffsetInstrs).
+		// The offset runs with statistics accumulating (no reset): the
+		// measured interval is reported as deltas against this snapshot,
+		// so state and clock evolve exactly as in an offset-free run
+		// (see Config.MeasureOffsetInstrs).
 		if err := feed(j.Config.MeasureOffsetInstrs); err != nil {
 			return Result{}, err
 		}
@@ -290,4 +235,33 @@ func replayJob(ctx context.Context, j Job, p prefetch.Prefetcher, src trace.Iter
 		res = res.deltaFrom(snap)
 	}
 	return res, nil
+}
+
+// replayJob drives a job from a record iterator instead of a live
+// executor: records are decoded in batches into one preallocated buffer,
+// so the replay loop performs no per-record interface calls and no
+// allocation, and peak memory is the source's own buffer (one store
+// chunk, one executor batch), never the trace length.
+func replayJob(ctx context.Context, j Job, p prefetch.Prefetcher, src trace.Iterator) (Result, error) {
+	s := New(j.Config, p, j.Workload.Seed)
+	b := trace.Batched(src)
+	buf := make([]trace.Record, stepBatch)
+	return drive(j, s, func(n uint64) error {
+		for done := uint64(0); done < n; {
+			k, err := b.NextBatch(buf[:min(n-done, stepBatch)])
+			s.StepBatch(buf[:k])
+			done += uint64(k)
+			if err != nil {
+				if errors.Is(err, io.EOF) {
+					return fmt.Errorf("sim: trace source for %q exhausted after %d of %d records: %w",
+						j.Workload.Name, done, n, io.ErrUnexpectedEOF)
+				}
+				return fmt.Errorf("sim: trace source for %q: %w", j.Workload.Name, err)
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }

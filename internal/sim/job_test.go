@@ -103,7 +103,7 @@ func TestRunJobCancelMidRun(t *testing.T) {
 		t.Skip("simulation test skipped in -short mode")
 	}
 	// Cancel from within the measured interval via an observer; the
-	// cancellation poll fires within 64K instructions of the cancel.
+	// context is polled once per 4096-record batch.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := jobConfig()

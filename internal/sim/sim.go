@@ -250,8 +250,31 @@ func (s *Simulator) access(a frontend.Access) {
 	}, s.iss)
 }
 
-// Step consumes one retired instruction.
-func (s *Simulator) Step(r trace.Record) {
+// StepBatch consumes a batch of retired instructions in retire order, one
+// same-block run at a time (trace.BlockRun). A run's first record takes
+// the full step. Its continuations emit no L1-I access and resolve no
+// branch, and every engine ignores them (prefetch.Prefetcher.OnRetire),
+// so the whole tail costs one front-end Feed of its last record — which
+// leaves the predecessor where one Feed per record would — plus the
+// instruction count and the polluter's ticks. The Result is identical to
+// stepping every record; a run cut by the batch boundary only costs
+// speed.
+func (s *Simulator) StepBatch(rs []trace.Record) {
+	for i := 0; i < len(rs); {
+		s.step(rs[i])
+		k := trace.BlockRun(rs[i:])
+		if k > 0 {
+			i += k
+			s.fe.Feed(rs[i], s.accessFn)
+			s.instrs += uint64(k)
+			s.polluter.TickN(s.l1, k)
+		}
+		i++
+	}
+}
+
+// step consumes one retired instruction.
+func (s *Simulator) step(r trace.Record) {
 	s.fe.Feed(r, s.accessFn)
 	s.pf.OnRetire(r, s.lastTagged, s.iss)
 	s.instrs++

@@ -50,6 +50,32 @@ type Record struct {
 // Block returns the instruction block containing the record's PC.
 func (r Record) Block() isa.Block { return isa.BlockOf(r.PC) }
 
+// BlockRun returns how many records after rs[0] continue it: the length
+// of the same-block run rs[0] starts, minus one (0 for empty or
+// one-record input). Record q continues its predecessor p when both sit
+// in the same block at the same trap level, p ends no fetch group (it is
+// neither a taken transfer nor a conditional branch), and q opens none
+// (it is not a call, return, trap-entry or trap-return target). A
+// continuation is invisible to the fetch engine — it resolves no branch
+// and emits no L1-I access — and block-grain retire consumers drop it,
+// which is what lets the simulator step a whole run at once.
+func BlockRun(rs []Record) int {
+	if len(rs) < 2 {
+		return 0
+	}
+	const ends = FlagBranchTaken | FlagCondBranch
+	const opens = FlagCallTarget | FlagReturnTarget | FlagTrapEntry | FlagTrapReturn
+	p := rs[0]
+	b := p.Block()
+	for i, q := range rs[1:] {
+		if p.Flags&ends != 0 || q.Flags&opens != 0 || q.TL != p.TL || q.Block() != b {
+			return i
+		}
+		p = q
+	}
+	return len(rs) - 1
+}
+
 // Stream is an in-memory retire-order instruction trace.
 type Stream []Record
 

@@ -362,3 +362,52 @@ func TestEncodingIsCompact(t *testing.T) {
 		t.Errorf("sequential encoding too large: %.2f bytes/record", perRecord)
 	}
 }
+
+// TestBlockRun pins the run rule: which successors of rs[0] continue it.
+func TestBlockRun(t *testing.T) {
+	const a = isa.Addr(0x1000)
+	top := ^isa.Addr(0) &^ (isa.InstrBytes - 1) // the last instruction slot
+	rec := func(pc isa.Addr, f Flags) Record { return Record{PC: pc, Flags: f} }
+	type runCase struct {
+		name string
+		rs   []Record
+		want int
+	}
+	cases := []runCase{
+		{"empty", nil, 0},
+		{"one record", []Record{rec(a, 0)}, 0},
+		{"straight line to the block end", []Record{rec(a, 0), rec(a.Plus(1), 0), rec(a.Plus(2), 0)}, 2},
+		{"same PC repeated", []Record{rec(a, 0), rec(a, 0), rec(a, 0), rec(a, 0)}, 3},
+		{"block change", []Record{rec(a, 0), rec(a.Plus(15), 0), rec(a.Plus(16), 0)}, 1},
+		{"trap-level flip, no trap flag", []Record{rec(a, 0), {PC: a.Plus(1), TL: isa.TL1}}, 0},
+		{"trap-level flip mid-run", []Record{{PC: a, TL: isa.TL1}, {PC: a.Plus(1), TL: isa.TL1}, rec(a.Plus(2), 0)}, 1},
+		{"block 0", []Record{rec(0, 0), rec(4, 0), rec(isa.BlockBytes, 0)}, 1},
+		{"top of the address space", []Record{rec(top.Plus(-1), 0), rec(top, 0)}, 1},
+		{"wrap past the top", []Record{rec(top, 0), rec(top.Plus(1), 0)}, 0},
+		{"run stops at a taken branch", []Record{rec(a, 0), rec(a.Plus(1), FlagBranchTaken), rec(a.Plus(2), 0)}, 1},
+		{"not-taken branch mid-block ends the run", []Record{rec(a, 0), rec(a.Plus(1), FlagCondBranch), rec(a.Plus(2), 0)}, 1},
+	}
+	// Each flag on either side of one same-block pair: only a group-ending
+	// predecessor or a group-opening successor breaks the run.
+	for _, f := range []struct {
+		name     string
+		flag     Flags
+		onP, onQ int
+	}{
+		{"call target", FlagCallTarget, 1, 0},
+		{"return target", FlagReturnTarget, 1, 0},
+		{"branch taken", FlagBranchTaken, 0, 1},
+		{"conditional branch", FlagCondBranch, 0, 1},
+		{"trap entry", FlagTrapEntry, 1, 0},
+		{"trap return", FlagTrapReturn, 1, 0},
+	} {
+		cases = append(cases,
+			runCase{f.name + " on the predecessor", []Record{rec(a, f.flag), rec(a.Plus(1), 0)}, f.onP},
+			runCase{f.name + " on the successor", []Record{rec(a, 0), rec(a.Plus(1), f.flag)}, f.onQ})
+	}
+	for _, c := range cases {
+		if got := BlockRun(c.rs); got != c.want {
+			t.Errorf("%s: BlockRun = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
