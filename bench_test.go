@@ -14,6 +14,8 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/isa"
 	"repro/internal/prefetch"
+	"repro/internal/runner"
+	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -49,13 +51,13 @@ func BenchmarkFig10(b *testing.B)  { benchArtifact(b, "fig10") }
 // BenchmarkSimulatePIF measures end-to-end simulation throughput
 // (instructions per second through front-end + L1 + PIF).
 func BenchmarkSimulatePIF(b *testing.B) {
-	cfg := DefaultSimConfig()
+	cfg := sim.DefaultConfig()
 	cfg.WarmupInstrs = 200_000
 	cfg.MeasureInstrs = 300_000
-	wl := OLTPDB2()
+	wl := workload.OLTPDB2()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Simulate(cfg, wl, NewPIF(DefaultPIFConfig())); err != nil {
+		if _, err := sim.Run(cfg, wl, core.New(core.DefaultConfig())); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,22 +66,22 @@ func BenchmarkSimulatePIF(b *testing.B) {
 
 // BenchmarkSimulateBaselines compares engine overheads.
 func BenchmarkSimulateBaselines(b *testing.B) {
-	cfg := DefaultSimConfig()
+	cfg := sim.DefaultConfig()
 	cfg.WarmupInstrs = 200_000
 	cfg.MeasureInstrs = 300_000
-	wl := OLTPDB2()
+	wl := workload.OLTPDB2()
 	for _, mk := range []struct {
 		name string
-		pf   func() Prefetcher
+		pf   func() prefetch.Prefetcher
 	}{
-		{"None", func() Prefetcher { return NoPrefetch() }},
-		{"NextLine", func() Prefetcher { return NewNextLine(4) }},
-		{"TIFS", func() Prefetcher { return NewTIFS() }},
-		{"PIF", func() Prefetcher { return NewPIF(DefaultPIFConfig()) }},
+		{"None", func() prefetch.Prefetcher { return prefetch.None{} }},
+		{"NextLine", func() prefetch.Prefetcher { return prefetch.NewNextLine(4) }},
+		{"TIFS", func() prefetch.Prefetcher { return prefetch.NewTIFS(prefetch.DefaultTIFSConfig()) }},
+		{"PIF", func() prefetch.Prefetcher { return core.New(core.DefaultConfig()) }},
 	} {
 		b.Run(mk.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Simulate(cfg, wl, mk.pf()); err != nil {
+				if _, err := sim.Run(cfg, wl, mk.pf()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -89,18 +91,18 @@ func BenchmarkSimulateBaselines(b *testing.B) {
 
 // runnerBenchJobs enumerates a representative job mix (3 workloads × 4
 // engines) at a small scale for the execution-engine benchmarks.
-func runnerBenchJobs() []Job {
-	cfg := DefaultSimConfig()
+func runnerBenchJobs() []runner.Job {
+	cfg := sim.DefaultConfig()
 	cfg.WarmupInstrs = 100_000
 	cfg.MeasureInstrs = 150_000
-	var jobs []Job
-	for _, wl := range Workloads()[:3] {
+	var jobs []runner.Job
+	for _, wl := range workload.StandardSuite()[:3] {
 		for _, name := range []string{"none", "nextline", "tifs", "pif"} {
-			jobs = append(jobs, Job{
+			jobs = append(jobs, runner.Job{
 				Label:    wl.Name + "/" + name,
 				Workload: wl,
 				Config:   cfg,
-				Engine:   EngineSpec{Name: name},
+				Engine:   prefetch.Spec{Name: name},
 			})
 		}
 	}
@@ -112,7 +114,7 @@ func benchRunner(b *testing.B, workers int) {
 	jobs := runnerBenchJobs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunJobs(context.Background(), jobs, workers); err != nil {
+		if _, err := runner.Run(context.Background(), jobs, workers); err != nil {
 			b.Fatal(err)
 		}
 	}

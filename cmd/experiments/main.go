@@ -67,8 +67,12 @@ import (
 	"syscall"
 	"time"
 
-	pif "repro"
+	"repro/internal/experiments"
+	"repro/internal/expsvc"
 	"repro/internal/prof"
+	"repro/internal/remote"
+	"repro/internal/report"
+	"repro/internal/runner"
 )
 
 func main() {
@@ -108,26 +112,11 @@ func scaleFlags(fs *flag.FlagSet) (quick *bool, warmup, measure *uint64, paralle
 	return
 }
 
-// dialBackend resolves the -backend flag; a non-local backend is set on
-// opts and returned for the caller to Close (nil for local, which lets
-// the environment size private pools per grid).
-func dialBackend(spec string, parallel int, token string, opts *pif.ExperimentOptions) (pif.Backend, error) {
-	if spec == "" || spec == "local" {
-		return nil, nil
-	}
-	b, err := pif.DialBackendAuth(spec, parallel, token)
-	if err != nil {
-		return nil, err
-	}
-	opts.Backend = b
-	return b, nil
-}
-
 // buildOptions resolves the shared flags into experiment options.
-func buildOptions(quick bool, warmup, measure uint64, parallel int, storeDir string, verbose bool) pif.ExperimentOptions {
-	opts := pif.DefaultExperimentOptions()
+func buildOptions(quick bool, warmup, measure uint64, parallel int, storeDir string, verbose bool) experiments.Options {
+	opts := experiments.DefaultOptions()
 	if quick {
-		opts = pif.QuickExperimentOptions()
+		opts = experiments.QuickOptions()
 	}
 	if warmup > 0 {
 		opts.WarmupInstrs = warmup
@@ -138,7 +127,7 @@ func buildOptions(quick bool, warmup, measure uint64, parallel int, storeDir str
 	opts.Parallel = parallel
 	opts.StoreDir = storeDir
 	if verbose {
-		opts.OnProgress = func(p pif.JobProgress) {
+		opts.OnProgress = func(p runner.Progress) {
 			fmt.Fprintf(os.Stderr, "  [%3d/%3d] %-40s %8s\n",
 				p.Done, p.Total, p.Label, p.Elapsed.Round(time.Millisecond))
 		}
@@ -148,7 +137,7 @@ func buildOptions(quick bool, warmup, measure uint64, parallel int, storeDir str
 
 func runMain() int {
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
-	runID := fs.String("run", "all", "artifact to regenerate: all, or one of "+strings.Join(pif.ExperimentIDs(), ", "))
+	runID := fs.String("run", "all", "artifact to regenerate: all, or one of "+strings.Join(experiments.IDs(), ", "))
 	quick, warmup, measure, parallel, traceDir, out, backend, authToken, verbose, profile := scaleFlags(fs)
 	fs.Parse(os.Args[1:])
 
@@ -159,12 +148,15 @@ func runMain() int {
 	defer profile.Stop()
 
 	opts := buildOptions(*quick, *warmup, *measure, *parallel, *traceDir, *verbose)
-	be, err := dialBackend(*backend, *parallel, *authToken, &opts)
+	// A local (nil) backend lets the environment size private pools per
+	// grid.
+	be, err := remote.DialSpec(*backend, *authToken)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		return 1
 	}
 	if be != nil {
+		opts.Backend = be
 		defer be.Close()
 	}
 
@@ -173,25 +165,25 @@ func runMain() int {
 
 	ids := []string{*runID}
 	if *runID == "all" {
-		ids = pif.ExperimentIDs()
+		ids = experiments.IDs()
 	}
 
-	env := pif.NewExperimentEnv(ctx, opts)
+	env := experiments.NewEnvContext(ctx, opts)
 	workers := env.Parallel()
 	start := time.Now()
 	var (
-		reports []pif.ExperimentReport
-		timings []pif.ResultsTiming
+		reports []experiments.Report
+		timings []report.Timing
 	)
 	for _, id := range ids {
 		artStart := time.Now()
-		rep, err := pif.RunExperimentIn(env, id)
+		rep, err := experiments.Run(env, id)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return 1
 		}
 		reports = append(reports, rep)
-		timings = append(timings, pif.ResultsTiming{ID: id, Nanos: int64(time.Since(artStart))})
+		timings = append(timings, report.Timing{ID: id, Nanos: int64(time.Since(artStart))})
 	}
 	total := time.Since(start)
 
@@ -207,24 +199,24 @@ func runMain() int {
 		opts.WarmupInstrs, opts.MeasureInstrs, workers)
 
 	if *out != "" {
-		artifacts, err := pif.ExperimentArtifacts(reports)
+		artifacts, err := experiments.Artifacts(reports)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return 1
 		}
-		run := pif.ResultsRun{
+		run := report.Run{
 			ID:         runName(*out),
 			CreatedAt:  time.Now().UTC(),
 			Options:    opts.RunOptions(),
 			Timings:    timings,
 			TotalNanos: int64(total),
 		}
-		if err := pif.SaveResults(*out, run, artifacts); err != nil {
+		if err := report.Save(*out, run, artifacts); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return 1
 		}
 		jobs := env.JobResults()
-		if err := pif.SaveJobResults(*out, jobs); err != nil {
+		if err := report.SaveJobResults(*out, jobs); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return 1
 		}
@@ -265,12 +257,13 @@ func sweepMain(args []string) int {
 	defer profile.Stop()
 
 	opts := buildOptions(*quick, *warmup, *measure, *parallel, *traceDir, *verbose)
-	be, err := dialBackend(*backend, *parallel, *authToken, &opts)
+	be, err := remote.DialSpec(*backend, *authToken)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments sweep:", err)
 		return 1
 	}
 	if be != nil {
+		opts.Backend = be
 		defer be.Close()
 	}
 	if *source != "" {
@@ -280,8 +273,8 @@ func sweepMain(args []string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	env := pif.NewExperimentEnv(ctx, opts)
-	spec, err := pif.BuildSweepSpec(env, *name, axes, engines)
+	env := experiments.NewEnvContext(ctx, opts)
+	spec, err := experiments.BuildSweep(env, *name, axes, engines)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments sweep:", err)
 		fs.Usage()
@@ -317,23 +310,23 @@ func sweepMain(args []string) int {
 		opts.WarmupInstrs, opts.MeasureInstrs, env.Parallel())
 
 	if *out != "" {
-		art, err := pif.NewResultsArtifact(spec.Name, "ad-hoc design-space sweep", "", summary)
+		art, err := report.NewArtifact(spec.Name, "ad-hoc design-space sweep", "", summary)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments sweep:", err)
 			return 1
 		}
-		run := pif.ResultsRun{
+		run := report.Run{
 			ID:         runName(*out),
 			CreatedAt:  time.Now().UTC(),
 			Options:    opts.RunOptions(),
 			TotalNanos: int64(total),
 		}
-		if err := pif.SaveResults(*out, run, []pif.ResultsArtifact{art}); err != nil {
+		if err := report.Save(*out, run, []report.Artifact{art}); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments sweep:", err)
 			return 1
 		}
 		jobs := env.JobResults()
-		if err := pif.SaveJobResults(*out, jobs); err != nil {
+		if err := report.SaveJobResults(*out, jobs); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments sweep:", err)
 			return 1
 		}
@@ -381,11 +374,11 @@ func diffMain(args []string) int {
 		return 2
 	}
 	nameA, nameB := fs.Arg(0), fs.Arg(1)
-	tol := pif.ResultsTolerances{Default: pif.ResultsTolerance{Abs: *abs, Rel: *rel}}
+	tol := report.Tolerances{Default: report.Tolerance{Abs: *abs, Rel: *rel}}
 
-	var rep pif.ResultsDiffReport
+	var rep report.DiffReport
 	if *svc != "" {
-		client, err := pif.DialExperimentService(*svc, *authToken)
+		client, err := expsvc.DialService(*svc, *authToken)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments diff:", err)
 			return 2
@@ -400,29 +393,29 @@ func diffMain(args []string) int {
 			return 2
 		}
 	} else {
-		_, aArts, err := pif.LoadResults(nameA)
+		_, aArts, err := report.Load(nameA)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments diff:", err)
 			return 2
 		}
-		_, bArts, err := pif.LoadResults(nameB)
+		_, bArts, err := report.Load(nameB)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments diff:", err)
 			return 2
 		}
-		aJobs, err := pif.LoadJobResults(nameA)
+		aJobs, err := report.LoadJobResults(nameA)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments diff:", err)
 			return 2
 		}
-		bJobs, err := pif.LoadJobResults(nameB)
+		bJobs, err := report.LoadJobResults(nameB)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments diff:", err)
 			return 2
 		}
-		d := pif.DiffResults(aArts, bArts, tol)
-		d.Merge(pif.DiffJobResults(aJobs, bJobs, tol))
-		rep = pif.NewResultsDiffReport(nameA, nameB, d)
+		d := report.DiffArtifacts(aArts, bArts, tol)
+		d.Merge(report.DiffJobResults(aJobs, bJobs, tol))
+		rep = report.NewDiffReport(nameA, nameB, d)
 	}
 
 	if *jsonOut {
@@ -451,16 +444,16 @@ func diffMain(args []string) int {
 }
 
 // diffSide resolves one diff argument for the service mode: a local run
-// directory (anything pif.LoadResults accepts) becomes an inline side,
+// directory (anything report.Load accepts) becomes an inline side,
 // anything else is passed through as a service run ID and resolved — or
 // rejected — by the service.
-func diffSide(arg string) pif.ServiceDiffSide {
-	_, arts, err := pif.LoadResults(arg)
+func diffSide(arg string) expsvc.DiffSide {
+	_, arts, err := report.Load(arg)
 	if err != nil {
-		return pif.ServiceDiffSide{RunID: arg}
+		return expsvc.DiffSide{RunID: arg}
 	}
-	side := pif.ServiceDiffSide{Label: arg, Artifacts: arts}
-	if jobs, err := pif.LoadJobResults(arg); err == nil {
+	side := expsvc.DiffSide{Label: arg, Artifacts: arts}
+	if jobs, err := report.LoadJobResults(arg); err == nil {
 		side.Jobs = jobs
 	}
 	return side
@@ -497,14 +490,14 @@ func submitMain(args []string) int {
 		return 2
 	}
 
-	client, err := pif.DialExperimentService(*svc, *authToken)
+	client, err := expsvc.DialService(*svc, *authToken)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments submit:", err)
 		return 2
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	st, err := client.Submit(ctx, pif.ServiceRequest{
+	st, err := client.Submit(ctx, expsvc.Request{
 		Name:          *name,
 		Axes:          axes,
 		Engines:       engines,
@@ -528,9 +521,9 @@ func submitMain(args []string) int {
 
 // followRun long-polls one run to a terminal state, streaming moves to
 // stderr; the exit code mirrors the run's outcome.
-func followRun(ctx context.Context, client *pif.ServiceClient, id string) int {
+func followRun(ctx context.Context, client *expsvc.Client, id string) int {
 	last := ""
-	st, err := client.WaitRun(ctx, id, func(st pif.ServiceRunStatus) {
+	st, err := client.WaitRun(ctx, id, func(st expsvc.Status) {
 		line := fmt.Sprintf("%s %s", st.ID, st.State)
 		if st.Total > 0 {
 			line = fmt.Sprintf("%s [%d/%d]", line, st.Done, st.Total)
@@ -569,7 +562,7 @@ func statusMain(args []string) int {
 		fs.Usage()
 		return 2
 	}
-	client, err := pif.DialExperimentService(*svc, *authToken)
+	client, err := expsvc.DialService(*svc, *authToken)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments status:", err)
 		return 2
@@ -577,7 +570,7 @@ func statusMain(args []string) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var sts []pif.ServiceRunStatus
+	var sts []expsvc.Status
 	if fs.NArg() == 0 {
 		if *wait {
 			fmt.Fprintln(os.Stderr, "experiments status: -wait needs explicit run IDs")

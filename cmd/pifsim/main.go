@@ -30,6 +30,13 @@
 // decoding the prefix — off and len accept K/M suffixes). Replay jobs
 // stream the trace chunk by chunk (peak memory one chunk, not the trace
 // length); the replayed range must hold at least warmup+measure records.
+//
+// -shards K splits a full-store replay into K record windows per engine
+// and stitches them back into one result: pifsim runs the store as a
+// sharded sweep with one cell per engine (internal/sweep plans and
+// folds the shard jobs), on the -parallel local pool or the -backend.
+// The default windows warm up on a fixed prefix (approximate results);
+// -exact makes every counter match the unsharded replay bit for bit.
 package main
 
 import (
@@ -42,8 +49,15 @@ import (
 	"syscall"
 	"time"
 
-	pif "repro"
+	"repro/internal/core"
+	"repro/internal/prefetch"
 	"repro/internal/prof"
+	"repro/internal/remote"
+	"repro/internal/runner"
+	"repro/internal/sim"
+	"repro/internal/sweep"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -84,17 +98,17 @@ func run() int {
 
 	if *list {
 		fmt.Println("workloads:")
-		for _, w := range pif.Workloads() {
+		for _, w := range workload.StandardSuite() {
 			fmt.Println("  " + w.Name)
 		}
 		fmt.Println("prefetchers:")
-		for _, n := range pif.PrefetcherNames() {
+		for _, n := range prefetch.Names() {
 			fmt.Println("  " + n)
 		}
 		return 0
 	}
 	if *listEngines {
-		for i, sch := range pif.EngineSchemas() {
+		for i, sch := range prefetch.Schemas() {
 			if i > 0 {
 				fmt.Println()
 			}
@@ -124,13 +138,14 @@ func run() int {
 		return 1
 	}
 
-	cfg := pif.DefaultSimConfig()
+	cfg := sim.DefaultConfig()
 	cfg.WarmupInstrs = *warmup
 	cfg.MeasureInstrs = *measure
 	cfg.PerfectL1 = *perfect
 
 	// Resolve the record source: -trace alone implies a full-store
-	// replay; -source store/slice requires the store.
+	// replay; -source store/slice requires the store. Every check here
+	// binds the flat and the sharded path alike.
 	src := *sourceSpec
 	if src == "" {
 		src = "live"
@@ -138,7 +153,7 @@ func run() int {
 			src = "store"
 		}
 	}
-	var win *pif.TraceWindow
+	var win *trace.Window
 	switch {
 	case src == "live":
 		if *traceDir != "" {
@@ -147,7 +162,7 @@ func run() int {
 		}
 	case src == "store":
 	case strings.HasPrefix(src, "slice@"):
-		w, werr := pif.ParseTraceWindow(strings.TrimPrefix(src, "slice@"))
+		w, werr := trace.ParseWindow(strings.TrimPrefix(src, "slice@"))
 		if werr != nil {
 			fmt.Fprintln(os.Stderr, "pifsim:", werr)
 			return 1
@@ -157,26 +172,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "pifsim: unknown -source %q (have live, store, slice@off:len)\n", src)
 		return 1
 	}
-
-	if *shards > 1 {
-		if src != "store" {
-			fmt.Fprintln(os.Stderr, "pifsim: -shards needs a full-store replay (-trace DIR without -source slice)")
-			return 1
-		}
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		if err := shardedRun(ctx, *traceDir, cfg, engines, *shards, *exact, *perfect, *verbose, *backendSpec, *authToken, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, "pifsim:", err)
-			return 1
-		}
-		return 0
-	}
-	if *exact {
-		fmt.Fprintln(os.Stderr, "pifsim: -exact only applies to sharded replay (-shards N)")
-		return 1
-	}
-
-	var jobs []pif.Job
 	if src != "live" {
 		if *traceDir == "" {
 			fmt.Fprintf(os.Stderr, "pifsim: -source %s needs -trace DIR\n", src)
@@ -194,9 +189,21 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "pifsim: -workload and -trace are mutually exclusive (the store names its workload)")
 			return 1
 		}
+	}
+	if *shards > 1 && src != "store" {
+		fmt.Fprintln(os.Stderr, "pifsim: -shards needs a full-store replay (-trace DIR without -source slice)")
+		return 1
+	}
+	if *shards <= 1 && *exact {
+		fmt.Fprintln(os.Stderr, "pifsim: -exact only applies to sharded replay (-shards N)")
+		return 1
+	}
+
+	var jobs []runner.Job
+	if src != "live" {
 		jobs, err = traceJobs(*traceDir, win, cfg, engines)
 	} else {
-		var workloads []pif.Workload
+		var workloads []workload.Profile
 		workloads, err = resolveWorkloads(*wlNames)
 		for _, wl := range workloads {
 			for _, eng := range engines {
@@ -212,22 +219,41 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	backend, err := pif.DialBackendAuth(*backendSpec, *parallel, *authToken)
+	backend, err := remote.DialSpec(*backendSpec, *authToken)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pifsim:", err)
 		return 1
 	}
-	defer backend.Close()
-	var onProgress pif.JobProgressFunc
+	if backend != nil {
+		defer backend.Close()
+	}
+
+	if *shards > 1 {
+		// Every store job replays the same source under the store's
+		// workload, one job per engine.
+		eng := sweep.PoolEngine{Ctx: ctx, Workers: *parallel, Backend: backend}
+		if err := shardedRun(eng, jobs[0].Workload, jobs[0].Source, cfg, engines, *shards, *exact, *perfect, *verbose); err != nil {
+			fmt.Fprintln(os.Stderr, "pifsim:", err)
+			return 1
+		}
+		return 0
+	}
+
+	if backend == nil {
+		local := runner.NewLocalBackend(*parallel)
+		defer local.Close()
+		backend = local
+	}
+	var onProgress func(runner.Progress)
 	if *verbose && len(jobs) > 1 {
-		onProgress = func(p pif.JobProgress) {
+		onProgress = func(p runner.Progress) {
 			fmt.Fprintf(os.Stderr, "  [%3d/%3d] %-32s %8s\n",
 				p.Done, p.Total, p.Label, p.Elapsed.Round(time.Millisecond))
 		}
 	}
 
 	start := time.Now()
-	results, err := pif.RunJobsOn(ctx, backend, jobs, onProgress)
+	results, err := runner.RunOn(ctx, backend, jobs, onProgress)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pifsim:", err)
 		return 1
@@ -259,73 +285,68 @@ func (e *engineFlags) Set(v string) error { *e = append(*e, v); return nil }
 // backend (including remote) identically.
 type engine struct {
 	name string
-	spec pif.EngineSpec
+	spec prefetch.Spec
 }
 
 // job builds the engine's job for one workload/config/source.
-func (e engine) job(label string, wl pif.Workload, cfg pif.SimConfig, src pif.Source) pif.Job {
-	return pif.Job{Label: label, Workload: wl, Config: cfg, Source: src, Engine: e.spec}
+func (e engine) job(label string, wl workload.Profile, cfg sim.Config, src sim.Source) runner.Job {
+	return runner.Job{Label: label, Workload: wl, Config: cfg, Source: src, Engine: e.spec}
 }
 
-// shardedRun replays the store at dir once per engine, each time split
-// into the requested number of parallel windows and stitched back into
-// one whole-run result (pif.ShardedReplay). The store names the workload
-// and must carry a phase split compatible with the requested
-// warmup/measure interval, exactly as a sequential store replay would.
-func shardedRun(ctx context.Context, dir string, cfg pif.SimConfig, engines []engine, shards int, exact, perfect, verbose bool, backendSpec, authToken string, parallel int) error {
-	ix, err := pif.ReadTraceIndex(dir)
+// shardedRun replays the store source once per engine, split into the
+// requested number of windows, as a one-cell-per-engine sweep: sweep
+// plans each cell into shard jobs (sim.SplitReplay), runs every shard
+// of every engine in one batch on eng, and folds each cell back into
+// one whole-run result (sim.MergeShardResults).
+func shardedRun(eng sweep.PoolEngine, wl workload.Profile, src sim.Source, cfg sim.Config, engines []engine, shards int, exact, perfect, verbose bool) error {
+	specs := make([]prefetch.Spec, len(engines))
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		specs[i], names[i] = e.spec, e.name
+	}
+	g, err := sweep.Run(eng, sweep.Spec{
+		Name:            "pifsim",
+		Base:            cfg,
+		BaseShards:      shards,
+		BaseShardApprox: !exact,
+		Axes: []sweep.Axis{
+			sweep.WorkloadAxis("workload", []workload.Profile{wl}),
+			sweep.EngineSpecAxis("engine", specs, names),
+			sweep.SourceAxis("source", []sweep.SourceChoice{{
+				Key: "store",
+				New: func(*sweep.Settings) sim.Source { return src },
+			}}),
+		},
+	})
 	if err != nil {
 		return err
 	}
-	// A remote backend is dialed once and shared across engines; local
-	// stays nil so ShardedReplay sizes a private pool per replay.
-	var backend pif.Backend
-	if backendSpec != "" && backendSpec != "local" {
-		backend, err = pif.DialBackendAuth(backendSpec, parallel, authToken)
-		if err != nil {
+	var plans []sim.ShardPlan
+	if verbose {
+		// The windows the sweep planned every cell with.
+		if plans, err = sim.SplitReplay(cfg, shards, exact); err != nil {
 			return err
 		}
-		defer backend.Close()
-	}
-	wl, err := pif.WorkloadByName(ix.Workload)
-	if err != nil {
-		return fmt.Errorf("trace store %s: %w", dir, err)
-	}
-	if !ix.PhaseCompatible(cfg.WarmupInstrs, cfg.MeasureInstrs) {
-		return fmt.Errorf(
-			"trace store %s was recorded with phase split %v; replaying -warmup %d -measure %d would silently diverge from a live run",
-			dir, ix.Phases, cfg.WarmupInstrs, cfg.MeasureInstrs)
 	}
 	mode := "approx"
 	if exact {
 		mode = "exact"
 	}
-	for i, eng := range engines {
-		start := time.Now()
-		opt := pif.ShardedReplayOptions{
-			Dir:      dir,
-			Workload: wl,
-			Config:   cfg,
-			Shards:   shards,
-			Exact:    exact,
-			Backend:  backend,
-			Engine:   eng.spec,
-		}
-		res, err := pif.ShardedReplay(ctx, opt)
-		if err != nil {
-			return fmt.Errorf("%s: %w", eng.name, err)
+	for i, r := range g.Results {
+		if r.Err != nil {
+			return r.Err
 		}
 		if i > 0 {
 			fmt.Println()
 		}
+		// A cell's elapsed time is its slowest shard: its shards run
+		// concurrently.
 		fmt.Printf("sharded replay: %d windows (%s warmup), %s wall-clock\n",
-			shards, mode, time.Since(start).Round(time.Millisecond))
-		printDetail(pif.JobResult{Sim: res.Merged, Elapsed: time.Since(start)}, perfect, verbose)
-		if verbose {
-			for k, p := range res.Plans {
-				fmt.Printf("  shard %d: window %s warmup %d offset %d measure %d uipc %.4f\n",
-					k, p.Window, p.WarmupInstrs, p.MeasureOffsetInstrs, p.MeasureInstrs, res.Shards[k].UIPC)
-			}
+			shards, mode, r.Elapsed.Round(time.Millisecond))
+		printDetail(r, perfect, verbose)
+		for k, p := range plans {
+			fmt.Printf("  shard %d: window %s warmup %d offset %d measure %d\n",
+				k, p.Window, p.WarmupInstrs, p.MeasureOffsetInstrs, p.MeasureInstrs)
 		}
 	}
 	return nil
@@ -336,17 +357,17 @@ func shardedRun(ctx context.Context, dir string, cfg pif.SimConfig, engines []en
 // The store names the workload (its profile supplies the front-end
 // seed); jobs carry a Source factory, so every job opens a private
 // reader and jobs fan out concurrently over the same trace.
-func traceJobs(dir string, window *pif.TraceWindow, cfg pif.SimConfig, engines []engine) ([]pif.Job, error) {
-	ix, err := pif.ReadTraceIndex(dir)
+func traceJobs(dir string, window *trace.Window, cfg sim.Config, engines []engine) ([]runner.Job, error) {
+	ix, err := trace.ReadIndex(dir)
 	if err != nil {
 		return nil, err
 	}
-	wl, err := pif.WorkloadByName(ix.Workload)
+	wl, err := workload.ByName(ix.Workload)
 	if err != nil {
 		return nil, fmt.Errorf("trace store %s: %w", dir, err)
 	}
 	need := cfg.WarmupInstrs + cfg.MeasureInstrs
-	var source pif.Source
+	var source sim.Source
 	label := "(trace)"
 	if window != nil {
 		// A slice is its own experiment — the window, not the recorded
@@ -359,7 +380,7 @@ func traceJobs(dir string, window *pif.TraceWindow, cfg pif.SimConfig, engines [
 			return nil, fmt.Errorf("window %s holds %d records, need %d (warmup+measure)",
 				window, window.Len, need)
 		}
-		source = pif.SliceSource(dir, *window)
+		source = sim.SliceSource(dir, *window)
 		label = fmt.Sprintf("(slice@%s)", window)
 	} else {
 		if ix.Records() < need {
@@ -371,9 +392,9 @@ func traceJobs(dir string, window *pif.TraceWindow, cfg pif.SimConfig, engines [
 				"trace store %s was recorded with phase split %v; replaying -warmup %d -measure %d would silently diverge from a live run (re-record with tracegen -warmup %d, or match the recorded split)",
 				dir, ix.Phases, cfg.WarmupInstrs, cfg.MeasureInstrs, cfg.WarmupInstrs)
 		}
-		source = pif.StoreSource(dir)
+		source = sim.StoreSource(dir)
 	}
-	var jobs []pif.Job
+	var jobs []runner.Job
 	for _, eng := range engines {
 		jobs = append(jobs, eng.job(wl.Name+label+"/"+eng.name, wl, cfg, source))
 	}
@@ -381,13 +402,13 @@ func traceJobs(dir string, window *pif.TraceWindow, cfg pif.SimConfig, engines [
 }
 
 // resolveWorkloads expands the -workload flag.
-func resolveWorkloads(names string) ([]pif.Workload, error) {
+func resolveWorkloads(names string) ([]workload.Profile, error) {
 	if names == "all" {
-		return pif.Workloads(), nil
+		return workload.StandardSuite(), nil
 	}
-	var out []pif.Workload
+	var out []workload.Profile
 	for _, name := range strings.Split(names, ",") {
-		wl, err := pif.WorkloadByName(strings.TrimSpace(name))
+		wl, err := workload.ByName(strings.TrimSpace(name))
 		if err != nil {
 			return nil, err
 		}
@@ -404,7 +425,7 @@ func resolveEngines(specs []string, names string, history, sabs, window, degree 
 	if len(specs) > 0 {
 		var out []engine
 		for _, s := range specs {
-			sp, err := pif.ParseEngineSpec(s)
+			sp, err := prefetch.ParseSpec(s)
 			if err != nil {
 				return nil, err
 			}
@@ -413,12 +434,12 @@ func resolveEngines(specs []string, names string, history, sabs, window, degree 
 		return out, nil
 	}
 	if names == "all" {
-		names = strings.Join(pif.PrefetcherNames(), ",")
+		names = strings.Join(prefetch.Names(), ",")
 	}
 	var out []engine
 	for _, name := range strings.Split(names, ",") {
 		name = strings.TrimSpace(name)
-		spec := pif.EngineSpec{Name: name}
+		spec := prefetch.Spec{Name: name}
 		switch name {
 		case "pif":
 			if history > 0 {
@@ -426,7 +447,7 @@ func resolveEngines(specs []string, names string, history, sabs, window, degree 
 				// at its default so the schema's history/4 derivation does
 				// not resize it (matching the historical flag semantics).
 				spec = spec.With("history", float64(history)).
-					With("index", float64(pif.DefaultPIFConfig().IndexEntries))
+					With("index", float64(core.DefaultConfig().IndexEntries))
 			}
 			if sabs > 0 {
 				spec = spec.With("sabs", float64(sabs))
@@ -437,7 +458,7 @@ func resolveEngines(specs []string, names string, history, sabs, window, degree 
 		case "nextline":
 			spec = spec.With("degree", float64(degree))
 		}
-		if err := pif.ValidateEngineSpec(spec); err != nil {
+		if err := prefetch.Validate(spec); err != nil {
 			return nil, err
 		}
 		out = append(out, engine{name, spec})
@@ -446,7 +467,7 @@ func resolveEngines(specs []string, names string, history, sabs, window, degree 
 }
 
 // printDetail prints the single-job report (the historical pifsim output).
-func printDetail(r pif.JobResult, perfect, verbose bool) {
+func printDetail(r runner.Result, perfect, verbose bool) {
 	res := r.Sim
 	fmt.Printf("workload    %s\n", res.Workload)
 	fmt.Printf("prefetcher  %s (perfect L1: %v)\n", res.Prefetcher, perfect)

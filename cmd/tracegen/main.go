@@ -45,7 +45,6 @@ import (
 	"os"
 	"strings"
 
-	pif "repro"
 	"repro/internal/prof"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -179,7 +178,7 @@ type recordSink interface {
 }
 
 func generate(wlName string, warmup, n uint64, out string, shardRecords uint64) error {
-	wl, err := pif.WorkloadByName(wlName)
+	wl, err := workload.ByName(wlName)
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"repro/internal/prefetch"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -44,7 +43,8 @@ type Config struct {
 	ChunkRecords uint64 `json:"chunk_records"`
 	// BatchRecords is the NextBatch buffer size of the batch benchmarks.
 	BatchRecords int `json:"batch_records"`
-	// Shards is the sharded-replay worker count.
+	// Shards is the shard count (and pool width) of the sharded
+	// sweep-cell row.
 	Shards int `json:"shards"`
 	// ChunkSource records which chunk-read path served the auto-selected
 	// decode benchmarks on the measuring machine ("mmap" or "readfile") —
@@ -105,11 +105,6 @@ type Derived struct {
 	// at least matches the copying batch path — is enforced only when
 	// Config.ChunkSource reports the mmap path actually served the run.
 	MmapSpeedup float64 `json:"mmap_speedup"`
-	// ShardedSpeedup is sequential replay time over sharded replay time
-	// (informational: read against the sharded row's Parallelism — on
-	// one core sharding can only lose, and exact mode re-decodes the
-	// prefix).
-	ShardedSpeedup float64 `json:"sharded_speedup"`
 	// SweepCellSpeedup is unsharded sweep-cell time over sharded
 	// (approximate-mode) sweep-cell time — the long-tail-cell win the
 	// shards setting exists for. Enforced (>= 1.5) only at 4+ CPUs.
@@ -121,9 +116,9 @@ type Artifact struct {
 	Schema int    `json:"schema"`
 	Config Config `json:"config"`
 	// GOMAXPROCS records the measuring machine's parallelism — the
-	// context a sharded-replay ratio must be read in (on one core the
-	// sharded run pays its warmup overhead with no parallel win). It is
-	// machine state, not fixture state, so CheckFresh ignores it.
+	// context the sharded sweep-cell ratio must be read in (on one core
+	// the sharded cell pays its warmup overhead with no parallel win).
+	// It is machine state, not fixture state, so CheckFresh ignores it.
 	GOMAXPROCS int           `json:"gomaxprocs"`
 	Benchmarks []Measurement `json:"benchmarks"`
 	Derived    Derived       `json:"derived"`
@@ -370,22 +365,8 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 		})
 	}
 	engine := prefetch.Spec{Name: "nextline", Params: map[string]float64{"degree": 4}}
-	seq := replay("sim_replay/store", engine)
+	replay("sim_replay/store", engine)
 	replay("sim_replay/pif", prefetch.Spec{Name: "pif"})
-	sharded := run(fmt.Sprintf("sim_replay/sharded_%d", cfg.Shards), records, storeBytes, shardPar, 1, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := runner.ShardedReplay(context.Background(), runner.ShardedOptions{
-				Dir:      dir,
-				Workload: wl,
-				Config:   simCfg,
-				Shards:   cfg.Shards,
-				Engine:   engine,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 
 	// One sweep cell, unsharded vs sharded (approximate mode — the
 	// throughput mode; exact mode trades the speedup for bit parity):
@@ -451,7 +432,6 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 	a.Derived = Derived{
 		BatchSpeedup:     perRecord.NsPerOp / batch.NsPerOp,
 		MmapSpeedup:      batch.NsPerOp / mmapBatch.NsPerOp,
-		ShardedSpeedup:   seq.NsPerOp / sharded.NsPerOp,
 		SweepCellSpeedup: cellSerial.NsPerOp / cellSharded.NsPerOp,
 	}
 	return a, nil

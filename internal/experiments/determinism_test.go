@@ -1,20 +1,21 @@
-package pif
+package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // determinismOptions is a reduced-but-complete scale: every artifact runs
 // with two workloads so the test stays fast under -race while still
 // exercising cross-workload job interleaving.
-func determinismOptions(parallel int) ExperimentOptions {
-	opts := QuickExperimentOptions()
-	opts.Workloads = Workloads()[:2]
+func determinismOptions(parallel int) Options {
+	opts := QuickOptions()
+	opts.Workloads = workload.StandardSuite()[:2]
 	// One workload for the sweep artifacts keeps the -race runtime sane
 	// while still interleaving their grids with the figure jobs.
-	opts.SweepWorkloads = Workloads()[:1]
+	opts.SweepWorkloads = workload.StandardSuite()[:1]
 	opts.WarmupInstrs = 400_000
 	opts.MeasureInstrs = 200_000
 	opts.Parallel = parallel
@@ -23,12 +24,12 @@ func determinismOptions(parallel int) ExperimentOptions {
 
 func renderAll(t *testing.T, parallel int) string {
 	t.Helper()
-	reports, err := RunAllExperiments(determinismOptions(parallel))
+	reports, err := RunAll(NewEnv(determinismOptions(parallel)))
 	if err != nil {
 		t.Fatalf("RunAll (parallel=%d): %v", parallel, err)
 	}
-	if len(reports) != len(ExperimentIDs()) {
-		t.Fatalf("RunAll (parallel=%d) = %d reports, want %d", parallel, len(reports), len(ExperimentIDs()))
+	if len(reports) != len(IDs()) {
+		t.Fatalf("RunAll (parallel=%d) = %d reports, want %d", parallel, len(reports), len(IDs()))
 	}
 	var b strings.Builder
 	for _, rep := range reports {
@@ -56,64 +57,24 @@ func TestParallelSerialDeterminism(t *testing.T) {
 	}
 }
 
-// TestJobsAPIParallelDeterminism covers the public job API the same way:
-// identical job lists through pools of width 1 and 8 yield identical
-// results slices.
-func TestJobsAPIParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("determinism test skipped in -short mode")
-	}
-	cfg := DefaultSimConfig()
-	cfg.WarmupInstrs = 200_000
-	cfg.MeasureInstrs = 200_000
-	mk := func() []Job {
-		var jobs []Job
-		for _, wl := range Workloads()[:3] {
-			for _, name := range []string{"none", "nextline", "tifs", "pif"} {
-				jobs = append(jobs, Job{
-					Label:    wl.Name + "/" + name,
-					Workload: wl,
-					Config:   cfg,
-					Engine:   EngineSpec{Name: name},
-				})
-			}
-		}
-		return jobs
-	}
-	serial, err := RunJobs(context.Background(), mk(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunJobs(context.Background(), mk(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i].Sim != parallel[i].Sim {
-			t.Errorf("job %d (%s): parallel result differs from serial", i, serial[i].Label)
-		}
-	}
-}
-
 // TestStructuredReportDeterminism extends TestParallelSerialDeterminism to
 // the structured path: two full RunAll passes — serial and 8-wide — must
 // serialize every artifact to byte-identical canonical JSON, not just
 // render identical text. (Byte-stability of full QuickOptions passes
-// across processes is additionally pinned by the golden suite in
-// internal/experiments, which compares a fresh pass against committed
-// fixtures.)
+// across processes is additionally pinned by the golden suite, which
+// compares a fresh pass against committed fixtures.)
 func TestStructuredReportDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism test skipped in -short mode")
 	}
 	encodeAll := func(parallel int) string {
-		reports, err := RunAllExperiments(determinismOptions(parallel))
+		reports, err := RunAll(NewEnv(determinismOptions(parallel)))
 		if err != nil {
 			t.Fatalf("RunAll (parallel=%d): %v", parallel, err)
 		}
-		arts, err := ExperimentArtifacts(reports)
+		arts, err := Artifacts(reports)
 		if err != nil {
-			t.Fatalf("ExperimentArtifacts (parallel=%d): %v", parallel, err)
+			t.Fatalf("Artifacts (parallel=%d): %v", parallel, err)
 		}
 		var b strings.Builder
 		for _, a := range arts {

@@ -3,9 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // windowScale is a miniature configuration for the window-sweep tests:
@@ -96,43 +93,5 @@ func TestSweepWindowStoreMemoryParity(t *testing.T) {
 	if mem.Text != store.Text {
 		t.Errorf("store-sliced window sweep diverges from in-memory slicing:\n--- memory ---\n%s\n--- store ---\n%s",
 			mem.Text, store.Text)
-	}
-}
-
-// TestStoreDirAliasesTraceDir locks the deprecated-option shim: the old
-// TraceDir field must behave exactly like StoreDir (same resolved pool,
-// same spilled store), and StoreDir wins when both are set.
-func TestStoreDirAliasesTraceDir(t *testing.T) {
-	if o := (Options{TraceDir: "old"}); o.storeDir() != "old" {
-		t.Errorf("TraceDir alias resolved to %q", o.storeDir())
-	}
-	if o := (Options{StoreDir: "new", TraceDir: "old"}); o.storeDir() != "new" {
-		t.Errorf("StoreDir precedence resolved to %q", o.storeDir())
-	}
-
-	if testing.Short() {
-		t.Skip("experiment tests are skipped in -short mode")
-	}
-	dir := t.TempDir()
-	wl := workload.OLTPDB2()
-
-	oldOpts := windowScale("")
-	oldOpts.TraceDir = dir // deprecated spelling
-	oldEnv := NewEnv(oldOpts)
-	oldStore, err := oldEnv.Spill(wl)
-	if err != nil {
-		t.Fatalf("Spill via TraceDir: %v", err)
-	}
-
-	newEnv := NewEnv(windowScale(dir))
-	newStore, err := newEnv.Spill(wl)
-	if err != nil {
-		t.Fatalf("Spill via StoreDir: %v", err)
-	}
-	if oldStore != newStore {
-		t.Errorf("TraceDir spilled to %s, StoreDir to %s (aliases must share the pool)", oldStore, newStore)
-	}
-	if _, err := trace.ReadIndex(newStore); err != nil {
-		t.Errorf("spilled store unreadable: %v", err)
 	}
 }

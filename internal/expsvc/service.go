@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -433,26 +432,6 @@ func (s *Service) execute(id string) {
 	s.bump()
 }
 
-// dialBackend resolves the configured backend spec for one run: nil for
-// local (each grid gets a private pool), a fresh coordinator run for
-// remote@ADDR. Dialing per run means a coordinator restart between runs
-// costs only the run in flight, never the service.
-func (s *Service) dialBackend() (runner.Backend, error) {
-	spec := s.cfg.Backend
-	switch {
-	case spec == "" || spec == "local":
-		return nil, nil
-	case strings.HasPrefix(spec, "remote@"):
-		addr := strings.TrimPrefix(spec, "remote@")
-		if addr == "" {
-			return nil, fmt.Errorf("expsvc: backend remote@ADDR needs a coordinator address")
-		}
-		return remote.DialAuth(addr, s.cfg.BackendToken)
-	default:
-		return nil, fmt.Errorf("expsvc: unknown backend %q (have local, remote@ADDR)", spec)
-	}
-}
-
 // runSweep executes the record's sweep and persists its results into the
 // run directory. On success the directory passes report.Load (run.json
 // is written last) and rec's completion fields are filled in.
@@ -465,7 +444,10 @@ func (s *Service) runSweep(rec *Record) error {
 		s.mu.Unlock()
 		s.bump()
 	}
-	be, err := s.dialBackend()
+	// Dialing per run means a coordinator restart between runs costs
+	// only the run in flight, never the service; local (nil) gives each
+	// grid a private pool.
+	be, err := remote.DialSpec(s.cfg.Backend, s.cfg.BackendToken)
 	if err != nil {
 		return err
 	}

@@ -69,6 +69,31 @@ func DialAuth(addr, token string) (*Backend, error) {
 	return b, nil
 }
 
+// DialSpec resolves a -backend spec: "" and "local" return a nil
+// Backend (the caller runs in process, sizing its own
+// runner.NewLocalBackend where it needs one), and "remote@ADDR" dials
+// the coordinator at ADDR with the bearer token (empty for an open
+// coordinator). The caller must Close a non-nil backend.
+func DialSpec(spec, token string) (runner.Backend, error) {
+	switch {
+	case spec == "" || spec == "local":
+		return nil, nil
+	case strings.HasPrefix(spec, "remote@"):
+		addr := strings.TrimPrefix(spec, "remote@")
+		if addr == "" {
+			return nil, fmt.Errorf("remote: backend remote@ADDR needs a coordinator address")
+		}
+		b, err := DialAuth(addr, token)
+		if err != nil {
+			// Return a nil interface, never a typed nil *Backend.
+			return nil, err
+		}
+		return b, nil
+	default:
+		return nil, fmt.Errorf("remote: unknown backend %q (have local, remote@ADDR)", spec)
+	}
+}
+
 // post sends one JSON request and decodes the JSON response. A 409
 // (coordinator or run closed) maps to runner.ErrBackendClosed.
 func (b *Backend) post(ctx context.Context, path string, req, resp any) error {

@@ -55,11 +55,11 @@ type JobSpec struct {
 }
 
 // EncodeJob converts a runner.Job to its wire form. Jobs carrying
-// process-local state — an instrument hook, an observer, an opaque
-// source — are rejected with a descriptive error: the remote backend
-// must refuse them loudly, never run a silently different job. The
-// engine spec is validated against the registry before it travels, so a
-// bad param fails at submission, not on a worker.
+// process-local state — an instrument hook or an opaque source — are
+// rejected with a descriptive error: the remote backend must refuse
+// them loudly, never run a silently different job. The engine spec is
+// validated against the registry before it travels, so a bad param
+// fails at submission, not on a worker.
 func EncodeJob(j runner.Job) (JobSpec, error) {
 	if j.Engine.Name == "" {
 		return JobSpec{}, fmt.Errorf("remote: job %q names no engine", j.Label)
@@ -69,9 +69,6 @@ func EncodeJob(j runner.Job) (JobSpec, error) {
 	}
 	if j.Instrument != nil {
 		return JobSpec{}, fmt.Errorf("remote: job %q carries an instrument callback; instruments are process-local", j.Label)
-	}
-	if j.Observer != nil {
-		return JobSpec{}, fmt.Errorf("remote: job %q carries an observer callback; observers are process-local", j.Label)
 	}
 	if j.Workload.Name == "" {
 		return JobSpec{}, fmt.Errorf("remote: job %q has an unnamed workload", j.Label)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/isa"
 	"repro/internal/prefetch"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -93,11 +92,6 @@ func TestEncodeJobTunedEngine(t *testing.T) {
 	}
 }
 
-// nopObserver is a process-local observer for rejection tests.
-type nopObserver struct{}
-
-func (nopObserver) OnCorrectFetch(tl isa.TrapLevel, hit, wasPrefetched bool) {}
-
 func TestEncodeJobRejectsProcessLocalState(t *testing.T) {
 	cases := []struct {
 		name string
@@ -115,7 +109,6 @@ func TestEncodeJobRejectsProcessLocalState(t *testing.T) {
 		{"instrument", func(j *runner.Job) {
 			j.Instrument = func(prefetch.Prefetcher) {}
 		}, "instrument callback"},
-		{"observer", func(j *runner.Job) { j.Observer = nopObserver{} }, "observer"},
 		{"unnamed-workload", func(j *runner.Job) { j.Workload = workload.Profile{} }, "unnamed workload"},
 		{"off-registry-workload", func(j *runner.Job) { j.Workload.Seed++ }, "differs from the registry"},
 		{"opaque-source", func(j *runner.Job) {

@@ -60,10 +60,6 @@ type Job struct {
 	// Sources are factories, not open iterators, so every job — and
 	// every retry on another backend node — opens its own.
 	Source sim.Source
-	// Observer, when non-nil, receives measured-interval callbacks. It is
-	// invoked from the job's worker goroutine and must be private to the
-	// job.
-	Observer sim.Observer
 }
 
 // Result is the outcome of one job.
@@ -252,7 +248,6 @@ func runJob(ctx context.Context, idx int, j Job) Result {
 		From:       j.Source,
 		Engine:     j.Engine,
 		Instrument: j.Instrument,
-		Observer:   j.Observer,
 	})
 	res.Elapsed = time.Since(start)
 	return res

@@ -37,13 +37,25 @@ func testJobs(t *testing.T, n int) []Job {
 	return jobs
 }
 
+// TestRunSubmissionOrder runs one job list through pools of width 1
+// and 8: results come back in submission order and identical. The list
+// crosses three workloads with the baselines and PIF, so an engine
+// instance shared between jobs would show as a serial/parallel
+// difference.
 func TestRunSubmissionOrder(t *testing.T) {
-	jobs := testJobs(t, 8)
+	var jobs []Job
+	for _, name := range []string{"none", "nextline", "tifs", "pif"} {
+		for _, j := range testJobs(t, 3) {
+			j.Label += "/" + name
+			j.Engine = prefetch.Spec{Name: name}
+			jobs = append(jobs, j)
+		}
+	}
 	serial, err := Run(context.Background(), jobs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(context.Background(), jobs, 4)
+	parallel, err := Run(context.Background(), jobs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,13 +41,6 @@ type Job struct {
 	// all. A source that cannot supply WarmupInstrs+MeasureInstrs records
 	// is a hard error — never a silently short run.
 	From Source
-	// Source, when non-nil, supplies the retire-order stream as an
-	// already-open iterator. The iterator must be private to the job and
-	// is not closed by RunJob.
-	//
-	// Deprecated: use From with StoreSource/SliceSource/OpenerSource,
-	// which carry source metadata and manage the iterator's lifetime.
-	Source trace.Iterator
 	// Engine is the declarative spec of the job's prefetch engine: a
 	// registry name plus parameters, resolved into a fresh private
 	// instance through the prefetch registry when the job runs.
@@ -57,10 +50,6 @@ type Job struct {
 	// stream-end hook). It is process-local state: remote backends
 	// refuse jobs carrying it.
 	Instrument func(prefetch.Prefetcher)
-	// Observer, when non-nil, receives per-event callbacks during the
-	// measured interval. It must be private to the job (observers are
-	// invoked from the job's goroutine).
-	Observer Observer
 }
 
 // RunJob executes one simulation job: resolve the engine spec into a
@@ -96,14 +85,6 @@ func RunWith(ctx context.Context, j Job, p prefetch.Prefetcher) (Result, error) 
 	}
 	if p == nil {
 		return Result{}, fmt.Errorf("sim: job for %q has no prefetch engine", j.Workload.Name)
-	}
-	if j.From != nil && j.Source != nil {
-		return Result{}, fmt.Errorf("sim: job for %q sets both From and the deprecated Source iterator", j.Workload.Name)
-	}
-	if j.Source != nil {
-		// Deprecated pre-opened iterator path: the caller owns the
-		// iterator's lifetime.
-		return replayJob(ctx, j, p, j.Source)
 	}
 	if j.From != nil {
 		if ls, ok := j.From.(*liveSource); ok {
@@ -226,7 +207,6 @@ func drive(j Job, s *Simulator, feed func(n uint64) error) (Result, error) {
 		}
 		snap = s.result(j.Workload.Name)
 	}
-	s.obs = j.Observer
 	if err := feed(j.Config.MeasureInstrs); err != nil {
 		return Result{}, err
 	}

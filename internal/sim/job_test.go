@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/isa"
 	"repro/internal/prefetch"
 	"repro/internal/workload"
 )
@@ -102,30 +101,34 @@ func TestRunJobCancelMidRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test skipped in -short mode")
 	}
-	// Cancel from within the measured interval via an observer; the
-	// context is polled once per 4096-record batch.
+	// Cancel from inside a live run via the engine instance; the
+	// context is polled once per 4096-record batch. A block access
+	// covers several instructions, so the cancel lands after the
+	// warmup, inside the measured interval.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := jobConfig()
 	cfg.MeasureInstrs = 5_000_000
-	fired := false
-	_, err := RunJob(ctx, Job{
-		Config:   cfg,
-		Workload: workload.OLTPDB2(),
-		Engine:   prefetch.Spec{Name: "none"},
-		Observer: obsFunc(func() {
-			if !fired {
-				fired = true
-				cancel()
-			}
-		}),
-	})
+	eng := &cancelEngine{after: cfg.WarmupInstrs, cancel: cancel}
+	_, err := RunWith(ctx, Job{Config: cfg, Workload: workload.OLTPDB2()}, eng)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	if eng.seen <= eng.after {
+		t.Fatalf("engine saw %d accesses, cancel never fired", eng.seen)
+	}
 }
 
-// obsFunc adapts a closure to the Observer interface.
-type obsFunc func()
+// cancelEngine is a no-prefetch engine that cancels its run once it has
+// observed more than after demand accesses.
+type cancelEngine struct {
+	prefetch.None
+	after, seen uint64
+	cancel      context.CancelFunc
+}
 
-func (f obsFunc) OnCorrectFetch(_ isa.TrapLevel, _, _ bool) { f() }
+func (e *cancelEngine) OnAccess(prefetch.AccessEvent, prefetch.Issuer) {
+	if e.seen++; e.seen == e.after+1 {
+		e.cancel()
+	}
+}

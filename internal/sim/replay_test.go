@@ -58,12 +58,8 @@ func TestReplayMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("live RunJob: %v", err)
 	}
-	src, err := trace.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	replayed, err := RunJob(context.Background(), Job{Config: cfg, Workload: wl, Source: src, Engine: engine})
+	replayed, err := RunJob(context.Background(), Job{Config: cfg, Workload: wl, Engine: engine,
+		From: OpenerSource(func() (trace.Iterator, error) { return trace.OpenStore(dir) })})
 	if err != nil {
 		t.Fatalf("replay RunJob: %v", err)
 	}
@@ -90,7 +86,7 @@ func TestReplayShortSourceFails(t *testing.T) {
 	_, err := RunJob(context.Background(), Job{
 		Config:   cfg,
 		Workload: wl,
-		Source:   short.Iter(),
+		From:     OpenerSource(func() (trace.Iterator, error) { return short.Iter(), nil }),
 		Engine:   prefetch.Spec{Name: "none"},
 	})
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -104,17 +100,12 @@ func TestReplayCancel(t *testing.T) {
 	cfg := replayConfig()
 	dir := filepath.Join(t.TempDir(), "store")
 	recordStore(t, dir, wl, cfg, 1<<14)
-	src, err := trace.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = RunJob(ctx, Job{
+	_, err := RunJob(ctx, Job{
 		Config:   cfg,
 		Workload: wl,
-		Source:   src,
+		From:     OpenerSource(func() (trace.Iterator, error) { return trace.OpenStore(dir) }),
 		Engine:   prefetch.Spec{Name: "none"},
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -135,19 +126,14 @@ func BenchmarkReplayFromStore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src, err := trace.OpenStore(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, err = RunJob(context.Background(), Job{
+		_, err := RunJob(context.Background(), Job{
 			Config:   cfg,
 			Workload: wl,
-			Source:   src,
+			From:     OpenerSource(func() (trace.Iterator, error) { return trace.OpenStore(dir) }),
 			Engine:   prefetch.Spec{Name: "none"},
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		src.Close()
 	}
 }

@@ -2,7 +2,8 @@
 // K contiguous windows that replay in parallel, and stitching the
 // per-window results back into one whole-run Result. The split and merge
 // rules live here, next to the simulator state they reason about; the
-// parallel driver is runner.ShardedReplay (the runner owns backends).
+// only driver is internal/sweep, which plans a sharded cell's jobs with
+// SplitReplay and folds their results with MergeShardResults.
 // See DESIGN.md §10 for the stitching-rule derivation.
 
 package sim

@@ -124,7 +124,6 @@ type Simulator struct {
 	prefIssued      uint64
 
 	lastTagged bool
-	obs        Observer
 
 	// iss and accessFn are the issuer interface value and the access
 	// callback, boxed once at construction: handing issuer{s} or s.access
@@ -133,13 +132,6 @@ type Simulator struct {
 	// steady-state alloc benchmarks in bench_test.go pin at zero.
 	iss      prefetch.Issuer
 	accessFn func(frontend.Access)
-}
-
-// Observer receives per-event callbacks from the measured interval of a
-// run; experiments use it to slice statistics (e.g. per trap level).
-type Observer interface {
-	// OnCorrectFetch is called for every correct-path demand fetch.
-	OnCorrectFetch(tl isa.TrapLevel, hit, wasPrefetched bool)
 }
 
 // New builds a simulator; it panics on invalid system configuration.
@@ -213,9 +205,6 @@ func (s *Simulator) access(a frontend.Access) {
 			s.correctMisses++
 		}
 		s.lastTagged = !(hit && wasPrefetched)
-		if s.obs != nil {
-			s.obs.OnCorrectFetch(a.TL, hit, wasPrefetched)
-		}
 	}
 
 	// Timing: exposed latency on correct-path fetches only (wrong-path
@@ -344,15 +333,5 @@ func (r Result) deltaFrom(prev Result) Result {
 // RunWith; the engine instance pf must not be shared with concurrent
 // runs.
 func Run(cfg Config, wl workload.Profile, pf prefetch.Prefetcher) (Result, error) {
-	return RunWithObserver(cfg, wl, pf, nil)
-}
-
-// RunWithObserver is Run with an Observer attached for the measured
-// interval (warmup events are not observed).
-func RunWithObserver(cfg Config, wl workload.Profile, pf prefetch.Prefetcher, obs Observer) (Result, error) {
-	return RunWith(context.Background(), Job{
-		Config:   cfg,
-		Workload: wl,
-		Observer: obs,
-	}, pf)
+	return RunWith(context.Background(), Job{Config: cfg, Workload: wl}, pf)
 }

@@ -32,7 +32,7 @@ func runJSON(t *testing.T, j Job) string {
 // simulation driven (1) live with no source, (2) by a phase-less
 // LiveSource, (3) by an explicit-phase LiveSource, (4) by a StoreSource
 // over a recorded store, (5) by a whole-store SliceSource, and (6) by
-// the deprecated pre-opened Source iterator must produce identical
+// an OpenerSource around a bare store iterator must produce identical
 // sim.Result JSON.
 func TestSourcePathsIdentical(t *testing.T) {
 	wl := workload.OLTPDB2()
@@ -49,21 +49,13 @@ func TestSourcePathsIdentical(t *testing.T) {
 		"live-source-phases": {Config: cfg, Workload: wl, From: LiveSource(wl, cfg.WarmupInstrs, cfg.MeasureInstrs), Engine: engine},
 		"store-source":       {Config: cfg, Workload: wl, From: StoreSource(dir), Engine: engine},
 		"slice-source":       {Config: cfg, Workload: wl, From: SliceSource(dir, trace.Window{Off: 0, Len: total}), Engine: engine},
+		"opener-source": {Config: cfg, Workload: wl, Engine: engine,
+			From: OpenerSource(func() (trace.Iterator, error) { return trace.OpenStore(dir) })},
 	}
 	for name, j := range variants {
 		if got := runJSON(t, j); got != live {
 			t.Errorf("%s differs from live:\nlive: %s\ngot:  %s", name, live, got)
 		}
-	}
-
-	// Deprecated pre-opened iterator path.
-	src, err := trace.OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	if got := runJSON(t, Job{Config: cfg, Workload: wl, Source: src, Engine: engine}); got != live {
-		t.Errorf("deprecated Source iterator differs from live:\nlive: %s\ngot:  %s", live, got)
 	}
 }
 
@@ -95,15 +87,16 @@ func TestSliceSourceSubRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub := full[w.Off:w.End()]
-	viaMemory := runJSON(t, Job{Config: wcfg, Workload: wl, Source: sub.Iter(), Engine: engine})
+	viaMemory := runJSON(t, Job{Config: wcfg, Workload: wl, Engine: engine,
+		From: OpenerSource(func() (trace.Iterator, error) { return sub.Iter(), nil })})
 	if viaSlice != viaMemory {
 		t.Errorf("slice replay differs from in-memory sub-range:\nslice:  %s\nmemory: %s", viaSlice, viaMemory)
 	}
 }
 
 // TestSourceValidation covers RunJob's up-front source checks: short
-// windows, workload mismatches, out-of-range slices, and the From/Source
-// conflict are hard errors before (or instead of) a short simulation.
+// windows, workload mismatches and out-of-range slices are hard errors
+// before (or instead of) a short simulation.
 func TestSourceValidation(t *testing.T) {
 	wl := workload.OLTPDB2()
 	cfg := replayConfig()
@@ -143,17 +136,6 @@ func TestSourceValidation(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "recorded from") {
 		t.Errorf("workload-mismatch error = %v", err)
-	}
-
-	// From and the deprecated Source iterator are mutually exclusive.
-	_, err = RunJob(context.Background(), Job{
-		Config: cfg, Workload: wl,
-		From:   StoreSource(dir),
-		Source: (trace.Stream{}).Iter(),
-		Engine: engine,
-	})
-	if err == nil || !strings.Contains(err.Error(), "both") {
-		t.Errorf("From+Source conflict error = %v", err)
 	}
 
 	// A live source for a different workload than the job's is rejected.

@@ -2,39 +2,31 @@ package pif
 
 import (
 	"context"
-	"strings"
 	"testing"
+
+	"repro/internal/runner"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
-// The root package is a facade; these tests exercise the public API end to
-// end the way a downstream user would.
+// These tests exercise the library surface end to end the way a
+// downstream user would.
 
+// TestWorkloadsSuite checks the exported workloads are the registry
+// profiles of their names, so a store recorded by cmd/tracegen replays
+// under them.
 func TestWorkloadsSuite(t *testing.T) {
-	ws := Workloads()
-	if len(ws) != 6 {
-		t.Fatalf("Workloads() = %d entries, want 6", len(ws))
-	}
-	for _, w := range ws {
-		got, err := WorkloadByName(w.Name)
-		if err != nil || got.Name != w.Name {
-			t.Errorf("WorkloadByName(%q) = %v, %v", w.Name, got.Name, err)
+	seen := map[string]bool{}
+	for _, w := range []Workload{OLTPDB2(), OLTPOracle(), WebApache(), WebZeus()} {
+		got, err := workload.ByName(w.Name)
+		if err != nil || got != w {
+			t.Errorf("workload %q is not its registry profile: %v", w.Name, err)
 		}
-	}
-	if _, err := WorkloadByName("SAP HANA"); err == nil {
-		t.Error("unknown workload accepted")
-	}
-}
-
-func TestGenerateStreamPublic(t *testing.T) {
-	s, err := GenerateStream(DSSQry2(), 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s) < 10_000 {
-		t.Fatalf("stream = %d records", len(s))
-	}
-	if blocks := s.Blocks(); len(blocks) == 0 {
-		t.Fatal("no block events")
+		if seen[w.Name] {
+			t.Errorf("workload %q exported twice", w.Name)
+		}
+		seen[w.Name] = true
 	}
 }
 
@@ -66,6 +58,55 @@ func TestSimulatePublicAPI(t *testing.T) {
 	}
 }
 
+// TestJobsAPIParallelDeterminism runs the public simulation entry point
+// as one job list through pools of width 1 and 8: three workloads
+// crossed with the baselines and PIF, a fresh engine per job, must give
+// identical results slices. State shared between concurrent Simulate
+// calls would show as a serial/parallel difference.
+func TestJobsAPIParallelDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("determinism test skipped in -short mode")
+	}
+	cfg := DefaultSimConfig()
+	cfg.WarmupInstrs = 200_000
+	cfg.MeasureInstrs = 200_000
+	engines := []func() Prefetcher{
+		NoPrefetch,
+		func() Prefetcher { return NewNextLine(4) },
+		NewTIFS,
+		func() Prefetcher { return NewPIF(DefaultPIFConfig()) },
+	}
+	type job struct {
+		wl     Workload
+		engine func() Prefetcher
+	}
+	var jobs []job
+	for _, wl := range []Workload{OLTPDB2(), OLTPOracle(), WebApache()} {
+		for _, e := range engines {
+			jobs = append(jobs, job{wl, e})
+		}
+	}
+	run := func(workers int) []SimResult {
+		out := make([]SimResult, len(jobs))
+		err := runner.ForEach(context.Background(), workers, len(jobs), func(i int) error {
+			var err error
+			out[i], err = Simulate(cfg, jobs[i].wl, jobs[i].engine())
+			return err
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return out
+	}
+	serial, parallel := run(1), run(8)
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Errorf("job %d (%s/%s): parallel result differs from serial",
+				i, serial[i].Workload, serial[i].Prefetcher)
+		}
+	}
+}
+
 func TestBaselineConstructors(t *testing.T) {
 	if NewNextLine(4).Name() != "Next-Line" {
 		t.Error("NewNextLine name")
@@ -82,8 +123,8 @@ func TestBaselineConstructors(t *testing.T) {
 }
 
 func TestDefaultConfigsSane(t *testing.T) {
-	if err := DefaultSystem().Validate(); err != nil {
-		t.Errorf("DefaultSystem invalid: %v", err)
+	if err := DefaultSimConfig().System.Validate(); err != nil {
+		t.Errorf("DefaultSimConfig system invalid: %v", err)
 	}
 	if err := DefaultPIFConfig().Validate(); err != nil {
 		t.Errorf("DefaultPIFConfig invalid: %v", err)
@@ -100,98 +141,10 @@ func TestDefaultConfigsSane(t *testing.T) {
 	}
 }
 
-func TestExperimentRegistryPublic(t *testing.T) {
-	ids := ExperimentIDs()
-	if len(ids) != 10 {
-		t.Fatalf("ExperimentIDs = %v", ids)
-	}
-	opts := QuickExperimentOptions()
-	opts.Workloads = opts.Workloads[:1]
-	rep, err := RunExperiment(opts, "table1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.Text, "Table I") {
-		t.Errorf("table1 report: %q", rep.Text)
-	}
-}
-
-func TestRunAllExperimentsTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	opts := QuickExperimentOptions()
-	opts.Workloads = opts.Workloads[2:3] // DSS Qry2 only
-	opts.SweepWorkloads = opts.Workloads // keep the sweep artifacts tiny too
-	opts.WarmupInstrs = 800_000
-	opts.MeasureInstrs = 300_000
-	reports, err := RunAllExperiments(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 10 {
-		t.Fatalf("reports = %d", len(reports))
-	}
-}
-
-// TestSweepPublicAPI exercises the sweep facade end to end the way a
-// downstream user would: declare a spec, run it over a pool engine,
-// address the grid, and persist/reload/diff per-job results.
-func TestSweepPublicAPI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation test skipped in -short mode")
-	}
-	cfg := DefaultSimConfig()
-	cfg.WarmupInstrs = 100_000
-	cfg.MeasureInstrs = 100_000
-	spec := SweepSpec{
-		Name: "api",
-		Base: cfg,
-		Axes: []SweepAxis{
-			SweepWorkloadAxis("workload", []Workload{DSSQry2()}),
-			SweepEngineAxis("engine", "none", "pif"),
-		},
-	}
-	g, err := RunSweep(SweepPoolEngine{Workers: 2}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Size() != 2 {
-		t.Fatalf("size = %d", g.Size())
-	}
-	base, err := g.Result("workload", "dss-qry2", "engine", "none")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pifR, err := g.Result("workload", "dss-qry2", "engine", "pif")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pifR.Sim.UIPC <= base.Sim.UIPC {
-		t.Errorf("PIF UIPC %.3f <= baseline %.3f", pifR.Sim.UIPC, base.Sim.UIPC)
-	}
-
-	jobs, err := g.ReportJobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := SaveJobResults(dir, jobs); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadJobResults(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := DiffJobResults(jobs, loaded, DefaultResultTolerances()); d.OutOfTolerance() {
-		t.Fatalf("round-tripped jobs drifted:\n%s", d.Render())
-	}
-}
-
-// TestSourceBackendPublicAPI exercises the unified pipeline facade end
-// to end the way a downstream user would: record a store, derive a
-// window, and run the same simulation through every Source constructor
-// and through an explicit Backend — all paths byte-identical.
+// TestSourceBackendPublicAPI exercises the source pipeline end to end
+// the way a downstream user would: record a store, derive a window, and
+// run the same simulation live and from the store and the window — all
+// paths byte-identical.
 func TestSourceBackendPublicAPI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test skipped in -short mode")
@@ -203,14 +156,15 @@ func TestSourceBackendPublicAPI(t *testing.T) {
 	total := cfg.WarmupInstrs + cfg.MeasureInstrs
 
 	dir := t.TempDir() + "/store"
-	it, err := GenerateIterator(wl, cfg.WarmupInstrs, cfg.MeasureInstrs)
+	prog, err := workload.BuildProgram(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := BuildTraceStore(dir, wl.Name, 1<<14, it, cfg.WarmupInstrs, cfg.MeasureInstrs)
+	it := workload.NewIterator(prog, cfg.WarmupInstrs, cfg.MeasureInstrs)
+	n, err := trace.BuildStore(dir, wl.Name, 1<<14, it, cfg.WarmupInstrs, cfg.MeasureInstrs)
 	it.Close()
 	if err != nil || n != total {
-		t.Fatalf("BuildTraceStore = %d, %v", n, err)
+		t.Fatalf("BuildStore = %d, %v", n, err)
 	}
 
 	live, err := Simulate(cfg, wl, NewTIFS())
@@ -222,7 +176,7 @@ func TestSourceBackendPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, src := range map[string]Source{
-		"live":  LiveSource(wl),
+		"live":  sim.LiveSource(wl),
 		"store": StoreSource(dir),
 		"slice": SliceSource(dir, w),
 	} {
@@ -235,35 +189,8 @@ func TestSourceBackendPublicAPI(t *testing.T) {
 		}
 	}
 
-	// Same jobs through an explicit backend.
-	b := NewLocalBackend(2)
-	defer b.Close()
-	jobs := []Job{
-		{Label: "live", Workload: wl, Config: cfg, Engine: EngineSpec{Name: "tifs"}},
-		{Label: "slice", Workload: wl, Config: cfg, Engine: EngineSpec{Name: "tifs"}, Source: SliceSource(dir, w)},
-	}
-	results, err := RunJobsOn(context.Background(), b, jobs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Sim != live {
-			t.Errorf("backend job %s differs from live", r.Label)
-		}
-	}
-
 	// A window past the recorded range is a hard error.
 	if _, err := SimulateSource(cfg, wl, SliceSource(dir, TraceWindow{Off: total, Len: 1}), NewTIFS()); err == nil {
 		t.Error("out-of-range slice accepted")
-	}
-
-	// The slice reader is exported for direct window replay.
-	sr, err := OpenTraceSlice(dir, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sr.Close()
-	if sr.Window() != w {
-		t.Errorf("slice window = %v", sr.Window())
 	}
 }
