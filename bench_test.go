@@ -164,11 +164,12 @@ func BenchmarkCompactor(b *testing.B) {
 	}
 }
 
-// nullIssuer lets the PIF bench run without a cache model.
+// nullIssuer lets the PIF bench run without a cache model: every block
+// counts as resident and nothing ever leaves.
 type nullIssuer struct{}
 
-func (nullIssuer) Contains(isa.Block) bool { return true } // suppress fill work
-func (nullIssuer) Prefetch(isa.Block)      {}
+func (nullIssuer) Prefetch(isa.Block) {}
+func (nullIssuer) Evictions() uint64  { return 0 }
 
 // BenchmarkPIFOnRetire measures the per-retired-instruction recording cost.
 func BenchmarkPIFOnRetire(b *testing.B) {

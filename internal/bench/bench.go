@@ -18,6 +18,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/isa"
 	"repro/internal/prefetch"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -173,7 +175,7 @@ func CheckInvariants(a Artifact) error {
 	if a.Derived.BatchSpeedup < MinBatchSpeedup {
 		return fmt.Errorf("bench: batch decode speedup %.2fx below the %.1fx floor", a.Derived.BatchSpeedup, MinBatchSpeedup)
 	}
-	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store", "sim_replay/pif"} {
+	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store", "sim_replay/pif", "engine/pif"} {
 		m, ok := a.find(name)
 		if !ok {
 			return fmt.Errorf("bench: missing benchmark %q", name)
@@ -366,7 +368,28 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 	}
 	engine := prefetch.Spec{Name: "nextline", Params: map[string]float64{"degree": 4}}
 	replay("sim_replay/store", engine)
-	replay("sim_replay/pif", prefetch.Spec{Name: "pif"})
+	pifSpec := prefetch.Spec{Name: "pif"}
+	replay("sim_replay/pif", pifSpec)
+
+	// The isolated PIF engine: the OnAccess/OnRetire calls of the
+	// sim_replay/pif run, recorded once untimed, replayed into a fresh
+	// engine and a cache-backed stub issuer. Its records/sec counts the
+	// fixture's records, so it reads directly against sim_replay/pif.
+	calls, err := recordCalls(simCfg, wl, dir, pifSpec)
+	if err != nil {
+		return Artifact{}, err
+	}
+	l1 := simCfg.System.L1I()
+	run("engine/pif", records, 0, 1, 1, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p, err := prefetch.Resolve(pifSpec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			replayCalls(p, calls, stubIssuer{cache.New(l1)})
+		}
+	})
 
 	// One sweep cell, unsharded vs sharded (approximate mode — the
 	// throughput mode; exact mode trades the speedup for bit parity):
@@ -436,6 +459,74 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 	}
 	return a, nil
 }
+
+// engineCall is one recorded engine call: a demand access or, when
+// retire is set, a retired record.
+type engineCall struct {
+	ev     prefetch.AccessEvent
+	rec    trace.Record
+	tagged bool
+	retire bool
+}
+
+// callRecorder passes every engine call through and records it.
+type callRecorder struct {
+	prefetch.Prefetcher
+	calls []engineCall
+}
+
+func (r *callRecorder) OnAccess(ev prefetch.AccessEvent, iss prefetch.Issuer) {
+	r.calls = append(r.calls, engineCall{ev: ev})
+	r.Prefetcher.OnAccess(ev, iss)
+}
+
+func (r *callRecorder) OnRetire(rec trace.Record, tagged bool, iss prefetch.Issuer) {
+	r.calls = append(r.calls, engineCall{rec: rec, tagged: tagged, retire: true})
+	r.Prefetcher.OnRetire(rec, tagged, iss)
+}
+
+// recordCalls replays the store through the simulator with engine spec
+// and returns the engine's call sequence.
+func recordCalls(cfg sim.Config, wl workload.Profile, dir string, spec prefetch.Spec) ([]engineCall, error) {
+	p, err := prefetch.Resolve(spec)
+	if err != nil {
+		return nil, err
+	}
+	rec := &callRecorder{Prefetcher: p}
+	job := sim.Job{Config: cfg, Workload: wl, From: sim.StoreSource(dir)}
+	if _, err := sim.RunWith(context.Background(), job, rec); err != nil {
+		return nil, err
+	}
+	return rec.calls, nil
+}
+
+// replayCalls feeds a recorded call sequence to engine p. A recorded miss
+// demand-fills the stub issuer's cache first, as the simulator does.
+func replayCalls(p prefetch.Prefetcher, calls []engineCall, iss stubIssuer) {
+	for i := range calls {
+		c := &calls[i]
+		if c.retire {
+			p.OnRetire(c.rec, c.tagged, iss)
+			continue
+		}
+		if !c.ev.Hit {
+			iss.l1.Fill(c.ev.Block, false)
+		}
+		p.OnAccess(c.ev, iss)
+	}
+}
+
+// stubIssuer is the engine row's issuer: prefetches fill its cache
+// directly, with no timing model.
+type stubIssuer struct{ l1 *cache.Cache }
+
+func (s stubIssuer) Prefetch(b isa.Block) {
+	if !s.l1.Contains(b) {
+		s.l1.Fill(b, true)
+	}
+}
+
+func (s stubIssuer) Evictions() uint64 { return s.l1.Evictions() }
 
 // drainPerRecord pulls the iterator dry one Next at a time.
 func drainPerRecord(it trace.Iterator) error {

@@ -32,7 +32,7 @@ func TestRunArtifactStructure(t *testing.T) {
 		t.Errorf("schema = %d, want %d", a.Schema, SchemaVersion)
 	}
 	want := []string{
-		"sim_replay/pif", "sim_replay/store",
+		"engine/pif", "sim_replay/pif", "sim_replay/store",
 		"store_decode/batch", "store_decode/mmap", "store_decode/per_record",
 		"sweep_cell/serial", "sweep_cell/sharded_2", "sweep_expand/cell",
 	}
@@ -54,6 +54,11 @@ func TestRunArtifactStructure(t *testing.T) {
 				t.Errorf("%s: throughput = %f records/s, %f MB/s, want > 0", m.Name, m.RecordsPerSec, m.MBPerSec)
 			}
 		}
+	}
+	// The isolated engine row counts the fixture's records but reads no
+	// trace bytes.
+	if m, ok := a.find("engine/pif"); !ok || m.RecordsPerSec <= 0 || m.MBPerSec != 0 {
+		t.Errorf("engine/pif = %+v, want records/s > 0 and no MB/s", m)
 	}
 	// sweep expansion is not measured in trace bytes.
 	if m, ok := a.find("sweep_expand/cell"); !ok || m.MBPerSec != 0 {
@@ -104,6 +109,7 @@ func TestCheckInvariants(t *testing.T) {
 			{Name: "store_decode/mmap", AllocsPerRecord: 0.001},
 			{Name: "sim_replay/store", AllocsPerRecord: 0.01},
 			{Name: "sim_replay/pif", AllocsPerRecord: 0.01},
+			{Name: "engine/pif", AllocsPerRecord: 0.001},
 		},
 		Derived: Derived{BatchSpeedup: 2.5, MmapSpeedup: 1.2, SweepCellSpeedup: 2.0},
 	}
@@ -121,6 +127,7 @@ func TestCheckInvariants(t *testing.T) {
 		{Name: "store_decode/mmap", AllocsPerRecord: 0.001},
 		{Name: "sim_replay/store", AllocsPerRecord: 0.01},
 		{Name: "sim_replay/pif", AllocsPerRecord: 0.01},
+		{Name: "engine/pif", AllocsPerRecord: 0.001},
 	}
 	if err := CheckInvariants(leaky); err == nil {
 		t.Error("allocating hot path accepted")
@@ -131,9 +138,21 @@ func TestCheckInvariants(t *testing.T) {
 		{Name: "store_decode/mmap", AllocsPerRecord: 0.001},
 		{Name: "sim_replay/store", AllocsPerRecord: 0.01},
 		{Name: "sim_replay/pif", AllocsPerRecord: 0.2},
+		{Name: "engine/pif", AllocsPerRecord: 0.001},
 	}
 	if err := CheckInvariants(leakyPIF); err == nil {
 		t.Error("allocating PIF replay accepted")
+	}
+	leakyEngine := good
+	leakyEngine.Benchmarks = []Measurement{
+		{Name: "store_decode/batch", AllocsPerRecord: 0.001},
+		{Name: "store_decode/mmap", AllocsPerRecord: 0.001},
+		{Name: "sim_replay/store", AllocsPerRecord: 0.01},
+		{Name: "sim_replay/pif", AllocsPerRecord: 0.01},
+		{Name: "engine/pif", AllocsPerRecord: 0.2},
+	}
+	if err := CheckInvariants(leakyEngine); err == nil {
+		t.Error("allocating PIF engine accepted")
 	}
 	missing := good
 	missing.Benchmarks = missing.Benchmarks[:1]

@@ -109,6 +109,10 @@ type Cache struct {
 	sets    [][]line // sets[i] ordered MRU..LRU
 	setMask uint64
 	stats   Stats
+	// departures counts the lines that have ever left the cache: evictions,
+	// resident invalidations and flushed lines. Unlike stats it is never
+	// reset, so an unchanged count proves no resident line has left.
+	departures uint64
 }
 
 // New builds a cache; it panics on an invalid geometry (a configuration
@@ -136,6 +140,12 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // ResetStats zeroes the event counters (used after warmup).
 func (c *Cache) ResetStats() { c.stats = Stats{} }
+
+// Evictions returns the number of lines that have left the cache since
+// it was built: one per eviction by Fill, one per Invalidate of a
+// resident block, and every resident line on Flush. ResetStats does not
+// touch it. While it is unchanged, every resident line has stayed.
+func (c *Cache) Evictions() uint64 { return c.departures }
 
 func (c *Cache) setIndex(b isa.Block) uint64 { return uint64(b) & c.setMask }
 
@@ -204,6 +214,7 @@ func (c *Cache) Fill(b isa.Block, prefetch bool) (victim isa.Block, evicted bool
 	// Evict LRU (last element).
 	v := set[len(set)-1]
 	c.stats.Evictions++
+	c.departures++
 	if v.prefetched {
 		c.stats.PrefetchUnused++
 	}
@@ -232,12 +243,14 @@ func (c *Cache) Invalidate(b isa.Block) bool {
 		return false
 	}
 	c.sets[si] = append(set[:i], set[i+1:]...)
+	c.departures++
 	return true
 }
 
 // Flush empties the cache (statistics are preserved).
 func (c *Cache) Flush() {
 	for i := range c.sets {
+		c.departures += uint64(len(c.sets[i]))
 		c.sets[i] = c.sets[i][:0]
 	}
 }

@@ -153,6 +153,49 @@ func TestFlushAndResident(t *testing.T) {
 	}
 }
 
+// TestEvictionsCount: the departure count rises by one per eviction,
+// whether a demand, prefetch or polluter fill causes it, by one per
+// Invalidate of a resident block, and by the resident line count on
+// Flush. Hits, misses, a Fill of a resident block and ResetStats leave
+// it alone.
+func TestEvictionsCount(t *testing.T) {
+	c := New(Config{SizeBytes: 2 * 64 * 4, Assoc: 2, BlockBytes: 64}) // 4 sets
+	sameSet := func(i int) isa.Block { return isa.Block(i * 4) }
+	var want uint64
+	step := func(what string, delta uint64, op func()) {
+		t.Helper()
+		op()
+		want += delta
+		if got := c.Evictions(); got != want {
+			t.Fatalf("after %s: Evictions = %d, want %d", what, got, want)
+		}
+	}
+	step("demand fill of a free way", 0, func() { c.Fill(sameSet(0), false) })
+	step("prefetch fill of a free way", 0, func() { c.Fill(sameSet(1), true) })
+	step("hit", 0, func() { c.Access(sameSet(0)) })
+	step("miss", 0, func() { c.Access(sameSet(2)) })
+	step("demand fill of a resident block", 0, func() { c.Fill(sameSet(1), false) })
+	step("prefetch fill of a resident block", 0, func() { c.Fill(sameSet(1), true) })
+	step("demand fill that evicts", 1, func() { c.Fill(sameSet(2), false) })
+	step("prefetch fill that evicts", 1, func() { c.Fill(sameSet(3), true) })
+	step("ResetStats", 0, c.ResetStats)
+	step("Invalidate of a resident block", 1, func() { c.Invalidate(sameSet(3)) })
+	step("Invalidate of an absent block", 0, func() { c.Invalidate(sameSet(3)) })
+
+	// Polluter fills evict like any other fill: the count moves with the
+	// eviction statistic.
+	before := c.Stats().Evictions
+	NewPolluter(1, 40, 7).TickN(c, 10)
+	polluted := c.Stats().Evictions - before
+	if polluted == 0 {
+		t.Fatal("polluter evicted nothing; the check is vacuous")
+	}
+	step("polluter fills", polluted, func() {})
+
+	step("Flush", uint64(c.Resident()), c.Flush)
+	step("Flush of an empty cache", 0, c.Flush)
+}
+
 func TestHitRate(t *testing.T) {
 	var s Stats
 	if s.HitRate() != 0 {

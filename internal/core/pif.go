@@ -230,12 +230,6 @@ func (p *PIF) InWindow(b isa.Block, tl isa.TrapLevel) bool {
 	return p.engineFor(tl).sabs.covered(b)
 }
 
-// IndexHas reports whether the index table has an entry for trigger block b
-// at trap level tl, without promoting it (observability).
-func (p *PIF) IndexHas(b isa.Block, tl isa.TrapLevel) bool {
-	return p.engineFor(tl).index.Has(b)
-}
-
 // LiveSABs returns the number of active stream address buffers across all
 // trap levels (observability for tests).
 func (p *PIF) LiveSABs() int {

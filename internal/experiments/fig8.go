@@ -200,20 +200,26 @@ func Fig8Right(e *Env) (Fig8RightResult, error) {
 // exposureIssuer records would-be prefetches with a TTL clock, standing in
 // for the cache in trace-based predictor-coverage measurements.
 type exposureIssuer struct {
-	gen map[isa.Block]uint64
-	now uint64
+	gen   map[isa.Block]uint64
+	now   uint64
+	reads uint64
 }
 
 func newExposureIssuer() *exposureIssuer {
 	return &exposureIssuer{gen: make(map[isa.Block]uint64)}
 }
 
-// Contains implements prefetch.Issuer (nothing is ever resident, so every
-// prediction is issued and recorded).
-func (x *exposureIssuer) Contains(isa.Block) bool { return false }
-
-// Prefetch implements prefetch.Issuer.
+// Prefetch implements prefetch.Issuer. Nothing is ever resident, so
+// every prediction is recorded, refreshing its TTL.
 func (x *exposureIssuer) Prefetch(b isa.Block) { x.gen[b] = x.now }
+
+// Evictions implements prefetch.Issuer. It keeps nothing resident, so it
+// returns a new value on every call: an engine never skips a re-issue,
+// and every re-issue refreshes its blocks' TTLs.
+func (x *exposureIssuer) Evictions() uint64 {
+	x.reads++
+	return x.reads
+}
 
 func (x *exposureIssuer) predicted(b isa.Block) bool {
 	g, ok := x.gen[b]

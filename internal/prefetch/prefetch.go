@@ -35,11 +35,16 @@ func (e AccessEvent) Prefetched() bool { return e.Hit && e.WasPrefetched }
 // Issuer is the channel through which prefetchers inject blocks into the
 // L1-I. Implementations (the simulator) model fill latency and pollution.
 type Issuer interface {
-	// Contains probes the cache tags without disturbing LRU state.
-	Contains(b isa.Block) bool
-	// Prefetch queues a prefetch fill for b. Issuing for a resident block
-	// is a harmless no-op (implementations probe first).
+	// Prefetch makes b resident: it queues a prefetch fill when b is
+	// absent and does nothing when b is resident, so engines call it
+	// without probing first.
 	Prefetch(b isa.Block)
+	// Evictions returns a count of the lines that have left the cache.
+	// After Prefetch(b), b is resident; while the count is unchanged, no
+	// resident line has left. An engine may therefore skip re-issuing
+	// blocks it issued after reading an unchanged count. An issuer that
+	// cannot promise this returns a new value on every call.
+	Evictions() uint64
 }
 
 // Prefetcher is a pluggable instruction prefetch engine.
@@ -95,10 +100,7 @@ func (n *NextLine) Name() string { return "Next-Line" }
 // OnAccess implements Prefetcher.
 func (n *NextLine) OnAccess(ev AccessEvent, iss Issuer) {
 	for i := 1; i <= n.Degree; i++ {
-		b := ev.Block.Add(i)
-		if !iss.Contains(b) {
-			iss.Prefetch(b)
-		}
+		iss.Prefetch(ev.Block.Add(i))
 	}
 }
 

@@ -7,6 +7,9 @@ import (
 	"repro/internal/trace"
 )
 
+// fakeIssuer records the blocks it fills. Like the simulator's issuer it
+// ignores a Prefetch of a resident block. No test here makes a block
+// non-resident, so its eviction count never moves.
 type fakeIssuer struct {
 	resident   map[isa.Block]bool
 	prefetched []isa.Block
@@ -14,12 +17,15 @@ type fakeIssuer struct {
 
 func newFakeIssuer() *fakeIssuer { return &fakeIssuer{resident: map[isa.Block]bool{}} }
 
-func (f *fakeIssuer) Contains(b isa.Block) bool { return f.resident[b] }
-
 func (f *fakeIssuer) Prefetch(b isa.Block) {
+	if f.resident[b] {
+		return
+	}
 	f.prefetched = append(f.prefetched, b)
 	f.resident[b] = true
 }
+
+func (f *fakeIssuer) Evictions() uint64 { return 0 }
 
 func (f *fakeIssuer) got(b isa.Block) bool {
 	for _, x := range f.prefetched {

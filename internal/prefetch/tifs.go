@@ -157,9 +157,7 @@ func (t *TIFS) issueWindow(s *tifsStream, iss Issuer) {
 		if !ok {
 			return
 		}
-		if !iss.Contains(hb) {
-			iss.Prefetch(hb)
-		}
+		iss.Prefetch(hb)
 	}
 }
 

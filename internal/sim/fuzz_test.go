@@ -20,8 +20,10 @@ const (
 )
 
 // fuzzConfig derives a run configuration from a header byte: bit 0 adds a
-// measure offset, bit 1 makes the L1 perfect, and bit 2 turns on
-// context-switch pollution frequent enough to fire inside block runs.
+// measure offset, bit 1 makes the L1 perfect, bit 2 turns on
+// context-switch pollution frequent enough to fire inside block runs, and
+// bit 3 shrinks the L1-I to 512 bytes of 2 ways, 4 sets, so the blocks of
+// one PIF region share sets and evict each other.
 func fuzzConfig(h byte) Config {
 	cfg := Config{System: config.Default(), WarmupInstrs: 3_001}
 	if h&1 != 0 {
@@ -32,6 +34,9 @@ func fuzzConfig(h byte) Config {
 	if h&4 != 0 {
 		cfg.System.CtxSwitchEveryInstrs = 97
 		cfg.System.CtxSwitchBlocks = 48
+	}
+	if h&8 != 0 {
+		cfg.System.L1ISizeBytes, cfg.System.L1IAssoc = 512, 2
 	}
 	return cfg
 }
@@ -139,6 +144,11 @@ func FuzzSimulatorStep(f *testing.F) {
 	f.Add(cat([]byte{7, 1}, op(7, 255, 0, 0), op(0, 0, 0, trace.FlagCondBranch), op(7, 255, 0, 0)))
 	f.Add(cat([]byte{0, 1}, seq, op(0, 0, 0, trace.FlagTrapEntry), seq, op(3, 0, 0, trace.FlagTrapReturn), seq,
 		op(0, 0, 0, trace.FlagCallTarget|trace.FlagReturnTarget), seq, op(6, 2, 0, trace.FlagBranchTaken)))
+	// A tiny, polluted L1-I under a recurring loop of short jumps.
+	f.Add(cat([]byte{12, 1}, seq, seq, seq, op(5, 0x30, 0, trace.FlagBranchTaken), seq, seq,
+		op(5, 0x50, 0, trace.FlagCallTarget|trace.FlagBranchTaken), seq, seq, seq, seq,
+		op(5, 0xe0, 0, trace.FlagReturnTarget|trace.FlagBranchTaken), seq, op(6, 3, 0, trace.FlagBranchTaken),
+		seq, seq, op(6, 1, 0, trace.FlagBranchTaken)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {

@@ -17,10 +17,11 @@ import (
 
 // refSim is the reference simulator: Simulator's accounting written the
 // plain way, with Go maps for the per-block state, a fresh issuer value
-// and access callback on every call, and one step per record. It drives
-// the same cache, front-end, polluter and engine models, so any
-// difference from Simulator's Result is a fault in the optimized
-// simulator's own bookkeeping.
+// and access callback on every call, one step per record, a completion
+// time deleted on every hit, and an issuer that lets no engine skip a
+// re-issue. It drives the same cache, front-end, polluter and engine
+// models, so any difference from Simulator's Result is a fault in the
+// optimized simulator's own bookkeeping or in an engine's skipping.
 type refSim struct {
 	cfg      Config
 	l1       *cache.Cache
@@ -38,6 +39,7 @@ type refSim struct {
 	coveredMisses   uint64
 	prefIssued      uint64
 	lastTagged      bool
+	evictionReads   uint64
 }
 
 func newRefSim(cfg Config, pf prefetch.Prefetcher, feSeed int64) *refSim {
@@ -65,9 +67,15 @@ func (s *refSim) fillLatency(b isa.Block) uint64 {
 	return uint64(s.cfg.System.MemCycles())
 }
 
+// refIssuer is the naive issuer: its eviction count changes on every
+// read, so an engine under the reference re-issues every block it would
+// have skipped, and Prefetch probes the cache itself.
 type refIssuer struct{ s *refSim }
 
-func (i refIssuer) Contains(b isa.Block) bool { return i.s.l1.Contains(b) }
+func (i refIssuer) Evictions() uint64 {
+	i.s.evictionReads++
+	return i.s.evictionReads
+}
 
 func (i refIssuer) Prefetch(b isa.Block) {
 	s := i.s

@@ -174,12 +174,13 @@ func (s *Simulator) fillLatency(b isa.Block) uint64 {
 // issuer is the prefetch.Issuer the simulator hands to prefetchers.
 type issuer struct{ s *Simulator }
 
-// Contains implements prefetch.Issuer.
-func (i issuer) Contains(b isa.Block) bool { return i.s.l1.Contains(b) }
+// Evictions implements prefetch.Issuer with the L1-I's departure count.
+func (i issuer) Evictions() uint64 { return i.s.l1.Evictions() }
 
-// Prefetch implements prefetch.Issuer: the block is installed immediately
-// (behavioral) with a completion time used to charge partial stalls when
-// demand arrives before the fill.
+// Prefetch implements prefetch.Issuer: an absent block is installed
+// immediately (behavioral) with a completion time used to charge partial
+// stalls when demand arrives before the fill; a resident block is left
+// alone.
 func (i issuer) Prefetch(b isa.Block) {
 	s := i.s
 	if s.l1.Contains(b) {
@@ -220,7 +221,11 @@ func (s *Simulator) access(a frontend.Access) {
 			}
 		}
 	}
-	if hit {
+	// Only a hit on a prefetched line reads its completion time, and only
+	// issuer.Prefetch sets the prefetched bit, writing a fresh time as it
+	// does. An entry a plain hit leaves behind is overwritten before
+	// anything reads it, so a plain hit need not delete it.
+	if hit && wasPrefetched {
 		s.readyAt.Delete(a.Block)
 	}
 
