@@ -149,6 +149,11 @@ func FuzzSimulatorStep(f *testing.F) {
 		op(5, 0x50, 0, trace.FlagCallTarget|trace.FlagBranchTaken), seq, seq, seq, seq,
 		op(5, 0xe0, 0, trace.FlagReturnTarget|trace.FlagBranchTaken), seq, op(6, 3, 0, trace.FlagBranchTaken),
 		seq, seq, op(6, 1, 0, trace.FlagBranchTaken)))
+	// A tiny, polluted L1-I where a region's own issue evicts one of its
+	// resident blocks and no other line leaves before the next claim: the
+	// re-probe must run and refill it.
+	f.Add(cat([]byte{12, 0}, seq, op(5, 0x9b, 2, 0x1d), op(7, 0xe4, 0, 0), op(5, 0x37, 2, 0x03), seq,
+		op(5, 0x32, 0, 0), op(0, 0, 3, 0x3f), op(0, 0, 0, 0x3e)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
