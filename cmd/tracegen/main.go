@@ -182,7 +182,7 @@ func generate(wlName string, warmup, n uint64, out string, shardRecords uint64) 
 	if err != nil {
 		return err
 	}
-	prog, err := workload.BuildProgram(wl)
+	prog, err := workload.ProgramFor(wl)
 	if err != nil {
 		return err
 	}

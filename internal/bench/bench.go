@@ -247,7 +247,7 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 
 	logf("recording %d-record %s store (%d records/chunk)...",
 		cfg.WarmupRecords+cfg.MeasureRecords, wl.Name, cfg.ChunkRecords)
-	prog, err := workload.BuildProgram(wl)
+	prog, err := workload.ProgramFor(wl)
 	if err != nil {
 		return Artifact{}, err
 	}

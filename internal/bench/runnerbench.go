@@ -139,7 +139,7 @@ func runnerJobs(cfg RunnerConfig) ([]runner.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := workload.BuildProgram(wl)
+	prog, err := workload.ProgramFor(wl)
 	if err != nil {
 		return nil, err
 	}

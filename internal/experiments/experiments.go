@@ -143,14 +143,17 @@ type memo[T any] struct {
 // Env caches per-workload artifacts (programs, retire-order streams) so
 // that the trace-based experiments do not regenerate them repeatedly. The
 // caches are safe for concurrent readers: each artifact is built exactly
-// once and shared read-only across jobs.
+// once and shared read-only across jobs. Programs and streams are keyed
+// by the whole profile, so two profiles sharing a name never share one.
 type Env struct {
 	opts Options
 	ctx  context.Context
 
-	mu       sync.Mutex
-	programs map[string]*memo[*workload.Program]
-	streams  map[string]*memo[trace.Stream]
+	mu sync.Mutex
+	// programs pins, for the Env's lifetime, every image Program handed
+	// out; workload.ProgramFor holds images only weakly.
+	programs map[workload.Profile]*workload.Program
+	streams  map[workload.Profile]*memo[trace.Stream]
 	spills   map[string]*memo[string] // workload name -> store directory
 
 	// backendMu serializes grid runs through a shared Options.Backend
@@ -184,8 +187,8 @@ func NewEnvContext(ctx context.Context, opts Options) *Env {
 	return &Env{
 		opts:     opts,
 		ctx:      ctx,
-		programs: make(map[string]*memo[*workload.Program]),
-		streams:  make(map[string]*memo[trace.Stream]),
+		programs: make(map[workload.Profile]*workload.Program),
+		streams:  make(map[workload.Profile]*memo[trace.Stream]),
 		spills:   make(map[string]*memo[string]),
 		jobIdx:   make(map[string]int),
 	}
@@ -200,18 +203,20 @@ func (e *Env) Context() context.Context { return e.ctx }
 // Parallel returns the environment's resolved worker-pool width.
 func (e *Env) Parallel() int { return runner.Workers(e.opts.Parallel) }
 
-// Program returns the (cached) program image for a workload. Images are
-// immutable after construction and may be shared by concurrent jobs.
+// Program returns the program image for a workload from
+// workload.ProgramFor and pins it for the Env's lifetime, so every later
+// call, and every live job run while the Env lives, shares that image.
+// Images are immutable after construction and may be shared by
+// concurrent jobs.
 func (e *Env) Program(p workload.Profile) (*workload.Program, error) {
-	e.mu.Lock()
-	m, ok := e.programs[p.Name]
-	if !ok {
-		m = &memo[*workload.Program]{}
-		e.programs[p.Name] = m
+	prog, err := workload.ProgramFor(p)
+	if err != nil {
+		return nil, err
 	}
+	e.mu.Lock()
+	e.programs[p] = prog
 	e.mu.Unlock()
-	m.once.Do(func() { m.val, m.err = workload.BuildProgram(p) })
-	return m.val, m.err
+	return prog, nil
 }
 
 // Stream returns the (cached) retire-order stream covering warmup plus
@@ -230,10 +235,10 @@ func (e *Env) Stream(p workload.Profile) (trace.Stream, error) {
 		return r.ReadAll()
 	}
 	e.mu.Lock()
-	m, ok := e.streams[p.Name]
+	m, ok := e.streams[p]
 	if !ok {
 		m = &memo[trace.Stream]{}
-		e.streams[p.Name] = m
+		e.streams[p] = m
 	}
 	e.mu.Unlock()
 	m.once.Do(func() {
@@ -403,27 +408,28 @@ func (e *Env) openSpilled(p workload.Profile) (*trace.StoreReader, error) {
 }
 
 // RunJobs executes simulation jobs through the environment's execution
-// backend (Options.Backend, or a private in-process LocalBackend),
-// attaching the cached program image for each live-executing job's
-// workload, and returns results in submission order.
+// backend (Options.Backend, or a private in-process LocalBackend) and
+// returns results in submission order. On its own pool it first pins
+// each live job's program image (Env.Program), which the job then finds
+// through workload.ProgramFor. A set backend is remote in production
+// (remote.DialSpec returns nil for local): its workers take images from
+// their own cache, so this side builds none.
 func (e *Env) RunJobs(jobs []runner.Job) ([]runner.Result, error) {
-	for i := range jobs {
-		// Replay jobs never touch the program; building (or adopting) an
-		// image for them would only waste cache space.
-		if jobs[i].Program == nil && jobs[i].Source == nil {
-			prog, err := e.Program(jobs[i].Workload)
-			if err != nil {
-				return nil, err
-			}
-			jobs[i].Program = prog
-		}
-	}
 	if e.opts.Backend != nil {
 		// A shared backend serves one run at a time (the Backend
 		// contract); concurrent grids in one environment serialize here.
 		e.backendMu.Lock()
 		defer e.backendMu.Unlock()
 		return runner.RunOn(e.ctx, e.opts.Backend, jobs, e.opts.OnProgress)
+	}
+	for _, j := range jobs {
+		// Replay jobs never touch the program, and a job carrying its own
+		// image needs no other.
+		if j.Program == nil && j.Source == nil {
+			if _, err := e.Program(j.Workload); err != nil {
+				return nil, err
+			}
+		}
 	}
 	b := runner.NewLocalBackend(e.opts.Parallel)
 	defer b.Close()
@@ -537,7 +543,7 @@ func (e *Env) SweepWorkloads() []workload.Profile {
 }
 
 // RunGrid expands a sweep spec and executes every cell as a simulation
-// job through the environment (cached program images, bounded pool,
+// job through the environment (pinned program images, bounded pool,
 // context cancellation). On success the grid's raw per-job results are
 // recorded for the results store — `experiments -out` persists them as
 // jobs/<key>.json so any grid cell of any artifact can be diffed across

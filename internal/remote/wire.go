@@ -96,7 +96,8 @@ func EncodeJob(j runner.Job) (JobSpec, error) {
 	}
 	// Program images are deterministic functions of the profile, so
 	// j.Program is dropped: the worker's job leaves it nil and RunJob
-	// rebuilds the image for every job. Nothing caches it.
+	// takes the image from the worker's workload.ProgramFor cache, where
+	// consecutive jobs of one workload share it while any job holds it.
 	return spec, nil
 }
 

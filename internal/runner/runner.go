@@ -51,8 +51,9 @@ type Job struct {
 	// engine before the run (e.g. to attach a stream-end hook). It is
 	// process-local: remote backends refuse jobs carrying it.
 	Instrument func(prefetch.Prefetcher)
-	// Program optionally shares a pre-built (immutable) program image
-	// across jobs of the same workload.
+	// Program optionally supplies a pre-built (immutable) program image.
+	// When nil, a live job takes it from workload.ProgramFor, which
+	// already shares one image across jobs of the same workload.
 	Program *workload.Program
 	// Source, when non-nil, supplies the job's record stream (a
 	// sim.StoreSource replaying a sharded store, a sim.SliceSource

@@ -15,10 +15,12 @@ import (
 // default), a configuration, and a declarative spec for the prefetch
 // engine. Jobs are the unit of work of the execution backends
 // (internal/runner): because every engine is stateful, a job carries a
-// spec rather than an instance, and RunJob constructs everything it
-// touches, so any number of jobs can run concurrently — goroutine safety
-// by construction, with no package-level state anywhere in the
-// simulation path. The spec is plain data, so the same job runs
+// spec rather than an instance, and RunJob constructs every piece of
+// mutable state it touches, so any number of jobs can run concurrently —
+// goroutine safety by construction. The one package-level state on the
+// simulation path is workload.ProgramFor's cache, which holds only
+// immutable program images, each a pure function of its profile, so no
+// result can depend on it. The spec is plain data, so the same job runs
 // identically on a local worker or across the remote wire.
 type Job struct {
 	// Config parameterizes the run (system, warmup, measured interval).
@@ -27,10 +29,10 @@ type Job struct {
 	// front-end seed and the result's name even when the record stream
 	// comes from a recorded source.
 	Workload workload.Profile
-	// Program optionally supplies a pre-built program image (e.g. from the
-	// experiments environment cache). Programs are immutable after
-	// construction, so one image may be shared by concurrent jobs. When
-	// nil, RunJob builds the image from Workload.
+	// Program optionally supplies a pre-built program image. Programs are
+	// immutable after construction, so one image may be shared by
+	// concurrent jobs. When nil, a live job takes the image from
+	// workload.ProgramFor, which shares it with every other holder.
 	Program *workload.Program
 	// From, when non-nil, supplies the job's record stream: RunJob opens
 	// the source, pulls warmup plus measured records from the returned
@@ -53,11 +55,12 @@ type Job struct {
 }
 
 // RunJob executes one simulation job: resolve the engine spec into a
-// fresh prefetcher, resolve the record source, build (or adopt) the
-// program image when executing live, warm up, measure. The context is
-// polled once per 4096-record batch; on cancellation the run is aborted
-// and ctx.Err() returned. RunJob is safe for concurrent use — it shares no mutable
-// state with other runs beyond the read-only Program.
+// fresh prefetcher, resolve the record source, take the program image
+// (the job's own, or workload.ProgramFor's) when executing live, warm
+// up, measure. The context is polled once per 4096-record batch; on
+// cancellation the run is aborted and ctx.Err() returned. RunJob is safe
+// for concurrent use — it shares no mutable state with other runs beyond
+// the read-only Program.
 func RunJob(ctx context.Context, j Job) (Result, error) {
 	if j.Engine.Name == "" {
 		return Result{}, fmt.Errorf("sim: job for %q names no engine", j.Workload.Name)
@@ -146,7 +149,7 @@ func liveJob(ctx context.Context, j Job, p prefetch.Prefetcher) (Result, error) 
 	prog := j.Program
 	if prog == nil {
 		var err error
-		prog, err = workload.BuildProgram(j.Workload)
+		prog, err = workload.ProgramFor(j.Workload)
 		if err != nil {
 			return Result{}, err
 		}

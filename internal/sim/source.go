@@ -97,14 +97,15 @@ func LiveSource(w workload.Profile, phases ...uint64) Source {
 	return &liveSource{w: w, phases: phases}
 }
 
-// Open implements Source by building the program image and streaming the
-// executor's output with bounded memory.
+// Open implements Source by taking the program image from
+// workload.ProgramFor and streaming the executor's output with bounded
+// memory.
 func (s *liveSource) Open(ctx context.Context) (trace.Iterator, SourceInfo, error) {
 	if len(s.phases) == 0 {
 		return nil, SourceInfo{}, fmt.Errorf(
 			"sim: live source for %q has no phases; construct with LiveSource(w, warmup, measure) or use it as a job source, where the job's config supplies them", s.w.Name)
 	}
-	prog, err := workload.BuildProgram(s.w)
+	prog, err := workload.ProgramFor(s.w)
 	if err != nil {
 		return nil, SourceInfo{}, err
 	}

@@ -485,8 +485,8 @@ func (g *Grid) Jobs() ([]runner.Job, error) {
 }
 
 // Engine abstracts the execution environment a sweep runs through. It is
-// implemented by *experiments.Env (which attaches cached program images)
-// and by PoolEngine (a bare worker pool).
+// implemented by *experiments.Env (which pins its workloads' program
+// images) and by PoolEngine (a bare worker pool).
 type Engine interface {
 	// RunJobs executes simulation jobs and returns results in submission
 	// order.

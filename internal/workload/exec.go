@@ -253,7 +253,7 @@ func (e *Executor) execOps(f *Func, ops []op, cursor, depth int) int {
 // returns the retire-order stream. It is the one-call entry point used by
 // examples and experiments.
 func GenerateStream(p Profile, n uint64) (trace.Stream, error) {
-	prog, err := BuildProgram(p)
+	prog, err := ProgramFor(p)
 	if err != nil {
 		return nil, err
 	}

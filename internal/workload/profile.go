@@ -18,7 +18,10 @@
 // least of both (small hot loops).
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Profile describes one synthetic workload.
 type Profile struct {
@@ -88,8 +91,23 @@ type Profile struct {
 	HandlerBlocksMax int
 }
 
-// Validate rejects inconsistent profiles.
+// Validate rejects inconsistent profiles. Every float field must be
+// finite: a NaN would pass the range checks below, and it would make the
+// profile unequal to itself, so no cache keyed by it could find it again.
 func (p Profile) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"TxSkew", p.TxSkew}, {"MonoCallFrac", p.MonoCallFrac},
+		{"CallSitesPerFunc", p.CallSitesPerFunc}, {"SharedCallBias", p.SharedCallBias},
+		{"LoopsPerFunc", p.LoopsPerFunc}, {"CondSkipsPerFunc", p.CondSkipsPerFunc},
+		{"SkipTakenProb", p.SkipTakenProb},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("workload %s: %s = %v is not finite", p.Name, f.name, f.v)
+		}
+	}
 	switch {
 	case p.Name == "":
 		return fmt.Errorf("workload: empty name")

@@ -89,11 +89,18 @@ type Program struct {
 	callSites     int // total call-site count (siteID allocator)
 }
 
-// BuildProgram deterministically constructs the program image for a profile.
+// BuildProgram deterministically constructs a fresh program image for a
+// profile. Code on the job path takes images from ProgramFor instead,
+// which shares one image among every caller holding it.
 func BuildProgram(p Profile) (*Program, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	return build(p), nil
+}
+
+// build constructs the image for a validated profile.
+func build(p Profile) *Program {
 	rng := rand.New(rand.NewSource(p.Seed))
 	prog := &Program{Profile: p}
 
@@ -157,7 +164,7 @@ func BuildProgram(p Profile) (*Program, error) {
 	for _, f := range prog.Funcs {
 		prog.FootprintBlks += f.Blocks()
 	}
-	return prog, nil
+	return prog
 }
 
 // buildBody fills in the op list for function fi.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/isa"
@@ -33,6 +34,33 @@ func TestProfileValidation(t *testing.T) {
 	bad.TxSkew = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero TxSkew accepted")
+	}
+}
+
+// A NaN or infinite float field must fail validation: a NaN passes every
+// range check (and panics the executor later), and it makes the profile
+// unequal to itself, so a cache keyed by profile could never find it.
+func TestProfileValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Profile, float64)
+	}{
+		{"TxSkew", func(p *Profile, v float64) { p.TxSkew = v }},
+		{"MonoCallFrac", func(p *Profile, v float64) { p.MonoCallFrac = v }},
+		{"CallSitesPerFunc", func(p *Profile, v float64) { p.CallSitesPerFunc = v }},
+		{"SharedCallBias", func(p *Profile, v float64) { p.SharedCallBias = v }},
+		{"LoopsPerFunc", func(p *Profile, v float64) { p.LoopsPerFunc = v }},
+		{"CondSkipsPerFunc", func(p *Profile, v float64) { p.CondSkipsPerFunc = v }},
+		{"SkipTakenProb", func(p *Profile, v float64) { p.SkipTakenProb = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := DSSQry2()
+			f.set(&p, v)
+			if err := p.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			}
+		}
 	}
 }
 
