@@ -31,7 +31,7 @@ bench:
 # committed artifacts are structurally fresh, and enforces the
 # performance invariants (replay: batch decode >= 2x per-record,
 # ~0 allocs/record; runner: engine-spec resolution a few percent of job
-# runtime at most).
+# runtime at most, and a program build within 128 allocations).
 bench-check:
 	go run ./cmd/benchreplay -check BENCH_replay.json
 	go run ./cmd/benchreplay -suite runner -check BENCH_runner.json

@@ -8,8 +8,9 @@
 //     config block records whether the mmap or read-file chunk path
 //     served the run.
 //   - BENCH_runner.json (-suite runner): job-execution throughput —
-//     grid jobs/sec through runner.RunOn serially and in parallel, and
-//     the per-job engine-spec resolution overhead.
+//     grid jobs/sec through runner.RunOn serially and in parallel, the
+//     per-job engine-spec resolution overhead, and the cost of one
+//     program-cache miss (a fresh program build).
 //
 // Usage:
 //
@@ -25,7 +26,8 @@
 // measurements (replay: batch decode >= 2x per-record, ~0 allocs/record,
 // mmap decode no slower than read-file batch where mmap is active, and a
 // >= 1.5x sharded sweep-cell speedup on 4+ CPUs; runner: spec resolution
-// a few percent of job runtime at most).
+// a few percent of job runtime at most, and a program build within
+// bench.MaxBuildAllocs allocations).
 package main
 
 import (

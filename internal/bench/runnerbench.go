@@ -3,11 +3,13 @@ package bench
 // The runner-level benchmark suite (BENCH_runner.json): where
 // BENCH_replay.json measures the decode and replay hot paths,
 // this artifact measures the job-execution layer on top of them —
-// grid jobs/sec through runner.RunOn serially and in parallel, plus the
-// spec-resolution overhead the declarative engine layer adds per job.
+// grid jobs/sec through runner.RunOn serially and in parallel, the
+// spec-resolution overhead the declarative engine layer adds per job,
+// and the program build a worker pays when a job's image is not cached.
 // Freshness is checked structurally like the replay artifact; the
-// enforced invariant is that engine-spec resolution stays negligible
-// against job runtime (the claim that let closure factories be deleted).
+// enforced invariants are that engine-spec resolution stays negligible
+// against job runtime (the claim that let closure factories be deleted)
+// and that a program build stays a handful of allocations.
 
 import (
 	"context"
@@ -93,6 +95,11 @@ func (a RunnerArtifact) find(name string) (Measurement, bool) {
 // the committed fixture; the slack absorbs machine variance).
 const MaxResolveOverhead = 0.05
 
+// MaxBuildAllocs bounds the allocations of one workload/build operation:
+// a program-cache miss that builds the fixture's image (about 20
+// allocations) and adds its cache entry.
+const MaxBuildAllocs = 128
+
 // CheckRunnerInvariants validates the runner suite's claims against a
 // freshly measured artifact.
 func CheckRunnerInvariants(a RunnerArtifact) error {
@@ -102,6 +109,14 @@ func CheckRunnerInvariants(a RunnerArtifact) error {
 	}
 	if a.Derived.ParallelSpeedup <= 0 {
 		return fmt.Errorf("bench: parallel speedup %.2f is not positive", a.Derived.ParallelSpeedup)
+	}
+	build, ok := a.find("workload/build")
+	if !ok {
+		return fmt.Errorf("bench: missing benchmark %q", "workload/build")
+	}
+	if build.AllocsPerOp > MaxBuildAllocs {
+		return fmt.Errorf("bench: a program build makes %.0f allocations, above the %d ceiling",
+			build.AllocsPerOp, MaxBuildAllocs)
 	}
 	return nil
 }
@@ -131,14 +146,10 @@ func CheckRunnerFresh(committed, fresh RunnerArtifact) error {
 	return nil
 }
 
-// runnerJobs expands the fixture grid into runner jobs, sharing one
-// pre-built program image so the benchmark times execution, not program
-// construction.
-func runnerJobs(cfg RunnerConfig) ([]runner.Job, error) {
-	wl, err := workload.ByName(cfg.Workload)
-	if err != nil {
-		return nil, err
-	}
+// runnerJobs expands the fixture grid over wl into runner jobs, sharing
+// one pre-built program image so the benchmark times execution, not
+// program construction.
+func runnerJobs(cfg RunnerConfig, wl workload.Profile) ([]runner.Job, error) {
 	prog, err := workload.ProgramFor(wl)
 	if err != nil {
 		return nil, err
@@ -181,7 +192,11 @@ func RunRunner(cfg RunnerConfig, logf func(format string, args ...any)) (RunnerA
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	jobs, err := runnerJobs(cfg)
+	wl, err := workload.ByName(cfg.Workload)
+	if err != nil {
+		return RunnerArtifact{}, err
+	}
+	jobs, err := runnerJobs(cfg, wl)
 	if err != nil {
 		return RunnerArtifact{}, err
 	}
@@ -232,6 +247,24 @@ func RunRunner(cfg RunnerConfig, logf func(format string, args ...any)) (RunnerA
 				if _, err := prefetch.Resolve(j.Engine); err != nil {
 					b.Fatal(err)
 				}
+			}
+		}
+	})
+
+	// One program-cache miss per operation: every call asks ProgramFor
+	// for the fixture profile under a seed no earlier iteration used, so
+	// it builds the image, as a worker does for a job whose image no
+	// holder keeps alive. Seeds count down from -1, below every seed a
+	// built-in or perturbed profile uses.
+	var seed int64
+	run("workload/build", 0, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			seed--
+			p := wl
+			p.Seed = seed
+			if _, err := workload.ProgramFor(p); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

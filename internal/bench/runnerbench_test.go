@@ -31,7 +31,7 @@ func TestRunRunnerArtifactStructure(t *testing.T) {
 	if a.Schema != SchemaVersion {
 		t.Errorf("schema = %d, want %d", a.Schema, SchemaVersion)
 	}
-	want := []string{"runner/jobs_parallel_2", "runner/jobs_serial", "runner/spec_resolve"}
+	want := []string{"runner/jobs_parallel_2", "runner/jobs_serial", "runner/spec_resolve", "workload/build"}
 	got := a.Names()
 	if len(got) != len(want) {
 		t.Fatalf("benchmarks = %v, want %v", got, want)
@@ -51,6 +51,9 @@ func TestRunRunnerArtifactStructure(t *testing.T) {
 	}
 	if a.Derived.ParallelSpeedup <= 0 || a.Derived.ResolveOverhead <= 0 {
 		t.Errorf("derived ratios = %+v, want > 0", a.Derived)
+	}
+	if build, _ := a.find("workload/build"); build.AllocsPerOp > MaxBuildAllocs {
+		t.Errorf("workload/build makes %.0f allocations per build, above the %d ceiling", build.AllocsPerOp, MaxBuildAllocs)
 	}
 
 	// Freshness: identical structure passes; any structural drift fails.
@@ -76,8 +79,9 @@ func TestRunRunnerArtifactStructure(t *testing.T) {
 
 func TestCheckRunnerInvariants(t *testing.T) {
 	good := RunnerArtifact{
-		Schema:  SchemaVersion,
-		Derived: RunnerDerived{ParallelSpeedup: 1.5, ResolveOverhead: 0.005},
+		Schema:     SchemaVersion,
+		Benchmarks: []Measurement{{Name: "workload/build", NsPerOp: 4e6, AllocsPerOp: 25}},
+		Derived:    RunnerDerived{ParallelSpeedup: 1.5, ResolveOverhead: 0.005},
 	}
 	if err := CheckRunnerInvariants(good); err != nil {
 		t.Errorf("good artifact rejected: %v", err)
@@ -91,5 +95,15 @@ func TestCheckRunnerInvariants(t *testing.T) {
 	broken.Derived.ParallelSpeedup = 0
 	if err := CheckRunnerInvariants(broken); err == nil {
 		t.Error("non-positive parallel speedup accepted")
+	}
+	allocating := good
+	allocating.Benchmarks = []Measurement{{Name: "workload/build", NsPerOp: 4e6, AllocsPerOp: 27753}}
+	if err := CheckRunnerInvariants(allocating); err == nil {
+		t.Error("a program build of 27753 allocations accepted")
+	}
+	unmeasured := good
+	unmeasured.Benchmarks = nil
+	if err := CheckRunnerInvariants(unmeasured); err == nil {
+		t.Error("an artifact without workload/build accepted")
 	}
 }

@@ -59,7 +59,7 @@ func (e *Executor) Run(n uint64, emit func(trace.Record)) uint64 {
 		entry := e.pickEntry()
 		e.variant = e.pickVariant()
 		e.pending |= trace.FlagCallTarget
-		e.execFunc(e.prog.Funcs[entry], 0)
+		e.execFunc(&e.prog.Funcs[entry], 0)
 	}
 	return e.emitted
 }
@@ -140,69 +140,22 @@ func (e *Executor) runInterrupt() {
 	if depth < 0 {
 		depth = 0
 	}
-	e.execFunc(e.prog.Funcs[h], depth)
+	e.execFunc(&e.prog.Funcs[h], depth)
 	e.tl = isa.TL0
 	e.pending |= trace.FlagTrapReturn
 }
 
 // execFunc runs one function body.
 func (e *Executor) execFunc(f *Func, depth int) {
-	e.execOps(f, f.body, 0, depth)
-}
-
-// opLen returns the laid-out instruction length of an op.
-func opLen(o *op) int {
-	switch o.kind {
-	case opRun:
-		return o.runLen
-	case opCall, opCondSkip:
-		return 1
-	case opLoop:
-		n := 1 // back-edge branch
-		for i := range o.body {
-			n += opLen(&o.body[i])
-		}
-		return n
-	default:
-		return 0
-	}
-}
-
-// execOps executes ops starting at instruction offset cursor within f and
-// returns the offset after the last laid-out instruction.
-func (e *Executor) execOps(f *Func, ops []op, cursor, depth int) int {
-	for i := 0; i < len(ops); i++ {
-		if e.stopped {
-			// Still advance the cursor so callers' layout stays coherent,
-			// but emit nothing further.
-			cursor += opLen(&ops[i])
-			continue
-		}
+	ops := e.prog.ops[f.lo:f.hi]
+	cursor := 0 // instruction offset of the current op within f
+	for i := 0; i < len(ops) && !e.stopped; i++ {
 		o := &ops[i]
 		switch o.kind {
 		case opRun:
-			for k := 0; k < o.runLen; k++ {
-				e.emitInstr(f, cursor, 0)
-				cursor++
-				if e.stopped {
-					cursor += o.runLen - k - 1
-					break
-				}
-			}
+			e.emitRun(f, cursor, int(o.n))
 		case opCall:
-			e.emitInstr(f, cursor, trace.FlagBranchTaken)
-			cursor++
-			if !e.stopped && depth < e.prog.Profile.MaxCallDepth {
-				callee := e.prog.Funcs[o.TargetFor(e.variant)]
-				childDepth := depth + 1
-				if o.loopLeaf {
-					// Inner-loop helpers execute as leaves.
-					childDepth = e.prog.Profile.MaxCallDepth
-				}
-				e.pending |= trace.FlagCallTarget
-				e.execFunc(callee, childDepth)
-				e.pending |= trace.FlagReturnTarget
-			}
+			e.call(f, cursor, o, depth, depth+1)
 		case opCondSkip:
 			prob := e.prog.Profile.SkipTakenProb
 			if f.Handler {
@@ -214,26 +167,26 @@ func (e *Executor) execOps(f *Func, ops []op, cursor, depth int) int {
 				fl |= trace.FlagBranchTaken
 			}
 			e.emitInstr(f, cursor, fl)
-			cursor++
 			if taken {
 				// Jump over the laid-out skip region (the next run op).
-				cursor += o.skipInstrs
-				if i+1 < len(ops) && ops[i+1].kind == opRun && ops[i+1].runLen == o.skipInstrs {
+				cursor += int(o.n)
+				if i+1 < len(ops) && ops[i+1].kind == opRun && ops[i+1].n == o.n {
 					i++ // consume the skipped op
 				}
 			}
 		case opLoop:
-			iters := o.iterMin
-			if o.iterMax > o.iterMin {
-				iters += e.rng.Intn(o.iterMax - o.iterMin + 1)
+			p := &e.prog.Profile
+			iters := p.LoopIterMin
+			if p.LoopIterMax > p.LoopIterMin {
+				iters += e.rng.Intn(p.LoopIterMax - p.LoopIterMin + 1)
 			}
-			bodyStart := cursor
-			backEdge := cursor
-			for j := range o.body {
-				backEdge += opLen(&o.body[j])
-			}
+			backEdge := cursor + opLen(o) - 1
 			for it := 0; it < iters && !e.stopped; it++ {
-				e.execOps(f, o.body, bodyStart, depth)
+				e.emitRun(f, cursor, int(o.n))
+				if o.tLen > 0 && !e.stopped {
+					// Inner-loop helpers execute as leaves.
+					e.call(f, cursor+int(o.n), o, depth, p.MaxCallDepth)
+				}
 				if e.stopped {
 					break
 				}
@@ -243,10 +196,30 @@ func (e *Executor) execOps(f *Func, ops []op, cursor, depth int) int {
 				}
 				e.emitInstr(f, backEdge, fl)
 			}
-			cursor = backEdge + 1
 		}
+		cursor += opLen(o)
 	}
-	return cursor
+}
+
+// emitRun emits the n sequential instructions starting at offset cursor
+// within f, stopping early at the budget.
+func (e *Executor) emitRun(f *Func, cursor, n int) {
+	for end := cursor + n; cursor < end && !e.stopped; cursor++ {
+		e.emitInstr(f, cursor, 0)
+	}
+}
+
+// call emits call site o's call instruction at offset cursor within f
+// and, unless the budget stops the run or the caller's depth has reached
+// MaxCallDepth, runs the callee the site resolves to at childDepth.
+func (e *Executor) call(f *Func, cursor int, o *op, depth, childDepth int) {
+	e.emitInstr(f, cursor, trace.FlagBranchTaken)
+	if e.stopped || depth >= e.prog.Profile.MaxCallDepth {
+		return
+	}
+	e.pending |= trace.FlagCallTarget
+	e.execFunc(&e.prog.Funcs[e.prog.target(o, e.variant)], childDepth)
+	e.pending |= trace.FlagReturnTarget
 }
 
 // GenerateStream builds the program for p, runs n instructions, and

@@ -16,54 +16,58 @@ const (
 	// from the site's weighted target list.
 	opCall
 	// opCondSkip executes a conditional branch that, when taken, jumps
-	// forward over skipInstrs instructions.
+	// forward over n instructions.
 	opCondSkip
-	// opLoop executes its body a data-dependent number of times with a
+	// opLoop executes a body of n sequential instructions, optionally
+	// followed by a helper call, a data-dependent number of times, with a
 	// taken back-edge branch after each iteration but the last.
 	opLoop
 )
 
 // op is one statement of a function body. Offsets are in instructions from
 // the function base; the builder lays ops out contiguously so execution can
-// compute every PC from the function base address.
+// compute every PC from the function base address. An op holds no pointer,
+// so a program's ops share one arena the garbage collector never scans.
 type op struct {
 	kind opKind
+	// n is the run length (opRun), the number of instructions a taken
+	// branch skips (opCondSkip), or the loop body's run length (opLoop).
+	n int32
+	// A call site (opCall, or an opLoop with a helper call) resolves among
+	// Program.targets[tOff:tOff+tLen], the candidate callee indices into
+	// Program.Funcs. Monomorphic sites have one target; polymorphic sites
+	// resolve deterministically from (site, transaction variant), so a
+	// transaction variant always takes the same path — control-flow
+	// variation is coarse-grained, as in real transaction code. A loop
+	// without a helper call has tLen 0.
+	site, tOff, tLen int32
+}
 
-	// opRun
-	runLen int
-
-	// opCall: candidate callee indices into Program.Funcs. Monomorphic
-	// sites have one target; polymorphic sites resolve deterministically
-	// from (siteID, transaction variant), so a transaction variant always
-	// takes the same path — control-flow variation is coarse-grained, as
-	// in real transaction code.
-	targets []int
-	siteID  int
-	// loopLeaf marks loop-embedded helper calls: the callee runs as a
-	// leaf (its own call sites do not expand), keeping per-iteration
-	// footprints small like real inner-loop helpers.
-	loopLeaf bool
-
-	// opCondSkip
-	skipInstrs int
-
-	// opLoop
-	body    []op
-	iterMin int
-	iterMax int
+// opLen returns the laid-out instruction length of an op: a loop lays out
+// its body run, its helper call if it has one, and its back edge.
+func opLen(o *op) int {
+	switch o.kind {
+	case opRun:
+		return int(o.n)
+	case opLoop:
+		if o.tLen > 0 {
+			return int(o.n) + 2
+		}
+		return int(o.n) + 1
+	}
+	return 1
 }
 
 // Func is one synthetic function.
 type Func struct {
-	// Index is the function's position in Program.Funcs.
-	Index int
 	// Base is the address of the first instruction (block aligned).
 	Base isa.Addr
 	// Instrs is the total instruction count (body layout length).
 	Instrs int
 	// Handler marks trap-handler functions (executed at TL1).
 	Handler bool
-	body    []op
+	// lo and hi bound the function's body in Program.ops.
+	lo, hi int32
 }
 
 // Blocks returns the function footprint in instruction blocks.
@@ -71,12 +75,13 @@ func (f *Func) Blocks() int {
 	return int(isa.BlockOf(f.Base.Plus(f.Instrs-1))-isa.BlockOf(f.Base)) + 1
 }
 
-// Program is a complete synthetic program image.
+// Program is a complete synthetic program image. Its functions, their
+// bodies and their call targets are three flat, pointer-free arrays.
 type Program struct {
 	Profile Profile
 	// Funcs holds application functions, then shared-library functions,
 	// then trap handlers (indices partitioned by the ranges below).
-	Funcs []*Func
+	Funcs []Func
 	// AppFuncs, SharedFuncs, HandlerFuncs give the index ranges.
 	AppEnd     int // Funcs[0:AppEnd] are application functions
 	SharedEnd  int // Funcs[AppEnd:SharedEnd] are shared library
@@ -86,7 +91,16 @@ type Program struct {
 	Entries       []int
 	EntryWeights  []int
 	FootprintBlks int
-	callSites     int // total call-site count (siteID allocator)
+	ops           []op    // every function body, in Funcs order
+	targets       []int32 // every call site's candidate callees
+}
+
+// builder carries one build's state that the image does not keep.
+type builder struct {
+	prog      *Program
+	rng       *rand.Rand
+	callSites int32    // site ID allocator
+	events    []opKind // the current body's events, reused across bodies
 }
 
 // BuildProgram deterministically constructs a fresh program image for a
@@ -101,14 +115,31 @@ func BuildProgram(p Profile) (*Program, error) {
 
 // build constructs the image for a validated profile.
 func build(p Profile) *Program {
-	rng := rand.New(rand.NewSource(p.Seed))
-	prog := &Program{Profile: p}
+	// Size the arenas from the profile's expected event counts: each event
+	// lays out a prelude run and its op (a skip also its skipped run), each
+	// body ends in a run and the return, and three loops in ten embed a
+	// helper call. Bodies too short for all their events make the guess
+	// high by 5-20%; a low guess would cost one grow.
+	nf := p.Funcs + p.SharedFuncs + p.HandlerFuncs
+	perFunc := 2 + 2*(p.CallSitesPerFunc+p.LoopsPerFunc) + 3*p.CondSkipsPerFunc
+	sites := p.CallSitesPerFunc + 0.3*p.LoopsPerFunc
+	fanout := p.MonoCallFrac + (1-p.MonoCallFrac)*float64(p.CallFanout)
+	prog := &Program{
+		Profile:      p,
+		Funcs:        make([]Func, 0, nf),
+		Entries:      make([]int, 0, p.TxTypes),
+		EntryWeights: make([]int, 0, p.TxTypes),
+		ops:          make([]op, 0, int(float64(nf)*perFunc)),
+		targets:      make([]int32, 0, int(float64(nf)*sites*fanout)),
+	}
+	b := &builder{prog: prog, rng: rand.New(rand.NewSource(p.Seed))}
+	rng := b.rng
 
 	// Lay out functions: application code at 0x100000, shared library at
 	// a distant segment, handlers in a high "kernel" segment — mirroring
 	// the multi-megabyte spread of server binaries the paper describes.
 	next := isa.Addr(0x0010_0000)
-	addFunc := func(minB, maxB int, handler bool) *Func {
+	addFunc := func(minB, maxB int, handler bool) {
 		blocks := minB
 		if maxB > minB {
 			blocks += rng.Intn(maxB - minB + 1)
@@ -117,8 +148,7 @@ func build(p Profile) *Program {
 		if instrs < 1 {
 			instrs = 1
 		}
-		f := &Func{Index: len(prog.Funcs), Base: next, Instrs: instrs, Handler: handler}
-		prog.Funcs = append(prog.Funcs, f)
+		prog.Funcs = append(prog.Funcs, Func{Base: next, Instrs: instrs, Handler: handler})
 		// Functions start on fresh blocks; occasionally leave a hole so
 		// spatial adjacency is not an artifact of dense packing.
 		nb := isa.BlockOf(next.Plus(instrs-1)) + 1
@@ -126,7 +156,6 @@ func build(p Profile) *Program {
 			nb += isa.Block(1 + rng.Intn(3))
 		}
 		next = nb.BlockBase()
-		return f
 	}
 
 	for i := 0; i < p.Funcs; i++ {
@@ -147,8 +176,8 @@ func build(p Profile) *Program {
 	// Build bodies. Call targets are biased: most call sites reference the
 	// shared library or "nearby" application functions, producing the
 	// hub-and-spoke call graphs of server software.
-	for i, f := range prog.Funcs {
-		prog.buildBody(rng, f, i)
+	for i := range prog.Funcs {
+		b.buildBody(&prog.Funcs[i], i)
 	}
 
 	// Transaction entry points with skewed dispatch weights: weight of
@@ -161,19 +190,20 @@ func build(p Profile) *Program {
 		w *= p.TxSkew
 	}
 
-	for _, f := range prog.Funcs {
-		prog.FootprintBlks += f.Blocks()
+	for i := range prog.Funcs {
+		prog.FootprintBlks += prog.Funcs[i].Blocks()
 	}
 	return prog
 }
 
-// buildBody fills in the op list for function fi.
-func (prog *Program) buildBody(rng *rand.Rand, f *Func, fi int) {
-	p := prog.Profile
+// buildBody appends the ops of function fi to the image's arena.
+func (b *builder) buildBody(f *Func, fi int) {
+	prog, rng := b.prog, b.rng
+	p := &prog.Profile
+	f.lo = int32(len(prog.ops))
 	// Reserve the final instruction as a plain run (the return): every
 	// conditional branch in the body then has a laid-out fall-through.
 	remaining := f.Instrs - 1
-	var body []op
 
 	// Decide event counts from profile expectations.
 	calls := poissonish(rng, p.CallSitesPerFunc)
@@ -192,30 +222,27 @@ func (prog *Program) buildBody(rng *rand.Rand, f *Func, fi int) {
 
 	// Interleave events between straight-line runs. Consume instructions
 	// as we emit ops; each event costs at least one instruction.
-	type event struct{ kind opKind }
-	var events []event
+	events := b.events[:0]
 	for i := 0; i < calls; i++ {
-		events = append(events, event{opCall})
+		events = append(events, opCall)
 	}
 	for i := 0; i < loops; i++ {
-		events = append(events, event{opLoop})
+		events = append(events, opLoop)
 	}
 	for i := 0; i < skips; i++ {
-		events = append(events, event{opCondSkip})
+		events = append(events, opCondSkip)
 	}
+	b.events = events
 	rng.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
 
 	emitRun := func(n int) {
-		if n <= 0 {
-			return
-		}
 		if n > remaining {
 			n = remaining
 		}
 		if n <= 0 {
 			return
 		}
-		body = append(body, op{kind: opRun, runLen: n})
+		prog.ops = append(prog.ops, op{kind: opRun, n: int32(n)})
 		remaining -= n
 	}
 
@@ -228,9 +255,9 @@ func (prog *Program) buildBody(rng *rand.Rand, f *Func, fi int) {
 		if remaining <= 1 {
 			break
 		}
-		switch ev.kind {
+		switch ev {
 		case opCall:
-			body = append(body, prog.newCallOp(rng, fi, false))
+			prog.ops = append(prog.ops, b.newCallOp(opCall, 0, fi))
 			remaining-- // the call instruction
 		case opCondSkip:
 			maxSkip := p.SkipBlocksMax * isa.InstrsPerBlock
@@ -250,75 +277,74 @@ func (prog *Program) buildBody(rng *rand.Rand, f *Func, fi int) {
 				// retire stream unchanged whichever way they resolve.
 				skip = 1 + rng.Intn(minInt(8, maxSkip))
 			}
-			body = append(body, op{kind: opCondSkip, skipInstrs: skip})
+			prog.ops = append(prog.ops, op{kind: opCondSkip, n: int32(skip)})
 			remaining-- // the branch instruction
 			// The skippable instructions are laid out as a run that the
 			// executor may jump over.
 			emitRun(skip)
 		case opLoop:
 			bodyLen := 1 + rng.Intn(maxInt(1, minInt(p.LoopBodyBlocksMax*isa.InstrsPerBlock, remaining-1)))
-			inner := []op{{kind: opRun, runLen: bodyLen}}
+			loop := op{kind: opLoop, n: int32(bodyLen)}
 			// Loops may embed a helper call (tight loop calling a helper,
-			// the case Section 3.1 calls out).
+			// the case Section 3.1 calls out). The helper runs as a leaf
+			// (its own call sites do not expand), keeping per-iteration
+			// footprints small like real inner-loop helpers.
 			if rng.Float64() < 0.3 && !f.Handler {
-				inner = append(inner, prog.newCallOp(rng, fi, true))
+				loop = b.newCallOp(opLoop, bodyLen, fi)
 			}
-			body = append(body, op{
-				kind: opLoop, body: inner,
-				iterMin: p.LoopIterMin, iterMax: p.LoopIterMax,
-			})
+			prog.ops = append(prog.ops, loop)
 			remaining -= bodyLen + 1 // body + back-edge branch
 		}
 	}
 	emitRun(remaining)
-	body = append(body, op{kind: opRun, runLen: 1}) // the reserved return
-	f.body = body
+	prog.ops = append(prog.ops, op{kind: opRun, n: 1}) // the reserved return
+	f.hi = int32(len(prog.ops))
 }
 
-// newCallOp builds one call-site op. Most call sites are monomorphic
-// (direct calls); the remainder dispatch among CallFanout targets selected
-// by the transaction variant, modeling indirect calls and dispatch tables
-// whose outcome is data-dependent but stable for a given request shape.
-func (prog *Program) newCallOp(rng *rand.Rand, fi int, loopLeaf bool) op {
-	fanout := prog.Profile.CallFanout
-	if rng.Float64() < prog.Profile.MonoCallFrac {
+// newCallOp builds one call-site op of the given kind and length. Most
+// call sites are monomorphic (direct calls); the remainder dispatch among
+// CallFanout targets selected by the transaction variant, modeling
+// indirect calls and dispatch tables whose outcome is data-dependent but
+// stable for a given request shape.
+func (b *builder) newCallOp(kind opKind, n, fi int) op {
+	fanout := b.prog.Profile.CallFanout
+	if b.rng.Float64() < b.prog.Profile.MonoCallFrac {
 		fanout = 1
 	}
-	prog.callSites++
-	return op{
-		kind:     opCall,
-		targets:  prog.pickTargets(rng, fi, fanout),
-		siteID:   prog.callSites,
-		loopLeaf: loopLeaf,
-	}
+	b.callSites++
+	tOff := int32(len(b.prog.targets))
+	b.pickTargets(fi, fanout)
+	return op{kind: kind, n: int32(n), site: b.callSites, tOff: tOff, tLen: int32(fanout)}
 }
 
-// TargetFor resolves a call site for a transaction variant: a fixed hash
-// of (siteID, variant) so the same variant always takes the same path.
-func (o *op) TargetFor(variant int) int {
-	if len(o.targets) == 1 {
-		return o.targets[0]
+// target resolves call site o for a transaction variant: a fixed hash of
+// (site, variant) so the same variant always takes the same path.
+func (prog *Program) target(o *op, variant int) int {
+	ts := prog.targets[o.tOff : o.tOff+o.tLen]
+	if len(ts) == 1 {
+		return int(ts[0])
 	}
-	h := uint64(o.siteID)*2654435761 ^ uint64(variant)*0x9e3779b9
-	return o.targets[h%uint64(len(o.targets))]
+	h := uint64(o.site)*2654435761 ^ uint64(variant)*0x9e3779b9
+	return int(ts[h%uint64(len(ts))])
 }
 
-// pickTargets selects fanout callee indices for a call site in fi.
-// Handler call sites only target other handlers so that interrupt service
-// stays short and confined to the TL1 code segment.
-func (prog *Program) pickTargets(rng *rand.Rand, fi, fanout int) []int {
-	p := prog.Profile
-	out := make([]int, 0, fanout)
+// pickTargets appends fanout callee indices for a call site in fi to the
+// image's target arena. Handler call sites only target other handlers so
+// that interrupt service stays short and confined to the TL1 code segment.
+func (b *builder) pickTargets(fi, fanout int) {
+	prog, rng := b.prog, b.rng
+	p := &prog.Profile
+	end := len(prog.targets) + fanout
 	if fi >= prog.SharedEnd {
-		for len(out) < fanout {
+		for len(prog.targets) < end {
 			t := prog.SharedEnd + rng.Intn(prog.HandlerEnd-prog.SharedEnd)
 			if t != fi || prog.HandlerEnd-prog.SharedEnd == 1 {
-				out = append(out, t)
+				prog.targets = append(prog.targets, int32(t))
 			}
 		}
-		return out
+		return
 	}
-	for len(out) < fanout {
+	for len(prog.targets) < end {
 		var t int
 		if prog.SharedEnd > prog.AppEnd && rng.Float64() < p.SharedCallBias {
 			t = prog.AppEnd + rng.Intn(prog.SharedEnd-prog.AppEnd)
@@ -330,10 +356,9 @@ func (prog *Program) pickTargets(rng *rand.Rand, fi, fanout int) []int {
 			t = rng.Intn(prog.AppEnd)
 		}
 		if t != fi {
-			out = append(out, t)
+			prog.targets = append(prog.targets, int32(t))
 		}
 	}
-	return out
 }
 
 // poissonish draws a small non-negative count with the given mean using a

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -179,6 +180,58 @@ func TestBuildProgramPartitions(t *testing.T) {
 		if f.Instrs <= 0 {
 			t.Fatalf("func %d has %d instrs", i, f.Instrs)
 		}
+	}
+}
+
+// TestProgramImagePointerFree keeps the image's arenas out of the garbage
+// collector's scan: no element of Program.Funcs, Program.ops or
+// Program.targets may hold anything the collector traces.
+func TestProgramImagePointerFree(t *testing.T) {
+	prog := reflect.TypeFor[Program]()
+	for _, name := range []string{"Funcs", "ops", "targets"} {
+		f, ok := prog.FieldByName(name)
+		if !ok || f.Type.Kind() != reflect.Slice {
+			t.Errorf("Program has no %s arena", name)
+			continue
+		}
+		if path := traced(f.Type.Elem(), "Program."+name+"[i]"); path != "" {
+			t.Errorf("%s is traced by the garbage collector", path)
+		}
+	}
+}
+
+// traced returns the path to the first part of typ the garbage collector
+// must scan, or "" when there is none.
+func traced(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := traced(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+	case reflect.Array:
+		return traced(typ.Elem(), path+"[i]")
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.String, reflect.Interface, reflect.Func, reflect.Chan:
+		return path + " (" + typ.Kind().String() + ")"
+	}
+	return ""
+}
+
+// TestBuildProgramAllocs bounds one build's allocations: the image is a
+// handful of flat arrays, not one object per function and op.
+func TestBuildProgramAllocs(t *testing.T) {
+	const maxAllocs = 64
+	p := OLTPDB2()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := BuildProgram(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("BuildProgram(%s) makes %.0f allocations, want at most %d", p.Name, allocs, maxAllocs)
 	}
 }
 
@@ -397,21 +450,26 @@ func TestExecutorResume(t *testing.T) {
 }
 
 func TestOpLen(t *testing.T) {
-	run := op{kind: opRun, runLen: 7}
+	run := op{kind: opRun, n: 7}
 	if opLen(&run) != 7 {
 		t.Errorf("opRun len = %d", opLen(&run))
 	}
-	call := op{kind: opCall}
+	call := op{kind: opCall, tLen: 1}
 	if opLen(&call) != 1 {
 		t.Errorf("opCall len = %d", opLen(&call))
 	}
-	skip := op{kind: opCondSkip, skipInstrs: 5}
+	skip := op{kind: opCondSkip, n: 5}
 	if opLen(&skip) != 1 {
 		t.Errorf("opCondSkip len = %d", opLen(&skip))
 	}
-	loop := op{kind: opLoop, body: []op{run, call}}
+	// A loop lays out its body run, its helper call and its back edge.
+	loop := op{kind: opLoop, n: 7, tLen: 1}
 	if opLen(&loop) != 9 {
 		t.Errorf("opLoop len = %d, want 9", opLen(&loop))
+	}
+	bare := op{kind: opLoop, n: 7}
+	if opLen(&bare) != 8 {
+		t.Errorf("opLoop without a call len = %d, want 8", opLen(&bare))
 	}
 }
 
