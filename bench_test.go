@@ -114,7 +114,10 @@ func benchRunner(b *testing.B, workers int) {
 	jobs := runnerBenchJobs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.Run(context.Background(), jobs, workers); err != nil {
+		be := runner.NewLocalBackend(workers)
+		_, err := runner.RunOn(context.Background(), be, jobs, nil)
+		be.Close()
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -203,28 +206,26 @@ func BenchmarkPIFOnAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceEncode measures binary trace writer throughput.
+// BenchmarkTraceEncode measures trace store write throughput: one
+// single-chunk store of a recorded stream per iteration.
 func BenchmarkTraceEncode(b *testing.B) {
 	stream, err := workload.GenerateStream(workload.WebZeus(), 100_000)
 	if err != nil {
 		b.Fatal(err)
 	}
+	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w, err := trace.NewWriter(discard{}, "bench")
+		w, err := trace.CreateStore(dir, "bench", 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := w.WriteStream(stream); err != nil {
+		if _, err := trace.CopyRecords(w, stream.Iter()); err != nil {
 			b.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(int64(len(stream)))
 	}
+	b.ReportMetric(float64(len(stream)*b.N)/b.Elapsed().Seconds(), "records/s")
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

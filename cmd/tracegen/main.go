@@ -1,22 +1,20 @@
 // Command tracegen generates a workload's retire-order instruction trace
-// and writes it in the repository's binary formats, so analyses can replay
-// a trace many times without regenerating it (the paper's methodology
-// collects traces once and studies them offline).
+// and writes it as a sharded trace store, so analyses can replay a trace
+// many times without regenerating it (the paper's methodology collects
+// traces once and studies them offline).
 //
-// The default output is the version-1 single-file stream format. With
-// -shard-records N the output is a version-2 sharded store: a directory
-// holding trace.idx plus chunk files of N records each, replayable with
-// bounded memory and randomly accessible by chunk. -dump reads either
-// format (a directory is treated as a store).
+// A store is a directory holding trace.idx plus chunk files of
+// -shard-records records each (0 selects trace.DefaultChunkRecords),
+// replayable with bounded memory and randomly accessible by chunk. -dump
+// prints a store's records as text.
 //
 // Usage:
 //
-//	tracegen -workload "Web Apache" -n 10000000 -o apache.pift
+//	tracegen -workload "Web Apache" -n 10000000 -o apache.store
 //	tracegen -workload "Web Apache" -n 10000000 -shard-records 1000000 -o apache.store
 //	tracegen -workload "Web Apache" -warmup 8000000 -n 2000000 -shard-records 1000000 -o apache.store
 //	tracegen -source store -i apache.store -shard-records 250000 -o apache-fine.store
 //	tracegen -source slice@8M:2M -i apache.store -o apache-window.store
-//	tracegen -dump -i apache.pift | head
 //	tracegen -dump -i apache.store | head
 //
 // With -warmup W the trace records W instructions as a separate executor
@@ -33,8 +31,8 @@
 // input store (located through the index, decoding no more chunks than
 // the window touches) into a new store: the unit of work for shipping
 // trace windows to other machines, and the on-disk twin of the
-// simulator's slice-replay sources. Derived stores are always sharded
-// (-shard-records 0 selects the default chunk size).
+// simulator's slice-replay sources. A derived store's -o must differ
+// from its -i: writing a store empties its directory first.
 package main
 
 import (
@@ -59,10 +57,10 @@ func run() int {
 	source := flag.String("source", "live", "record source: live (execute -workload), store (re-shard the -i store), or slice@off:len (extract a window of the -i store)")
 	n := flag.Uint64("n", 10_000_000, "instructions to generate")
 	warmup := flag.Uint64("warmup", 0, "record this many warmup instructions as a separate executor phase before -n; a store recorded with -warmup W -n M replays byte-identically in 'pifsim -trace -warmup W -measure M'")
-	out := flag.String("o", "", "output trace file or store directory (required unless -dump)")
-	shard := flag.Uint64("shard-records", 0, "records per chunk of sharded output (live generation: 0 = a single-file trace; -source store/slice always derive a sharded store, 0 = default chunk size)")
-	dump := flag.Bool("dump", false, "read a trace and print records as text")
-	in := flag.String("i", "", "input trace file or store directory for -dump")
+	out := flag.String("o", "", "output store directory (required unless -dump)")
+	shard := flag.Uint64("shard-records", 0, "records per chunk of the output store (0 = the default chunk size)")
+	dump := flag.Bool("dump", false, "read a store and print records as text")
+	in := flag.String("i", "", "input store directory for -dump and -source store|slice@off:len")
 	limit := flag.Uint64("limit", 20, "records to print with -dump (0 = all)")
 	var profile prof.Flags
 	profile.Register(flag.CommandLine)
@@ -123,8 +121,17 @@ func derive(source, in, out string, shardRecords uint64) error {
 	if err != nil {
 		return err
 	}
+	// Creating the output store empties its directory, so deriving a
+	// store into its own input would delete the records before reading
+	// them. os.SameFile sees through relative paths, trailing slashes
+	// and symlinks.
+	if inFi, err := os.Stat(in); err == nil {
+		if outFi, err := os.Stat(out); err == nil && os.SameFile(inFi, outFi) {
+			return fmt.Errorf("-o %s is the input store %s; derive into another directory", out, in)
+		}
+	}
 	var (
-		it     trace.Iterator
+		it     trace.BatchIterator
 		phases []uint64
 		closer io.Closer
 	)
@@ -169,14 +176,7 @@ func derive(source, in, out string, shardRecords uint64) error {
 	return nil
 }
 
-// recordSink is the write surface shared by the single-file Writer and
-// the sharded StoreWriter.
-type recordSink interface {
-	Write(trace.Record) error
-	Count() uint64
-	Close() error
-}
-
+// generate records the workload's live execution into a new store.
 func generate(wlName string, warmup, n uint64, out string, shardRecords uint64) error {
 	wl, err := workload.ByName(wlName)
 	if err != nil {
@@ -187,105 +187,38 @@ func generate(wlName string, warmup, n uint64, out string, shardRecords uint64) 
 		return err
 	}
 
-	// The executor starts a fresh transaction at every Run call, so the
+	// The executor starts a fresh transaction at every phase, so the
 	// recorded stream reproduces the simulator's warmup/measure phase
-	// pattern exactly when -warmup is given.
+	// pattern exactly when -warmup is given. The index records the split,
+	// so a replay with a different warmup/measure boundary is detected
+	// instead of silently diverging from the live run.
 	phases := []uint64{n}
 	if warmup > 0 {
 		phases = []uint64{warmup, n}
 	}
-
-	var (
-		sink recordSink
-		f    *os.File
-	)
-	if shardRecords > 0 {
-		sw, err := trace.CreateStore(out, wl.Name, shardRecords)
-		if err != nil {
-			return err
-		}
-		// Persist the phase split so a replay with a different
-		// warmup/measure boundary is detected instead of silently
-		// diverging from the live run.
-		sw.SetPhases(phases...)
-		sink = sw
-	} else {
-		f, err = os.Create(out)
-		if err != nil {
-			return err
-		}
-		sink, err = trace.NewWriter(f, wl.Name)
-		if err != nil {
-			f.Close()
-			return err
-		}
+	it := workload.NewIterator(prog, phases...)
+	count, err := trace.BuildStore(out, wl.Name, shardRecords, it, phases...)
+	// After a failed write, Close stops the executor instead of letting
+	// it run out the remaining instructions.
+	it.Close()
+	if err != nil {
+		return err
 	}
-
-	ex := workload.NewExecutor(prog)
-	var writeErr error
-	for _, phase := range phases {
-		if writeErr != nil {
-			break
-		}
-		ex.Run(phase, func(r trace.Record) {
-			if writeErr = sink.Write(r); writeErr != nil {
-				// A full disk won't get emptier: stop executing the
-				// remaining instructions instead of dropping them one
-				// by one against a dead writer.
-				ex.Abort()
-			}
-		})
+	ix, err := trace.ReadIndex(out)
+	if err != nil {
+		return err
 	}
-	closeErr := sink.Close()
-	if f != nil {
-		if err := f.Close(); err != nil && closeErr == nil {
-			closeErr = err
-		}
-	}
-	if writeErr != nil {
-		return writeErr
-	}
-	if closeErr != nil {
-		return closeErr
-	}
-	if shardRecords > 0 {
-		ix, err := trace.ReadIndex(out)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d records for %q to %s (%d chunk(s), %d records/chunk)\n",
-			sink.Count(), wl.Name, out, len(ix.Chunks), shardRecords)
-		return nil
-	}
-	fmt.Printf("wrote %d records for %q to %s\n", sink.Count(), wl.Name, out)
+	fmt.Printf("wrote %d records for %q to %s (%d chunk(s), %d records/chunk)\n",
+		count, wl.Name, out, len(ix.Chunks), ix.ChunkTarget)
 	return nil
 }
 
+// dumpTrace prints the store at in as text, one record per line, up to
+// limit records (0 = all), followed by the record total.
 func dumpTrace(in string, limit uint64) error {
 	if in == "" {
 		return errors.New("-i is required with -dump")
 	}
-	fi, err := os.Stat(in)
-	if err != nil {
-		return err
-	}
-	if fi.IsDir() {
-		return dumpStore(in, limit)
-	}
-	f, err := os.Open(in)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := trace.NewReader(f)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# workload: %s\n", r.Workload())
-	return dumpRecords(r, limit)
-}
-
-func dumpStore(in string, limit uint64) error {
 	r, err := trace.OpenStore(in)
 	if err != nil {
 		return err
@@ -295,13 +228,9 @@ func dumpStore(in string, limit uint64) error {
 	fmt.Printf("# workload: %s\n", h.Workload)
 	fmt.Printf("# store: %d records, %d chunk(s), %d records/chunk\n",
 		h.Records, len(ix.Chunks), ix.ChunkTarget)
-	return dumpRecords(r, limit)
-}
-
-func dumpRecords(it trace.Iterator, limit uint64) error {
 	var count uint64
 	for {
-		rec, err := it.Next()
+		rec, err := r.Next()
 		if errors.Is(err, io.EOF) {
 			break
 		}

@@ -143,8 +143,9 @@ type memo[T any] struct {
 // Env caches per-workload artifacts (programs, retire-order streams) so
 // that the trace-based experiments do not regenerate them repeatedly. The
 // caches are safe for concurrent readers: each artifact is built exactly
-// once and shared read-only across jobs. Programs and streams are keyed
-// by the whole profile, so two profiles sharing a name never share one.
+// once and shared read-only across jobs. Programs, streams and spilled
+// stores are keyed by the whole profile, so two profiles sharing a name
+// never share one.
 type Env struct {
 	opts Options
 	ctx  context.Context
@@ -154,7 +155,7 @@ type Env struct {
 	// out; workload.ProgramFor holds images only weakly.
 	programs map[workload.Profile]*workload.Program
 	streams  map[workload.Profile]*memo[trace.Stream]
-	spills   map[string]*memo[string] // workload name -> store directory
+	spills   map[workload.Profile]*memo[string] // store directory
 
 	// backendMu serializes grid runs through a shared Options.Backend
 	// (backends serve one run at a time).
@@ -189,7 +190,7 @@ func NewEnvContext(ctx context.Context, opts Options) *Env {
 		ctx:      ctx,
 		programs: make(map[workload.Profile]*workload.Program),
 		streams:  make(map[workload.Profile]*memo[trace.Stream]),
-		spills:   make(map[string]*memo[string]),
+		spills:   make(map[workload.Profile]*memo[string]),
 		jobIdx:   make(map[string]int),
 	}
 }
@@ -257,10 +258,10 @@ func (e *Env) Stream(p workload.Profile) (trace.Stream, error) {
 }
 
 // storeDirFor names a workload's spilled store: the sanitized workload
-// name, a hash of the exact name (sanitization is lossy, and two
-// workloads colliding on one directory would silently swap traces), and
-// the instruction count, so stores written at other scales are never
-// mistaken for the current one.
+// name, a hash of the whole profile (sanitization is lossy, and two
+// profiles sharing a name, such as two seeds of one workload, must never
+// replay one store), and the instruction count, so stores written at
+// other scales are never mistaken for the current one.
 func (e *Env) storeDirFor(p workload.Profile) string {
 	total := e.opts.WarmupInstrs + e.opts.MeasureInstrs
 	sanitized := strings.Map(func(r rune) rune {
@@ -274,25 +275,26 @@ func (e *Env) storeDirFor(p workload.Profile) string {
 		}
 	}, p.Name)
 	h := fnv.New32a()
-	h.Write([]byte(p.Name))
+	fmt.Fprintf(h, "%#v", p)
 	return filepath.Join(e.opts.StoreDir, fmt.Sprintf("%s-%08x-%d", sanitized, h.Sum32(), total))
 }
 
 // Spill generates the workload's warmup+measure retire stream into a
 // sharded on-disk trace store (once per environment, single-flight) and
-// returns the store directory. An existing store with the same workload
-// name and record count is reused as-is — the trace is collected once
-// and replayed by every artifact, and by later processes pointed at the
-// same StoreDir. Spill requires Options.StoreDir.
+// returns the store directory. An existing store in the profile's
+// directory with the same workload name and record count is reused
+// as-is — the trace is collected once and replayed by every artifact,
+// and by later processes pointed at the same StoreDir. Spill requires
+// Options.StoreDir.
 func (e *Env) Spill(p workload.Profile) (string, error) {
 	if e.opts.StoreDir == "" {
 		return "", fmt.Errorf("experiments: Spill(%q) without Options.StoreDir", p.Name)
 	}
 	e.mu.Lock()
-	m, ok := e.spills[p.Name]
+	m, ok := e.spills[p]
 	if !ok {
 		m = &memo[string]{}
-		e.spills[p.Name] = m
+		e.spills[p] = m
 	}
 	e.mu.Unlock()
 	m.once.Do(func() { m.val, m.err = e.buildSpill(p) })
@@ -478,7 +480,7 @@ type envSource struct {
 
 // Open implements sim.Source; the spill (or stream build) happens here,
 // so constructing the source costs nothing.
-func (s envSource) Open(ctx context.Context) (trace.Iterator, sim.SourceInfo, error) {
+func (s envSource) Open(ctx context.Context) (trace.BatchIterator, sim.SourceInfo, error) {
 	if s.p.Name == "" {
 		return nil, sim.SourceInfo{}, fmt.Errorf("experiments: %s source has no workload (apply a workload axis before resolving sources)", s.kind)
 	}

@@ -126,3 +126,40 @@ func TestSpillStreamAndEachRecordAgree(t *testing.T) {
 		}
 	}
 }
+
+// TestSpillKeysByWholeProfile asserts two profiles sharing a name (here
+// two seeds of DSS Qry2) spill to distinct stores: within one Env and
+// across Envs sharing a StoreDir, each profile replays its own stream,
+// the one an Env without a StoreDir generates.
+func TestSpillKeysByWholeProfile(t *testing.T) {
+	opts := spillScale(t.TempDir())
+	memOpts := opts
+	memOpts.StoreDir = ""
+	memEnv := NewEnv(memOpts)
+	base := workload.DSSQry2()
+	reseeded := base
+	reseeded.Seed++
+
+	records := func(env *Env, p workload.Profile) trace.Stream {
+		t.Helper()
+		var s trace.Stream
+		if err := env.EachRecord(p, func(r trace.Record) { s = append(s, r) }); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for i, env := range []*Env{NewEnv(opts), NewEnv(opts)} {
+		for _, p := range []workload.Profile{base, reseeded} {
+			want := records(memEnv, p)
+			got := records(env, p)
+			if len(got) != len(want) {
+				t.Fatalf("env %d, seed %d: %d records, want %d", i, p.Seed, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("env %d, seed %d: record %d = %+v, want %+v (another profile's store?)", i, p.Seed, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}

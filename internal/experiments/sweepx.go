@@ -591,7 +591,7 @@ func (ls lazyEnvSource) resolve() envSource {
 }
 
 // Open implements sim.Source.
-func (ls lazyEnvSource) Open(ctx context.Context) (trace.Iterator, sim.SourceInfo, error) {
+func (ls lazyEnvSource) Open(ctx context.Context) (trace.BatchIterator, sim.SourceInfo, error) {
 	return ls.resolve().Open(ctx)
 }
 

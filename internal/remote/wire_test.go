@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -112,7 +113,7 @@ func TestEncodeJobRejectsProcessLocalState(t *testing.T) {
 		{"unnamed-workload", func(j *runner.Job) { j.Workload = workload.Profile{} }, "unnamed workload"},
 		{"off-registry-workload", func(j *runner.Job) { j.Workload.Seed++ }, "differs from the registry"},
 		{"opaque-source", func(j *runner.Job) {
-			j.Source = sim.OpenerSource(func() (trace.Iterator, error) { return nil, nil })
+			j.Source = opaqueSource{}
 		}, "opaque source"},
 	}
 	for _, tc := range cases {
@@ -266,4 +267,13 @@ func FuzzJobSpecRoundTrip(f *testing.F) {
 			t.Fatalf("round trip not stable:\n%s\n%s", b1, b2)
 		}
 	})
+}
+
+// opaqueSource is a sim.Source outside the built-in store and slice
+// families: it has no wire spec.
+type opaqueSource struct{}
+
+// Open implements sim.Source.
+func (opaqueSource) Open(context.Context) (trace.BatchIterator, sim.SourceInfo, error) {
+	return nil, sim.SourceInfo{}, nil
 }

@@ -76,7 +76,7 @@ func (c *countingBackend) Submit(ctx context.Context, idx int, j Job) error {
 }
 
 // TestRunOnCustomBackend drives RunOn through a wrapped backend and
-// asserts results are byte-identical to a plain Pool run of the same
+// asserts results are byte-identical to a plain local run of the same
 // jobs — backend selection cannot perturb simulation outcomes.
 func TestRunOnCustomBackend(t *testing.T) {
 	jobs := testJobs(t, 5)
@@ -90,7 +90,7 @@ func TestRunOnCustomBackend(t *testing.T) {
 	if got := cb.submits.Load(); got != int32(len(jobs)) {
 		t.Errorf("custom backend saw %d submits, want %d", got, len(jobs))
 	}
-	viaPool, err := Pool{Workers: 2}.Run(context.Background(), jobs)
+	viaPool, err := runLocal(context.Background(), jobs, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestBackendReuseAcrossRuns(t *testing.T) {
 }
 
 // TestJobSourceCompat is the runner half of the source contract: a
-// serializable StoreSource and an opaque OpenerSource over the same
+// serializable StoreSource and an opaque source over the same
 // recorded store must produce identical sim.Result JSON, and both must
 // match the live run.
 func TestJobSourceCompat(t *testing.T) {
@@ -151,9 +151,9 @@ func TestJobSourceCompat(t *testing.T) {
 		{Label: "store-source", Workload: wl, Config: cfg, Engine: prefetch.Spec{Name: "tifs"},
 			Source: sim.StoreSource(dir)},
 		{Label: "opener-source", Workload: wl, Config: cfg, Engine: prefetch.Spec{Name: "tifs"},
-			Source: sim.OpenerSource(func() (trace.Iterator, error) { return trace.OpenStore(dir) })},
+			Source: openerSource(func() (trace.BatchIterator, error) { return trace.OpenStore(dir) })},
 	}
-	results, err := Run(context.Background(), jobs, 3)
+	results, err := runLocal(context.Background(), jobs, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

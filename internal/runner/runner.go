@@ -389,33 +389,6 @@ func RunOn(ctx context.Context, b Backend, jobs []Job, onProgress func(Progress)
 	return results, nil
 }
 
-// Pool executes jobs over a bounded set of workers.
-//
-// Pool predates the Backend interface and remains as the convenience
-// front door for one-shot batches: Run starts a private LocalBackend,
-// drives it with RunOn, and tears it down.
-type Pool struct {
-	// Workers bounds concurrency; <= 0 means GOMAXPROCS.
-	Workers int
-	// OnProgress, when non-nil, is called (serially) after each job
-	// finishes.
-	OnProgress func(Progress)
-}
-
-// Run executes every job and returns the results in submission order
-// (see RunOn for the execution contract).
-func (p Pool) Run(ctx context.Context, jobs []Job) ([]Result, error) {
-	b := NewLocalBackend(p.Workers)
-	defer b.Close()
-	return RunOn(ctx, b, jobs, p.OnProgress)
-}
-
-// Run executes jobs with a default pool of the given width (<= 0 means
-// GOMAXPROCS).
-func Run(ctx context.Context, jobs []Job, workers int) ([]Result, error) {
-	return Pool{Workers: workers}.Run(ctx, jobs)
-}
-
 // ForEach runs fn(i) for every i in [0, n) across a bounded worker pool.
 // It is the engine's primitive for trace-based analyses that are not
 // simulations (one call per workload, each writing its own result slot,

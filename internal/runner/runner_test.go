@@ -21,6 +21,14 @@ func testConfig() sim.Config {
 	return cfg
 }
 
+// runLocal runs jobs on a fresh LocalBackend of the given width and
+// closes it afterwards.
+func runLocal(ctx context.Context, jobs []Job, workers int, onProgress func(Progress)) ([]Result, error) {
+	b := NewLocalBackend(workers)
+	defer b.Close()
+	return RunOn(ctx, b, jobs, onProgress)
+}
+
 func testJobs(t *testing.T, n int) []Job {
 	t.Helper()
 	suite := workload.StandardSuite()
@@ -37,8 +45,8 @@ func testJobs(t *testing.T, n int) []Job {
 	return jobs
 }
 
-// TestRunSubmissionOrder runs one job list through pools of width 1
-// and 8: results come back in submission order and identical. The list
+// TestRunSubmissionOrder runs one job list through local backends of
+// width 1 and 8: results come back in submission order and identical. The list
 // crosses three workloads with the baselines and PIF, so an engine
 // instance shared between jobs would show as a serial/parallel
 // difference.
@@ -51,11 +59,11 @@ func TestRunSubmissionOrder(t *testing.T) {
 			jobs = append(jobs, j)
 		}
 	}
-	serial, err := Run(context.Background(), jobs, 1)
+	serial, err := runLocal(context.Background(), jobs, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(context.Background(), jobs, 8)
+	parallel, err := runLocal(context.Background(), jobs, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +98,7 @@ func TestRunFreshEnginePerJob(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	if _, err := Run(context.Background(), jobs, 2); err != nil {
+	if _, err := runLocal(context.Background(), jobs, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != len(jobs) {
@@ -111,7 +119,7 @@ func TestRunRegistryNames(t *testing.T) {
 func TestRunUnknownEngine(t *testing.T) {
 	jobs := testJobs(t, 2)
 	jobs[1].Engine = prefetch.Spec{Name: "dropout"}
-	_, err := Run(context.Background(), jobs, 2)
+	_, err := runLocal(context.Background(), jobs, 2, nil)
 	if err == nil {
 		t.Fatal("unknown engine name accepted")
 	}
@@ -120,7 +128,7 @@ func TestRunUnknownEngine(t *testing.T) {
 func TestRunNoEngine(t *testing.T) {
 	jobs := testJobs(t, 1)
 	jobs[0].Engine = prefetch.Spec{}
-	if _, err := Run(context.Background(), jobs, 1); err == nil {
+	if _, err := runLocal(context.Background(), jobs, 1, nil); err == nil {
 		t.Fatal("job without engine accepted")
 	}
 }
@@ -128,7 +136,7 @@ func TestRunNoEngine(t *testing.T) {
 func TestRunJobError(t *testing.T) {
 	jobs := testJobs(t, 3)
 	jobs[1].Config.MeasureInstrs = 0 // invalid
-	results, err := Run(context.Background(), jobs, 2)
+	results, err := runLocal(context.Background(), jobs, 2, nil)
 	if err == nil {
 		t.Fatal("invalid job accepted")
 	}
@@ -143,7 +151,7 @@ func TestRunJobError(t *testing.T) {
 func TestRunCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, err := Run(ctx, testJobs(t, 4), 2)
+	results, err := runLocal(ctx, testJobs(t, 4), 2, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -156,15 +164,11 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 
 func TestRunCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	pool := Pool{
-		Workers: 1,
-		OnProgress: func(p Progress) {
-			if p.Done == 1 {
-				cancel() // cancel after the first job completes
-			}
-		},
-	}
-	results, err := pool.Run(ctx, testJobs(t, 6))
+	results, err := runLocal(ctx, testJobs(t, 6), 1, func(p Progress) {
+		if p.Done == 1 {
+			cancel() // cancel after the first job completes
+		}
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -182,25 +186,22 @@ func TestRunProgressSerialized(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]bool{}
 	var doneMax int
-	pool := Pool{
-		Workers: 4,
-		OnProgress: func(p Progress) {
-			mu.Lock()
-			defer mu.Unlock()
-			if seen[p.Index] {
-				t.Errorf("job %d reported twice", p.Index)
-			}
-			seen[p.Index] = true
-			if p.Done <= doneMax {
-				t.Errorf("Done %d not increasing (prev %d)", p.Done, doneMax)
-			}
-			doneMax = p.Done
-			if p.Total != 6 {
-				t.Errorf("Total = %d, want 6", p.Total)
-			}
-		},
+	onProgress := func(p Progress) {
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[p.Index] {
+			t.Errorf("job %d reported twice", p.Index)
+		}
+		seen[p.Index] = true
+		if p.Done <= doneMax {
+			t.Errorf("Done %d not increasing (prev %d)", p.Done, doneMax)
+		}
+		doneMax = p.Done
+		if p.Total != 6 {
+			t.Errorf("Total = %d, want 6", p.Total)
+		}
 	}
-	if _, err := pool.Run(context.Background(), testJobs(t, 6)); err != nil {
+	if _, err := runLocal(context.Background(), testJobs(t, 6), 4, onProgress); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 6 || doneMax != 6 {
@@ -209,7 +210,7 @@ func TestRunProgressSerialized(t *testing.T) {
 }
 
 func TestRunEmpty(t *testing.T) {
-	results, err := Run(context.Background(), nil, 4)
+	results, err := runLocal(context.Background(), nil, 4, nil)
 	if err != nil || len(results) != 0 {
 		t.Fatalf("empty run = %v, %v", results, err)
 	}

@@ -18,7 +18,7 @@ import (
 )
 
 // Jobs builds n small serializable jobs (registry workloads, registry
-// prefetcher, live source), the common currency of conformance checks:
+// prefetcher, no record source), the common currency of conformance checks:
 // every backend, including remote ones that ship jobs over a wire, can
 // run them.
 func Jobs(tb testing.TB, n int) []runner.Job {

@@ -13,6 +13,16 @@ import (
 	"repro/internal/workload"
 )
 
+// openerSource is an opaque sim.Source over an iterator factory: it
+// reports no SourceInfo and has no wire spec.
+type openerSource func() (trace.BatchIterator, error)
+
+// Open implements sim.Source.
+func (f openerSource) Open(context.Context) (trace.BatchIterator, sim.SourceInfo, error) {
+	it, err := f()
+	return it, sim.SourceInfo{}, err
+}
+
 // TestPoolReplayFromStore runs the same job live and from a sharded trace
 // store through the pool's Source path and asserts identical results —
 // the end-to-end wiring of the streaming replay through the execution
@@ -42,9 +52,9 @@ func TestPoolReplayFromStore(t *testing.T) {
 		{Label: "replay2", Workload: wl, Config: cfg, Engine: prefetch.Spec{Name: "tifs"},
 			Source: sim.StoreSource(dir)},
 	}
-	results, err := Pool{Workers: 3}.Run(context.Background(), jobs)
+	results, err := runLocal(context.Background(), jobs, 3, nil)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunOn: %v", err)
 	}
 	live, err := json.Marshal(results[0].Sim)
 	if err != nil {
@@ -68,9 +78,9 @@ func TestPoolSourceOpenFailure(t *testing.T) {
 	cfg := sim.Config{System: config.Default(), MeasureInstrs: 1000}
 	jobs := []Job{{
 		Label: "bad-source", Workload: wl, Config: cfg, Engine: prefetch.Spec{Name: "none"},
-		Source: sim.OpenerSource(func() (trace.Iterator, error) { return trace.OpenStore("/nonexistent/store") }),
+		Source: openerSource(func() (trace.BatchIterator, error) { return trace.OpenStore("/nonexistent/store") }),
 	}}
-	results, err := Pool{}.Run(context.Background(), jobs)
+	results, err := runLocal(context.Background(), jobs, 0, nil)
 	if err == nil {
 		t.Fatal("expected pool error from failing source factory")
 	}

@@ -171,7 +171,7 @@ func FuzzSimulatorStep(f *testing.F) {
 			got, err := RunJob(context.Background(), Job{
 				Config:   cfg,
 				Workload: wl,
-				From: OpenerSource(func() (trace.Iterator, error) {
+				From: openerSource(func() (trace.BatchIterator, error) {
 					return trace.Stream(recs).Iter(), nil
 				}),
 				Engine: prefetch.Spec{Name: e},

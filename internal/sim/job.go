@@ -38,10 +38,9 @@ type Job struct {
 	// the source, pulls warmup plus measured records from the returned
 	// iterator, and closes it (when it implements io.Closer) after the
 	// run. Store and slice sources replay recorded traces instead of
-	// executing the workload; a LiveSource with no explicit phases runs
-	// the executor directly, byte-identical to a job with no source at
-	// all. A source that cannot supply WarmupInstrs+MeasureInstrs records
-	// is a hard error — never a silently short run.
+	// executing the workload; a nil From executes it live. A source that
+	// cannot supply WarmupInstrs+MeasureInstrs records is a hard error —
+	// never a silently short run.
 	From Source
 	// Engine is the declarative spec of the job's prefetch engine: a
 	// registry name plus parameters, resolved into a fresh private
@@ -90,23 +89,6 @@ func RunWith(ctx context.Context, j Job, p prefetch.Prefetcher) (Result, error) 
 		return Result{}, fmt.Errorf("sim: job for %q has no prefetch engine", j.Workload.Name)
 	}
 	if j.From != nil {
-		if ls, ok := j.From.(*liveSource); ok {
-			// A live source carries the full profile, so a job that
-			// names no workload adopts it (front-end seed included)
-			// instead of silently simulating with a zero profile.
-			if j.Workload.Name == "" {
-				j.Workload = ls.w
-			} else if j.Workload.Name != ls.w.Name {
-				return Result{}, fmt.Errorf("sim: job for %q has a live source for %q", j.Workload.Name, ls.w.Name)
-			}
-			if len(ls.phases) == 0 {
-				// Live fast path: run the executor directly under the
-				// job's own warmup/measure split — no iterator
-				// goroutine, and byte-identical to a job with no
-				// source at all.
-				return liveJob(ctx, j, p)
-			}
-		}
 		if j.Workload.Name == "" {
 			// Replay sources supply records but not a profile, and the
 			// profile's front-end seed shapes the result: running with
@@ -130,8 +112,8 @@ func RunWith(ctx context.Context, j Job, p prefetch.Prefetcher) (Result, error) 
 }
 
 // runOpened validates an opened source against the job and replays it.
-func runOpened(ctx context.Context, j Job, p prefetch.Prefetcher, it trace.Iterator, info SourceInfo) (Result, error) {
-	if info.Workload != "" && j.Workload.Name != "" && info.Workload != j.Workload.Name {
+func runOpened(ctx context.Context, j Job, p prefetch.Prefetcher, it trace.BatchIterator, info SourceInfo) (Result, error) {
+	if info.Workload != "" && info.Workload != j.Workload.Name {
 		return Result{}, fmt.Errorf("sim: job for %q replays a source recorded from %q (%s)",
 			j.Workload.Name, info.Workload, info)
 	}
@@ -225,13 +207,12 @@ func drive(j Job, s *Simulator, feed func(n uint64) error) (Result, error) {
 // so the replay loop performs no per-record interface calls and no
 // allocation, and peak memory is the source's own buffer (one store
 // chunk, one executor batch), never the trace length.
-func replayJob(ctx context.Context, j Job, p prefetch.Prefetcher, src trace.Iterator) (Result, error) {
+func replayJob(ctx context.Context, j Job, p prefetch.Prefetcher, src trace.BatchIterator) (Result, error) {
 	s := New(j.Config, p, j.Workload.Seed)
-	b := trace.Batched(src)
 	buf := make([]trace.Record, stepBatch)
 	return drive(j, s, func(n uint64) error {
 		for done := uint64(0); done < n; {
-			k, err := b.NextBatch(buf[:min(n-done, stepBatch)])
+			k, err := src.NextBatch(buf[:min(n-done, stepBatch)])
 			s.StepBatch(buf[:k])
 			done += uint64(k)
 			if err != nil {

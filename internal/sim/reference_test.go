@@ -309,7 +309,7 @@ func TestReferenceRandomStreams(t *testing.T) {
 				got, err := RunJob(context.Background(), Job{
 					Config:   cfg,
 					Workload: wl,
-					From: OpenerSource(func() (trace.Iterator, error) {
+					From: openerSource(func() (trace.BatchIterator, error) {
 						return trace.Stream(recs).Iter(), nil
 					}),
 					Engine: prefetch.Spec{Name: e},

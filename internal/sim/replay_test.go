@@ -59,7 +59,7 @@ func TestReplayMatchesLive(t *testing.T) {
 		t.Fatalf("live RunJob: %v", err)
 	}
 	replayed, err := RunJob(context.Background(), Job{Config: cfg, Workload: wl, Engine: engine,
-		From: OpenerSource(func() (trace.Iterator, error) { return trace.OpenStore(dir) })})
+		From: openerSource(func() (trace.BatchIterator, error) { return trace.OpenStore(dir) })})
 	if err != nil {
 		t.Fatalf("replay RunJob: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestReplayShortSourceFails(t *testing.T) {
 	_, err := RunJob(context.Background(), Job{
 		Config:   cfg,
 		Workload: wl,
-		From:     OpenerSource(func() (trace.Iterator, error) { return short.Iter(), nil }),
+		From:     openerSource(func() (trace.BatchIterator, error) { return short.Iter(), nil }),
 		Engine:   prefetch.Spec{Name: "none"},
 	})
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -105,7 +105,7 @@ func TestReplayCancel(t *testing.T) {
 	_, err := RunJob(ctx, Job{
 		Config:   cfg,
 		Workload: wl,
-		From:     OpenerSource(func() (trace.Iterator, error) { return trace.OpenStore(dir) }),
+		From:     openerSource(func() (trace.BatchIterator, error) { return trace.OpenStore(dir) }),
 		Engine:   prefetch.Spec{Name: "none"},
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -129,7 +129,7 @@ func BenchmarkReplayFromStore(b *testing.B) {
 		_, err := RunJob(context.Background(), Job{
 			Config:   cfg,
 			Workload: wl,
-			From:     OpenerSource(func() (trace.Iterator, error) { return trace.OpenStore(dir) }),
+			From:     openerSource(func() (trace.BatchIterator, error) { return trace.OpenStore(dir) }),
 			Engine:   prefetch.Spec{Name: "none"},
 		})
 		if err != nil {

@@ -5,24 +5,23 @@ import (
 	"fmt"
 
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Source is the factory half of the unified pipeline API: a value that
-// names *what to simulate* — a live workload execution, a recorded trace
-// store, or a window of one — independently of the engine simulating it
-// and the backend running it. Jobs carry Sources instead of open
-// iterators because sources, like prefetch engines, are stateful once
-// opened: every job opens its own private iterator, so any number of
-// jobs can replay the same trace concurrently.
+// names *what to simulate* — a recorded trace store or a window of one —
+// independently of the engine simulating it and the backend running it.
+// A job with no Source executes its workload live. Jobs carry Sources
+// instead of open iterators because sources, like prefetch engines, are
+// stateful once opened: every job opens its own private iterator, so any
+// number of jobs can replay the same trace concurrently.
 //
 // Open may be called any number of times; each call returns a fresh
-// iterator positioned at the source's first record. Iterators that
+// batch iterator positioned at the source's first record. Iterators that
 // implement io.Closer are closed by the consumer (RunJob closes what it
 // opens). The context is accepted for forward compatibility with remote
 // sources; the built-in constructors never block on it.
 type Source interface {
-	Open(ctx context.Context) (trace.Iterator, SourceInfo, error)
+	Open(ctx context.Context) (trace.BatchIterator, SourceInfo, error)
 }
 
 // SourceInfo describes an opened source: enough metadata for the
@@ -30,8 +29,7 @@ type Source interface {
 // budget, workload identity) and for labels and persisted results to say
 // what was replayed.
 type SourceInfo struct {
-	// Kind is the source family: "live", "store", "slice", or "iterator"
-	// (an opaque adapter).
+	// Kind is the source family: "store" or "slice".
 	Kind string
 	// Workload is the workload name the stream was recorded from, when
 	// the source knows it ("" otherwise).
@@ -52,8 +50,6 @@ func (si SourceInfo) String() string {
 		return fmt.Sprintf("slice %s of %s", si.Window, si.Path)
 	case "store":
 		return fmt.Sprintf("store %s", si.Path)
-	case "live":
-		return fmt.Sprintf("live %s", si.Workload)
 	default:
 		return si.Kind
 	}
@@ -71,52 +67,6 @@ type Slicer interface {
 	Slice(w trace.Window) (Source, error)
 }
 
-// SourceFunc adapts a function to the Source interface.
-type SourceFunc func(ctx context.Context) (trace.Iterator, SourceInfo, error)
-
-// Open implements Source.
-func (f SourceFunc) Open(ctx context.Context) (trace.Iterator, SourceInfo, error) { return f(ctx) }
-
-// liveSource executes a workload program to produce its stream.
-type liveSource struct {
-	w      workload.Profile
-	phases []uint64
-}
-
-// LiveSource returns the source that executes w's program live. phases
-// are the executor Run boundaries (the executor starts a fresh
-// transaction at each phase), so LiveSource(w, warmup, measure) emits
-// exactly the stream a live simulation of w consumes.
-//
-// When no phases are given the source is only usable as a Job's record
-// source: RunJob supplies the job's own warmup/measure split and runs
-// the executor directly (the live fast path), byte-identical to a job
-// that names the workload with no source at all. Opening a phase-less
-// live source directly is an error — there is no record count to run to.
-func LiveSource(w workload.Profile, phases ...uint64) Source {
-	return &liveSource{w: w, phases: phases}
-}
-
-// Open implements Source by taking the program image from
-// workload.ProgramFor and streaming the executor's output with bounded
-// memory.
-func (s *liveSource) Open(ctx context.Context) (trace.Iterator, SourceInfo, error) {
-	if len(s.phases) == 0 {
-		return nil, SourceInfo{}, fmt.Errorf(
-			"sim: live source for %q has no phases; construct with LiveSource(w, warmup, measure) or use it as a job source, where the job's config supplies them", s.w.Name)
-	}
-	prog, err := workload.ProgramFor(s.w)
-	if err != nil {
-		return nil, SourceInfo{}, err
-	}
-	var total uint64
-	for _, p := range s.phases {
-		total += p
-	}
-	it := workload.NewIterator(prog, s.phases...)
-	return it, SourceInfo{Kind: "live", Workload: s.w.Name, Records: total}, nil
-}
-
 // storeSource replays a sharded on-disk trace store from record 0.
 type storeSource struct{ dir string }
 
@@ -125,7 +75,7 @@ type storeSource struct{ dir string }
 func StoreSource(dir string) Source { return storeSource{dir} }
 
 // Open implements Source.
-func (s storeSource) Open(ctx context.Context) (trace.Iterator, SourceInfo, error) {
+func (s storeSource) Open(ctx context.Context) (trace.BatchIterator, SourceInfo, error) {
 	r, err := trace.OpenStore(s.dir)
 	if err != nil {
 		return nil, SourceInfo{}, err
@@ -160,7 +110,7 @@ type sliceSource struct {
 func SliceSource(dir string, w trace.Window) Source { return sliceSource{dir, w} }
 
 // Open implements Source.
-func (s sliceSource) Open(ctx context.Context) (trace.Iterator, SourceInfo, error) {
+func (s sliceSource) Open(ctx context.Context) (trace.BatchIterator, SourceInfo, error) {
 	r, err := trace.OpenSlice(s.dir, s.w)
 	if err != nil {
 		return nil, SourceInfo{}, err
@@ -182,16 +132,4 @@ func (s sliceSource) Slice(w trace.Window) (Source, error) {
 		return nil, fmt.Errorf("sim: slice window %s exceeds source window %s", w, s.w)
 	}
 	return SliceSource(s.dir, trace.Window{Off: s.w.Off + w.Off, Len: w.Len}), nil
-}
-
-// OpenerSource adapts a bare iterator factory to the Source interface —
-// the escape hatch for custom record sources that predate SourceInfo.
-func OpenerSource(open func() (trace.Iterator, error)) Source {
-	return SourceFunc(func(ctx context.Context) (trace.Iterator, SourceInfo, error) {
-		it, err := open()
-		if err != nil {
-			return nil, SourceInfo{}, err
-		}
-		return it, SourceInfo{Kind: "iterator"}, nil
-	})
 }

@@ -28,12 +28,21 @@ func runJSON(t *testing.T, j Job) string {
 	return string(b)
 }
 
+// openerSource is an opaque Source over an iterator factory: it reports
+// no SourceInfo and has no wire spec.
+type openerSource func() (trace.BatchIterator, error)
+
+// Open implements Source.
+func (f openerSource) Open(context.Context) (trace.BatchIterator, SourceInfo, error) {
+	it, err := f()
+	return it, SourceInfo{}, err
+}
+
 // TestSourcePathsIdentical is the source-API acceptance bar: the same
-// simulation driven (1) live with no source, (2) by a phase-less
-// LiveSource, (3) by an explicit-phase LiveSource, (4) by a StoreSource
-// over a recorded store, (5) by a whole-store SliceSource, and (6) by
-// an OpenerSource around a bare store iterator must produce identical
-// sim.Result JSON.
+// simulation driven (1) live with no source, (2) by a StoreSource over a
+// recorded store, (3) by a whole-store SliceSource, and (4) by an opaque
+// source around a bare store iterator must produce identical sim.Result
+// JSON.
 func TestSourcePathsIdentical(t *testing.T) {
 	wl := workload.OLTPDB2()
 	cfg := replayConfig()
@@ -45,12 +54,10 @@ func TestSourcePathsIdentical(t *testing.T) {
 	live := runJSON(t, Job{Config: cfg, Workload: wl, Engine: engine})
 
 	variants := map[string]Job{
-		"live-source":        {Config: cfg, Workload: wl, From: LiveSource(wl), Engine: engine},
-		"live-source-phases": {Config: cfg, Workload: wl, From: LiveSource(wl, cfg.WarmupInstrs, cfg.MeasureInstrs), Engine: engine},
-		"store-source":       {Config: cfg, Workload: wl, From: StoreSource(dir), Engine: engine},
-		"slice-source":       {Config: cfg, Workload: wl, From: SliceSource(dir, trace.Window{Off: 0, Len: total}), Engine: engine},
+		"store-source": {Config: cfg, Workload: wl, From: StoreSource(dir), Engine: engine},
+		"slice-source": {Config: cfg, Workload: wl, From: SliceSource(dir, trace.Window{Off: 0, Len: total}), Engine: engine},
 		"opener-source": {Config: cfg, Workload: wl, Engine: engine,
-			From: OpenerSource(func() (trace.Iterator, error) { return trace.OpenStore(dir) })},
+			From: openerSource(func() (trace.BatchIterator, error) { return trace.OpenStore(dir) })},
 	}
 	for name, j := range variants {
 		if got := runJSON(t, j); got != live {
@@ -88,7 +95,7 @@ func TestSliceSourceSubRange(t *testing.T) {
 	}
 	sub := full[w.Off:w.End()]
 	viaMemory := runJSON(t, Job{Config: wcfg, Workload: wl, Engine: engine,
-		From: OpenerSource(func() (trace.Iterator, error) { return sub.Iter(), nil })})
+		From: openerSource(func() (trace.BatchIterator, error) { return sub.Iter(), nil })})
 	if viaSlice != viaMemory {
 		t.Errorf("slice replay differs from in-memory sub-range:\nslice:  %s\nmemory: %s", viaSlice, viaMemory)
 	}
@@ -137,63 +144,10 @@ func TestSourceValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "recorded from") {
 		t.Errorf("workload-mismatch error = %v", err)
 	}
-
-	// A live source for a different workload than the job's is rejected.
-	_, err = RunJob(context.Background(), Job{
-		Config: cfg, Workload: other,
-		From:   LiveSource(wl),
-		Engine: engine,
-	})
-	if err == nil {
-		t.Error("live-source workload mismatch accepted")
-	}
-}
-
-// TestLiveSourceOpen covers LiveSource's direct Open contract: explicit
-// phases stream the executor's records; no phases is an error.
-func TestLiveSourceOpen(t *testing.T) {
-	wl := workload.OLTPDB2()
-	if _, _, err := LiveSource(wl).Open(context.Background()); err == nil {
-		t.Error("phase-less LiveSource.Open accepted")
-	}
-	it, info, err := LiveSource(wl, 1000, 500).Open(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Kind != "live" || info.Workload != wl.Name || info.Records != 1500 {
-		t.Errorf("info = %+v", info)
-	}
-	s, err := trace.Collect(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s) != 1500 {
-		t.Errorf("live source yielded %d records, want 1500", len(s))
-	}
-	if c, ok := it.(io.Closer); ok {
-		c.Close()
-	}
-
-	// The emitted stream matches the executor's phase-boundary pattern.
-	prog, err := workload.BuildProgram(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := workload.NewIterator(prog, 1000, 500)
-	defer ref.Close()
-	want, err := trace.Collect(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if s[i] != want[i] {
-			t.Fatalf("record %d = %+v, want %+v", i, s[i], want[i])
-		}
-	}
 }
 
 // TestSourceEOFStillHardError keeps the short-source contract on the new
-// path: an OpenerSource around a short iterator (no record metadata to
+// path: an opaque source around a short iterator (no record metadata to
 // pre-validate) still fails with io.ErrUnexpectedEOF mid-run.
 func TestSourceEOFStillHardError(t *testing.T) {
 	wl := workload.OLTPDB2()
@@ -202,7 +156,7 @@ func TestSourceEOFStillHardError(t *testing.T) {
 	_, err := RunJob(context.Background(), Job{
 		Config:   cfg,
 		Workload: wl,
-		From:     OpenerSource(func() (trace.Iterator, error) { return short.Iter(), nil }),
+		From:     openerSource(func() (trace.BatchIterator, error) { return short.Iter(), nil }),
 		Engine:   prefetch.Spec{Name: "none"},
 	})
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -210,25 +164,13 @@ func TestSourceEOFStillHardError(t *testing.T) {
 	}
 }
 
-// TestSourceWorkloadAdoption locks the profile-resolution rules: a job
-// naming no workload adopts a live source's full profile (front-end
-// seed included, phased or not), and replay sources — which carry no
-// profile — are a hard error without one, never a silent seed-0 run.
+// TestSourceWorkloadAdoption locks the profile-resolution rule: replay
+// sources carry no profile, so a job with a source and no workload is a
+// hard error, never a silent seed-0 run.
 func TestSourceWorkloadAdoption(t *testing.T) {
 	wl := workload.OLTPDB2()
 	cfg := replayConfig()
 	engine := prefetch.Spec{Name: "nextline"}
-
-	named := runJSON(t, Job{Config: cfg, Workload: wl, Engine: engine})
-	for name, src := range map[string]Source{
-		"phaseless": LiveSource(wl),
-		"phased":    LiveSource(wl, cfg.WarmupInstrs, cfg.MeasureInstrs),
-	} {
-		got := runJSON(t, Job{Config: cfg, From: src, Engine: engine})
-		if got != named {
-			t.Errorf("%s live source without Job.Workload differs from the named run:\nnamed: %s\ngot:   %s", name, named, got)
-		}
-	}
 
 	dir := filepath.Join(t.TempDir(), "store")
 	recordStore(t, dir, wl, cfg, 1<<14)

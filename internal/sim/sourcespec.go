@@ -4,39 +4,31 @@ import (
 	"fmt"
 
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // SourceSpec is the wire form of a Source: a plain JSON-serializable
-// value naming what to simulate, so a remote worker can rebuild the
-// source locally (workload by registry name, trace store by path).
-// Only the built-in source families serialize; opaque sources
-// (SourceFunc closures, OpenerSource adapters) have no spec and must be
-// run on a local backend.
+// value naming the trace store to replay, so a remote worker can rebuild
+// the source locally. Only the built-in store and slice sources
+// serialize; any other Source implementation has no spec and must run
+// on a local backend. A job with no source needs no spec: the worker
+// executes the job's workload live.
 type SourceSpec struct {
-	// Kind is the source family: "live", "store", or "slice".
+	// Kind is the source family: "store" or "slice".
 	Kind string `json:"kind"`
-	// Workload is the registry name for live sources (workload.ByName).
-	Workload string `json:"workload,omitempty"`
-	// Phases are the live executor Run boundaries (empty for the
-	// job-source form, where the job's config supplies them).
-	Phases []uint64 `json:"phases,omitempty"`
-	// Path is the trace-store directory for store and slice sources. It
-	// is resolved on the machine that opens the source — remote workers
-	// must share the store (common filesystem or identical local copy).
+	// Path is the trace-store directory. It is resolved on the machine
+	// that opens the source — remote workers must share the store
+	// (common filesystem or identical local copy).
 	Path string `json:"path,omitempty"`
 	// Window is the record window for slice sources.
 	Window trace.Window `json:"window,omitzero"`
 }
 
 // SpecOf extracts the wire form of a source. ok is false for sources
-// with no serializable identity (custom SourceFunc/OpenerSource
-// adapters); such jobs cannot be dispatched remotely. A nil source has
-// no spec.
+// with no serializable identity (any Source other than StoreSource and
+// SliceSource); such jobs cannot be dispatched remotely. A nil source
+// has no spec.
 func SpecOf(s Source) (SourceSpec, bool) {
 	switch src := s.(type) {
-	case *liveSource:
-		return SourceSpec{Kind: "live", Workload: src.w.Name, Phases: src.phases}, true
 	case storeSource:
 		return SourceSpec{Kind: "store", Path: src.dir}, true
 	case sliceSource:
@@ -46,16 +38,10 @@ func SpecOf(s Source) (SourceSpec, bool) {
 	}
 }
 
-// New rebuilds the Source a spec names, resolving live workloads through
-// the registry. The inverse of SpecOf: SpecOf(spec.New()) round-trips.
+// New rebuilds the Source a spec names. The inverse of SpecOf:
+// SpecOf(spec.New()) round-trips.
 func (sp SourceSpec) New() (Source, error) {
 	switch sp.Kind {
-	case "live":
-		w, err := workload.ByName(sp.Workload)
-		if err != nil {
-			return nil, fmt.Errorf("sim: source spec: %w", err)
-		}
-		return LiveSource(w, sp.Phases...), nil
 	case "store":
 		if sp.Path == "" {
 			return nil, fmt.Errorf("sim: store source spec has no path")

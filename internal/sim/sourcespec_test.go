@@ -1,22 +1,18 @@
 package sim
 
 import (
-	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // TestSourceSpecRoundTrip checks SpecOf/New inverse pairs for every
 // serializable source family, through JSON (the wire form the remote
 // backend ships).
 func TestSourceSpecRoundTrip(t *testing.T) {
-	wl := workload.OLTPDB2()
 	sources := []Source{
-		LiveSource(wl, 1000, 500),
-		LiveSource(wl), // job-source form: phases come from the job config
 		StoreSource("/tmp/traces/oltp"),
 		SliceSource("/tmp/traces/oltp", trace.Window{Off: 128, Len: 4096}),
 	}
@@ -41,34 +37,28 @@ func TestSourceSpecRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("rebuilt %T not serializable", rebuilt)
 		}
-		if spec.Kind != spec2.Kind || spec.Workload != spec2.Workload ||
-			spec.Path != spec2.Path || spec.Window != spec2.Window ||
-			len(spec.Phases) != len(spec2.Phases) {
+		if spec != spec2 {
 			t.Errorf("round trip changed spec: %+v -> %+v", spec, spec2)
 		}
 	}
 }
 
-// TestSourceSpecOpaqueSources asserts that closure-backed sources have no
-// wire form — the remote backend must reject them, not misroute them.
+// TestSourceSpecOpaqueSources asserts that sources outside the built-in
+// store and slice families have no wire form — the remote backend must
+// reject them, not misroute them.
 func TestSourceSpecOpaqueSources(t *testing.T) {
-	opaque := []Source{
-		SourceFunc(func(ctx context.Context) (trace.Iterator, SourceInfo, error) {
-			return nil, SourceInfo{}, nil
-		}),
-		OpenerSource(func() (trace.Iterator, error) { return nil, nil }),
-	}
-	for _, src := range opaque {
+	for _, src := range []Source{nil, openerSource(func() (trace.BatchIterator, error) { return nil, nil })} {
 		if spec, ok := SpecOf(src); ok {
 			t.Errorf("SpecOf(%T) = %+v, want not serializable", src, spec)
 		}
 	}
 }
 
-// TestSourceSpecBadSpecs checks New's validation.
+// TestSourceSpecBadSpecs checks New's validation. The retired "live"
+// kind is an unknown kind like any other.
 func TestSourceSpecBadSpecs(t *testing.T) {
 	bad := []SourceSpec{
-		{Kind: "live", Workload: "no-such-workload"},
+		{Kind: "live"},
 		{Kind: "store"},
 		{Kind: "slice"},
 		{Kind: "teleport"},
@@ -78,5 +68,8 @@ func TestSourceSpecBadSpecs(t *testing.T) {
 		if _, err := sp.New(); err == nil {
 			t.Errorf("spec %+v accepted", sp)
 		}
+	}
+	if _, err := (SourceSpec{Kind: "live"}).New(); err == nil || !strings.Contains(err.Error(), "unknown source spec kind") {
+		t.Errorf("live spec error = %v, want an unknown-kind error", err)
 	}
 }

@@ -47,12 +47,7 @@ func TestSourceAxis(t *testing.T) {
 			SourceAxis("source", []SourceChoice{
 				{Key: "live"},
 				{Key: "store", New: func(s *Settings) sim.Source {
-					return sim.SourceFunc(func(ctx context.Context) (trace.Iterator, sim.SourceInfo, error) {
-						if s.Workload.Name != wl.Name {
-							t.Errorf("source resolved before workload applied: %q", s.Workload.Name)
-						}
-						return sim.StoreSource(dir).Open(ctx)
-					})
+					return settingsSource{s: s, want: wl.Name, dir: dir, t: t}
 				}},
 			}),
 			WorkloadAxis("workload", []workload.Profile{wl}),
@@ -128,4 +123,22 @@ func TestEngineBackendOption(t *testing.T) {
 			t.Errorf("cell %d: custom-backend result differs from default run", i)
 		}
 	}
+}
+
+// settingsSource replays the store at dir and checks, when opened, that
+// the cell's settings already name the workload want: an opaque source
+// that reads its cell's settings at open time.
+type settingsSource struct {
+	s    *Settings
+	want string
+	dir  string
+	t    *testing.T
+}
+
+// Open implements sim.Source.
+func (ss settingsSource) Open(ctx context.Context) (trace.BatchIterator, sim.SourceInfo, error) {
+	if ss.s.Workload.Name != ss.want {
+		ss.t.Errorf("source resolved before workload applied: %q", ss.s.Workload.Name)
+	}
+	return sim.StoreSource(ss.dir).Open(ctx)
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -82,19 +81,12 @@ func checkSameError(t *testing.T, label string, got, want error) {
 // larger-than-stream batch lengths.
 var batchSizes = []int{1, 3, 7, 64, 100_000}
 
-// plainIter hides an iterator's batch capability so tests can force the
-// Batched adapter path.
-type plainIter struct{ it Iterator }
-
-func (p plainIter) Next() (Record, error) { return p.it.Next() }
-
-// TestBatchParityStream checks StreamIter and the Batched adapter against
-// per-record iteration on an in-memory stream.
+// TestBatchParityStream checks StreamIter against per-record iteration
+// on an in-memory stream.
 func TestBatchParityStream(t *testing.T) {
 	s := synthStream(11, 1000)
 	for _, batch := range batchSizes {
 		checkParity(t, "StreamIter", s.Iter(), s.Iter(), batch)
-		checkParity(t, "Batched(plain)", s.Iter(), Batched(plainIter{s.Iter()}), batch)
 	}
 	// Empty stream: first batch pull is a clean EOF.
 	if n, err := Stream(nil).Iter().NextBatch(make([]Record, 4)); n != 0 || err != io.EOF {
@@ -107,47 +99,6 @@ func TestBatchParityStream(t *testing.T) {
 	}
 	if r, err := it.Next(); err != nil || r != s[0] {
 		t.Fatalf("Next after NextBatch(nil) = (%+v, %v), want first record", r, err)
-	}
-}
-
-// TestBatchParityReader checks the version-1 file Reader.
-func TestBatchParityReader(t *testing.T) {
-	s := synthStream(13, 777)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "wl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteStream(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	open := func() *Reader {
-		r, err := NewReader(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	for _, batch := range batchSizes {
-		checkParity(t, "Reader", open(), open(), batch)
-	}
-	// Truncation parity at every byte length that cuts into the record
-	// payload (the header is 9+len("wl") bytes).
-	header := 9 + 2
-	for cut := header; cut < len(raw); cut += 97 {
-		rr, err := NewReader(bytes.NewReader(raw[:cut]))
-		if err != nil {
-			t.Fatalf("cut %d: NewReader: %v", cut, err)
-		}
-		br, err := NewReader(bytes.NewReader(raw[:cut]))
-		if err != nil {
-			t.Fatalf("cut %d: NewReader: %v", cut, err)
-		}
-		checkParity(t, fmt.Sprintf("Reader cut@%d", cut), rr, br, 64)
 	}
 }
 
@@ -432,11 +383,14 @@ func TestCollectSizeHint(t *testing.T) {
 	}
 }
 
-// TestCollectNoHint asserts collection still works (growing) for plain
+// uncounted hides an iterator's Counted size hint.
+type uncounted struct{ BatchIterator }
+
+// TestCollectNoHint asserts collection still works (growing) for
 // iterators with no Counted hint.
 func TestCollectNoHint(t *testing.T) {
 	s := synthStream(41, 12345)
-	got, err := Collect(plainIter{s.Iter()})
+	got, err := Collect(uncounted{s.Iter()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"path/filepath"
 	"testing"
@@ -24,11 +23,9 @@ func recordsFromBytes(data []byte) Stream {
 	return s
 }
 
-// FuzzTraceRoundTrip drives arbitrary record streams through both trace
-// formats and asserts exact reconstruction: the version-1 single-file
-// stream and the version-2 sharded store (with a fuzzer-chosen chunk
-// size, so shard boundaries land everywhere) must both satisfy
-// ReadAll(Write(s)) == s.
+// FuzzTraceRoundTrip drives arbitrary record streams through the sharded
+// trace store, with a fuzzer-chosen chunk size so shard boundaries land
+// everywhere, and asserts exact reconstruction: ReadAll(Write(s)) == s.
 func FuzzTraceRoundTrip(f *testing.F) {
 	// Seeds around shard boundaries: with chunkRecords forced into
 	// [1, 16], 4*k-byte inputs put k records at, just below, and just
@@ -45,29 +42,6 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		s := recordsFromBytes(data)
 		chunkRecords := uint64(chunkByte%16) + 1
 
-		// Version 1: single-file stream.
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, "fuzz")
-		if err != nil {
-			t.Fatalf("NewWriter: %v", err)
-		}
-		if err := w.WriteStream(s); err != nil {
-			t.Fatalf("WriteStream: %v", err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-		r, err := NewReader(&buf)
-		if err != nil {
-			t.Fatalf("NewReader: %v", err)
-		}
-		got, err := r.ReadAll()
-		if err != nil {
-			t.Fatalf("v1 ReadAll: %v", err)
-		}
-		assertSameStream(t, "v1", s, got)
-
-		// Version 2: sharded store.
 		dir := filepath.Join(t.TempDir(), "store")
 		sw, err := CreateStore(dir, "fuzz", chunkRecords)
 		if err != nil {
@@ -87,7 +61,7 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if sr.Header().Records != uint64(len(s)) {
 			t.Fatalf("store Records = %d, want %d", sr.Header().Records, len(s))
 		}
-		got, err = sr.ReadAll()
+		got, err := sr.ReadAll()
 		if err != nil {
 			t.Fatalf("store ReadAll: %v", err)
 		}

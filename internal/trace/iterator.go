@@ -9,11 +9,12 @@ import (
 // Next returns io.EOF at a clean end of stream and io.ErrUnexpectedEOF
 // (possibly wrapped) when the underlying source was truncated mid-record.
 //
-// It is implemented by the single-file Reader, the sharded StoreReader and
+// Every record source in the repository implements it alongside the
+// bulk BatchIterator: the store's StoreReader, SliceReader and
 // ChunkReader, in-memory Streams (via Stream.Iter), and the live workload
-// executor (workload.Executor.Iterator) — so a simulation consumes live
-// execution and on-disk replay through the same interface and never needs
-// a whole stream in memory.
+// executor (workload.Executor.Iterator). Next is the per-record path for
+// consumers that step one record at a time (tracegen -dump, seeks within
+// a chunk); replay loops pull batches.
 type Iterator interface {
 	Next() (Record, error)
 }
@@ -35,47 +36,9 @@ type Iterator interface {
 //     records decoded earlier in the same call: consuming dst[:n] and
 //     then failing on err reproduces the per-record sequence exactly.
 //   - A zero-length dst returns (0, nil) without touching the stream.
-//
-// Every iterator in the repository implements it natively; Batched adapts
-// the ones that don't.
 type BatchIterator interface {
 	Iterator
 	NextBatch(dst []Record) (int, error)
-}
-
-// Batched returns it as a BatchIterator: iterators that implement the
-// interface natively are returned unchanged, anything else is wrapped in
-// an adapter that loops Next. The adapter does not forward io.Closer —
-// callers that own a closable iterator close the original.
-func Batched(it Iterator) BatchIterator {
-	if b, ok := it.(BatchIterator); ok {
-		return b
-	}
-	return &batchAdapter{it: it}
-}
-
-// batchAdapter lifts a plain Iterator to the batch contract.
-type batchAdapter struct{ it Iterator }
-
-// Next implements Iterator by delegation.
-func (a *batchAdapter) Next() (Record, error) { return a.it.Next() }
-
-// NextBatch implements BatchIterator by looping Next.
-func (a *batchAdapter) NextBatch(dst []Record) (int, error) {
-	for i := range dst {
-		r, err := a.it.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				if i > 0 {
-					return i, nil
-				}
-				return 0, io.EOF
-			}
-			return i, err
-		}
-		dst[i] = r
-	}
-	return len(dst), nil
 }
 
 // StreamIter iterates an in-memory Stream.
@@ -127,7 +90,7 @@ type Counted interface {
 // that know their record count up front (Counted) have the stream
 // preallocated; everything is decoded in batches directly into the
 // stream's tail, so collection costs no per-record call and no re-copy.
-func Collect(it Iterator) (Stream, error) {
+func Collect(it BatchIterator) (Stream, error) {
 	var hint uint64
 	if c, ok := it.(Counted); ok {
 		hint = c.Records()
@@ -140,13 +103,12 @@ func Collect(it Iterator) (Stream, error) {
 // small stack probe distinguishes "hint was exact, stream is done" from
 // "hint was short, grow and keep going" — so an exact hint yields exactly
 // one allocation of exactly the record count.
-func collect(it Iterator, sizeHint uint64) (Stream, error) {
-	b := Batched(it)
+func collect(it BatchIterator, sizeHint uint64) (Stream, error) {
 	s := make(Stream, 0, sizeHint)
 	for {
 		if len(s) == cap(s) {
 			var probe [64]Record
-			n, err := b.NextBatch(probe[:])
+			n, err := it.NextBatch(probe[:])
 			s = append(s, probe[:n]...)
 			if err != nil {
 				if errors.Is(err, io.EOF) {
@@ -156,7 +118,7 @@ func collect(it Iterator, sizeHint uint64) (Stream, error) {
 			}
 			continue
 		}
-		n, err := b.NextBatch(s[len(s):cap(s)])
+		n, err := it.NextBatch(s[len(s):cap(s)])
 		s = s[:len(s)+n]
 		if err != nil {
 			if errors.Is(err, io.EOF) {
@@ -172,16 +134,15 @@ func collect(it Iterator, sizeHint uint64) (Stream, error) {
 const copyBatch = 4096
 
 // CopyRecords pulls every record from it into w and returns the count
-// copied. w is any record sink with the Writer/StoreWriter Write shape.
-// Records are decoded in batches through a single preallocated buffer, so
+// copied. w is any record sink with StoreWriter's Write shape. Records
+// are decoded in batches through a single preallocated buffer, so
 // store-to-store copies (BuildStore, tracegen -source store/slice) run at
 // batch-decode speed regardless of the sink.
-func CopyRecords(w interface{ Write(Record) error }, it Iterator) (uint64, error) {
-	b := Batched(it)
+func CopyRecords(w interface{ Write(Record) error }, it BatchIterator) (uint64, error) {
 	buf := make([]Record, copyBatch)
 	var n uint64
 	for {
-		k, berr := b.NextBatch(buf)
+		k, berr := it.NextBatch(buf)
 		for _, r := range buf[:k] {
 			if err := w.Write(r); err != nil {
 				return n, err

@@ -12,8 +12,9 @@ import (
 	"repro/internal/isa"
 )
 
-// Format version 2: a sharded on-disk trace store. A store is a directory
-// holding an index file (trace.idx) plus fixed-record-count chunk files.
+// Format version 2 (storeVersion): the sharded on-disk trace store. A
+// store is a directory holding an index file (trace.idx) plus
+// fixed-record-count chunk files.
 // Each chunk header carries the chunk's base PC, so delta decoding restarts
 // per chunk and any chunk can be decoded without its predecessors — the
 // unit of random access to a trace window, and the natural work unit for
@@ -73,8 +74,7 @@ func (ix Index) Records() uint64 {
 }
 
 // Header returns the trace header implied by the index, with the record
-// count filled in (unlike version-1 single-file traces, a store knows its
-// length without being read).
+// count filled in: a store knows its length without being read.
 func (ix Index) Header() Header {
 	return Header{Workload: ix.Workload, Records: ix.Records()}
 }
@@ -106,8 +106,8 @@ func (ix Index) PhaseCompatible(warmup, measure uint64) bool {
 
 // StoreWriter writes a sharded trace store. Records accumulate into chunk
 // files of a fixed record count; Close seals the final chunk and writes
-// the index. Like Writer, a StoreWriter is stuck after its first failure
-// and Close re-reports it.
+// the index. A StoreWriter is stuck after its first failure and Close
+// re-reports it.
 type StoreWriter struct {
 	dir      string
 	perChunk uint64
@@ -873,10 +873,10 @@ func (r *StoreReader) Close() error {
 
 // BuildStore drains an iterator into a new store at dir and returns the
 // record count written. It is the one-call path from any record source —
-// a live executor, a version-1 file, another store — to sharded storage.
+// a live executor, another store or a window of one — to sharded storage.
 // phases, when given, are recorded in the index as the executor phase
 // boundaries the source was generated with (see Index.Phases).
-func BuildStore(dir, workload string, chunkRecords uint64, it Iterator, phases ...uint64) (uint64, error) {
+func BuildStore(dir, workload string, chunkRecords uint64, it BatchIterator, phases ...uint64) (uint64, error) {
 	w, err := CreateStore(dir, workload, chunkRecords)
 	if err != nil {
 		return 0, err

@@ -384,6 +384,17 @@ func (it *failingIter) Next() (Record, error) {
 	return Record{PC: 0x1000}, nil
 }
 
+func (it *failingIter) NextBatch(dst []Record) (int, error) {
+	for i := range dst {
+		r, err := it.Next()
+		if err != nil {
+			return i, err
+		}
+		dst[i] = r
+	}
+	return len(dst), nil
+}
+
 // TestBuildStoreSourceFailureWritesNoIndex asserts a failed build never
 // leaves a valid-looking store behind: trace.idx implies fully written,
 // so a retrying caller can't silently replay a short trace.

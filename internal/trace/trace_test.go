@@ -2,9 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -83,28 +88,25 @@ func TestBlocksNoAdjacentDuplicates(t *testing.T) {
 	}
 }
 
+// roundTrip writes s to a store named name with two records per chunk,
+// reopens it, and returns what the reader decodes.
 func roundTrip(t *testing.T, name string, s Stream) Stream {
 	t.Helper()
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, name)
+	dir := filepath.Join(t.TempDir(), "store")
+	n, err := BuildStore(dir, name, 2, s.Iter())
 	if err != nil {
-		t.Fatalf("NewWriter: %v", err)
+		t.Fatalf("BuildStore: %v", err)
 	}
-	if err := w.WriteStream(s); err != nil {
-		t.Fatalf("WriteStream: %v", err)
+	if n != uint64(len(s)) {
+		t.Fatalf("BuildStore wrote %d records, want %d", n, len(s))
 	}
-	if w.Count() != uint64(len(s)) {
-		t.Fatalf("Count = %d, want %d", w.Count(), len(s))
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	r, err := NewReader(&buf)
+	r, err := OpenStore(dir)
 	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+		t.Fatalf("OpenStore: %v", err)
 	}
-	if r.Workload() != name {
-		t.Fatalf("Workload = %q, want %q", r.Workload(), name)
+	defer r.Close()
+	if h := r.Header(); h.Workload != name || h.Records != uint64(len(s)) {
+		t.Fatalf("Header = %+v, want workload %q with %d records", h, name, len(s))
 	}
 	got, err := r.ReadAll()
 	if err != nil {
@@ -132,6 +134,8 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRoundTripEmpty asserts an empty store with an empty workload name
+// is a valid store of zero records and zero chunks.
 func TestRoundTripEmpty(t *testing.T) {
 	got := roundTrip(t, "", Stream{})
 	if len(got) != 0 {
@@ -140,7 +144,7 @@ func TestRoundTripEmpty(t *testing.T) {
 }
 
 func TestRoundTripProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
+	f := func(seed int64, n uint8, perChunk uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := make(Stream, int(n))
 		for i := range s {
@@ -150,21 +154,15 @@ func TestRoundTripProperty(t *testing.T) {
 				Flags: Flags(rng.Intn(64)),
 			}
 		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf, "p")
+		dir := filepath.Join(t.TempDir(), "store")
+		if _, err := BuildStore(dir, "p", uint64(perChunk%32)+1, s.Iter()); err != nil {
+			return false
+		}
+		r, err := OpenStore(dir)
 		if err != nil {
 			return false
 		}
-		if err := w.WriteStream(s); err != nil {
-			return false
-		}
-		if err := w.Close(); err != nil {
-			return false
-		}
-		r, err := NewReader(&buf)
-		if err != nil {
-			return false
-		}
+		defer r.Close()
 		got, err := r.ReadAll()
 		if err != nil || len(got) != len(s) {
 			return false
@@ -181,58 +179,80 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestWriterAfterClose(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Write(Record{}); err == nil {
-		t.Error("Write after Close should fail")
-	}
-	if err := w.Close(); err != nil {
-		t.Errorf("double Close should be nil, got %v", err)
-	}
-}
-
+// TestReaderBadMagic asserts a store whose index or chunk carries a
+// foreign magic number fails to open or decode, on both chunk sources.
 func TestReaderBadMagic(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte{1, 2, 3, 4, 0, 0, 0, 0, 0})); err == nil {
-		t.Error("bad magic should fail")
+	for _, file := range []string{IndexName, ChunkFileName(1)} {
+		dir := filepath.Join(t.TempDir(), "store")
+		writeStore(t, dir, "wl", 8, synthStream(1, 20))
+		path := filepath.Join(dir, file)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(data, 0xdeadbeef)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range chunkSourceModes() {
+			r, err := OpenStoreMode(dir, mode)
+			if err == nil {
+				_, err = r.ReadAll()
+				r.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), "bad") || !strings.Contains(err.Error(), "magic 0xdeadbeef") {
+				t.Errorf("%s with bad magic (mode %d): err = %v, want a bad-magic error", file, mode, err)
+			}
+		}
 	}
 }
 
+// chunkSourceModes lists the chunk sources this platform can pin: the
+// heap-copy path always, the mmap path where mapping is supported.
+func chunkSourceModes() []ChunkSourceMode {
+	if mmapSupported {
+		return []ChunkSourceMode{ChunkSourceReadFile, ChunkSourceMmap}
+	}
+	return []ChunkSourceMode{ChunkSourceReadFile}
+}
+
+// TestReaderTruncated cuts a store's index at every byte offset: every
+// cut must fail to open, so a torn index never reads as a shorter store.
 func TestReaderTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "t")
+	dir := filepath.Join(t.TempDir(), "store")
+	w, err := CreateStore(dir, "wl", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Write(Record{PC: 0x40}); err != nil {
+	w.SetPhases(12, 8)
+	if _, err := CopyRecords(w, synthStream(3, 20).Iter()); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Chop the final flags byte: the reader should surface an error, not EOF.
-	data := buf.Bytes()[:buf.Len()-1]
-	r, err := NewReader(bytes.NewReader(data))
+	path := filepath.Join(dir, IndexName)
+	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Read(); err == nil || errors.Is(err, io.EOF) {
-		t.Errorf("truncated record should be a hard error, got %v", err)
+	for cut := 0; cut < len(whole); cut++ {
+		if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := OpenStore(dir); err == nil {
+			r.Close()
+			t.Errorf("index cut at byte %d of %d opened", cut, len(whole))
+		}
 	}
 }
 
-// TestReaderTruncatedEveryByte truncates a valid trace at every byte
-// boundary through the first few records and asserts the reader never
-// reports a silently short stream: a cut inside a record — including in
-// the middle of the delta varint, the case the reader used to swallow as
-// a clean io.EOF — must surface io.ErrUnexpectedEOF, and a cut exactly on
-// a record boundary must decode to exactly the complete-record prefix.
+// TestReaderTruncatedEveryByte cuts chunk 1 of a store, whose records
+// include multi-byte deltas, at every byte offset. No cut may read as a
+// clean short stream: every cut, in the header, mid-varint or on a record
+// boundary, wraps io.ErrUnexpectedEOF after a strict prefix of the
+// stream, and the batch path (ReadAll) and the per-record path (Next)
+// must report the same error on both chunk sources.
 func TestReaderTruncatedEveryByte(t *testing.T) {
 	// Large deltas force multi-byte varints so cuts land mid-varint.
 	s := Stream{
@@ -240,81 +260,136 @@ func TestReaderTruncatedEveryByte(t *testing.T) {
 		{PC: 0x40, TL: isa.TL1, Flags: FlagTrapEntry},
 		{PC: 0x1234_5678_9abc, TL: isa.TL0, Flags: FlagBranchTaken},
 		{PC: 0x1234_5678_9ac0, TL: isa.TL0},
+		{PC: 0x40, TL: isa.TL1},
+		{PC: 0x1234_5678_9ac4, TL: isa.TL0, Flags: FlagReturnTarget},
+		{PC: 0x1234_5678_9ac8, TL: isa.TL0},
+		{PC: 0x8000_0000_0000_0000, TL: isa.TL1, Flags: FlagTrapReturn},
 	}
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "t")
+	dir := filepath.Join(t.TempDir(), "store")
+	writeStore(t, dir, "t", 4, s)
+	path := filepath.Join(dir, ChunkFileName(1))
+	whole, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteStream(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Map every record-aligned byte offset (including the bare header) to
-	// the number of complete records before it, by re-encoding the same
-	// stream record by record with a flush in between.
-	var probe bytes.Buffer
-	pw, err := NewWriter(&probe, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pw.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	headerLen := probe.Len()
-	boundaries := map[int]int{headerLen: 0}
-	for i, rec := range s {
-		if err := pw.Write(rec); err != nil {
+	for cut := 0; cut < len(whole); cut++ {
+		if err := os.WriteFile(path, whole[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := pw.w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		boundaries[probe.Len()] = i + 1
-	}
-
-	for cut := headerLen; cut < len(full); cut++ {
-		r, err := NewReader(bytes.NewReader(full[:cut]))
-		if err != nil {
-			t.Fatalf("cut=%d: NewReader: %v", cut, err)
-		}
-		got, err := r.ReadAll()
-		if want, aligned := boundaries[cut]; aligned {
-			if err != nil {
-				t.Errorf("cut=%d (record-aligned): ReadAll error %v", cut, err)
-			}
-			if len(got) != want {
-				t.Errorf("cut=%d: decoded %d records, want %d", cut, len(got), want)
-			}
-			continue
-		}
+		got, err := drainEveryPath(t, dir)
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("cut=%d (mid-record): ReadAll error = %v, want io.ErrUnexpectedEOF", cut, err)
+			t.Fatalf("cut=%d: err = %v after %d records, want io.ErrUnexpectedEOF", cut, err, len(got))
+		}
+		if len(got) >= len(s) {
+			t.Fatalf("cut=%d: decoded all %d records from a torn chunk", cut, len(got))
+		}
+		for i := range got {
+			if got[i] != s[i] {
+				t.Fatalf("cut=%d: record %d = %+v, want %+v", cut, i, got[i], s[i])
+			}
 		}
 	}
 }
 
+// drainEveryPath drains the store at dir through ReadAll (the batch
+// path) and through per-record Next, on every chunk source. Every path
+// must decode the same records and end with the same error text (nil
+// for a clean end); it returns those records and the last path's error.
+func drainEveryPath(t *testing.T, dir string) (Stream, error) {
+	t.Helper()
+	var want Stream
+	var wantErr error
+	for i, mode := range chunkSourceModes() {
+		for _, perRecord := range []bool{false, true} {
+			r, err := OpenStoreMode(dir, mode)
+			if err != nil {
+				t.Fatalf("OpenStoreMode(%d): %v", mode, err)
+			}
+			var got Stream
+			if perRecord {
+				if got, err = drainPerRecord(r); err == io.EOF {
+					err = nil
+				}
+			} else {
+				got, err = r.ReadAll()
+			}
+			r.Close()
+			if i == 0 && !perRecord {
+				want, wantErr = got, err
+				continue
+			}
+			label := fmt.Sprintf("mode %d, per-record %v", mode, perRecord)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d records, the batch path decoded %d", label, len(got), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("%s: record %d = %+v, want %+v", label, k, got[k], want[k])
+				}
+			}
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: error %v, want %v", label, err, wantErr)
+			}
+			wantErr = err
+		}
+	}
+	return want, wantErr
+}
+
+// TestReaderVarintOverflow asserts a chunk whose PC delta overflows 64
+// bits (an 11-byte varint, or a 10-byte one whose last byte exceeds 1)
+// reports errVarintOverflow on the batch and per-record paths alike.
+func TestReaderVarintOverflow(t *testing.T) {
+	cases := map[string][]byte{
+		"11-byte varint":          append(bytes.Repeat([]byte{0x80}, 10), 0x00),
+		"10-byte varint, last >1": append(bytes.Repeat([]byte{0x80}, 9), 0x02),
+	}
+	for name, delta := range cases {
+		dir := filepath.Join(t.TempDir(), "store")
+		writeStore(t, dir, "wl", 8, Stream{{PC: 0x40}})
+		path := filepath.Join(dir, ChunkFileName(0))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Replace the single record (a 1-byte zero delta, TL, flags) with
+		// the oversized delta followed by TL and flags bytes.
+		data = append(append(data[:chunkHeaderSize], delta...), 0, 0)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := drainEveryPath(t, dir); !errors.Is(err, errVarintOverflow) {
+			t.Errorf("%s: err = %v, want errVarintOverflow", name, err)
+		}
+	}
+}
+
+// TestWriterCloseSurfacesWriteError asserts a StoreWriter whose final
+// chunk fails to flush reports the failure from Close, keeps reporting
+// it, and writes no index.
 func TestWriterCloseSurfacesWriteError(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, "t")
+	dir := filepath.Join(t.TempDir(), "store")
+	w, err := CreateStore(dir, "t", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Poison the underlying bufio chain the way a full disk would: force
-	// a flush failure by swapping in a broken writer after construction.
-	w.w.Reset(failWriter{})
 	if err := w.Write(Record{PC: 0x40}); err != nil {
-		// Small writes buffer cleanly; a write error here is also fine.
-		t.Logf("Write: %v", err)
+		t.Fatal(err)
+	}
+	// Point the open chunk's buffer at a failing disk: the next record
+	// sits buffered, so the failure surfaces at Close's flush.
+	w.bw.Reset(failWriter{})
+	if err := w.Write(Record{PC: 0x44}); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err == nil {
-		t.Error("Close over a failed writer should report the failure")
+		t.Error("Close over a failed flush should report the failure")
 	}
 	if err := w.Close(); err == nil {
 		t.Error("repeated Close should keep reporting the failure")
+	}
+	if _, err := os.Stat(filepath.Join(dir, IndexName)); !os.IsNotExist(err) {
+		t.Errorf("failed Close left an index behind (stat err=%v)", err)
 	}
 }
 
@@ -323,26 +398,39 @@ type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk gone") }
 
+// TestReaderEOF asserts the end of a store is a clean, repeatable
+// io.EOF on both pull paths, for an empty store and a drained one.
 func TestReaderEOF(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, "t")
-	_ = w.Close()
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Read(); !errors.Is(err, io.EOF) {
-		t.Errorf("expected EOF, got %v", err)
+	for _, n := range []int{0, 5} {
+		dir := filepath.Join(t.TempDir(), "store")
+		writeStore(t, dir, "t", 4, synthStream(1, n))
+		r, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := r.ReadAll(); err != nil || len(got) != n {
+			t.Fatalf("n=%d: ReadAll = %d records, %v", n, len(got), err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := r.Next(); err != io.EOF {
+				t.Errorf("n=%d: Next after the end = %v, want io.EOF", n, err)
+			}
+			if k, err := r.NextBatch(make([]Record, 4)); k != 0 || err != io.EOF {
+				t.Errorf("n=%d: NextBatch after the end = (%d, %v), want (0, io.EOF)", n, k, err)
+			}
+		}
+		r.Close()
 	}
 }
 
+// TestWriterLongName asserts the index's one-byte name length bounds
+// workload names: 255 bytes round-trip, 256 are refused.
 func TestWriterLongName(t *testing.T) {
-	long := make([]byte, 300)
-	for i := range long {
-		long[i] = 'a'
+	name := strings.Repeat("a", 255)
+	if got := roundTrip(t, name, Stream{{PC: 0x40}}); len(got) != 1 {
+		t.Errorf("255-byte name: %d records, want 1", len(got))
 	}
-	var buf bytes.Buffer
-	if _, err := NewWriter(&buf, string(long)); err == nil {
+	if _, err := CreateStore(filepath.Join(t.TempDir(), "store"), name+"a", 0); err == nil {
 		t.Error("overlong workload name should fail")
 	}
 }
@@ -353,11 +441,13 @@ func TestEncodingIsCompact(t *testing.T) {
 	for i := range s {
 		s[i] = Record{PC: isa.Addr(0x1000).Plus(i)}
 	}
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, "seq")
-	_ = w.WriteStream(s)
-	_ = w.Close()
-	perRecord := float64(buf.Len()) / float64(len(s))
+	dir := filepath.Join(t.TempDir(), "store")
+	writeStore(t, dir, "seq", 0, s)
+	fi, err := os.Stat(filepath.Join(dir, ChunkFileName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRecord := float64(fi.Size()-chunkHeaderSize) / float64(len(s))
 	if perRecord > 3.5 {
 		t.Errorf("sequential encoding too large: %.2f bytes/record", perRecord)
 	}

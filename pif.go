@@ -95,9 +95,9 @@ func Simulate(cfg SimConfig, w Workload, p Prefetcher) (SimResult, error) {
 	return sim.Run(cfg, w, p)
 }
 
-// Source names what to simulate — live workload execution, a recorded
-// trace store, or a window of one — independently of the engine
-// simulating it.
+// Source names a recorded trace to simulate — a whole trace store or a
+// window of one — independently of the engine simulating it. Simulate
+// executes the workload live instead.
 type Source = sim.Source
 
 // StoreSource returns the source replaying the sharded trace store at

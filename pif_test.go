@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -176,7 +175,6 @@ func TestSourceBackendPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, src := range map[string]Source{
-		"live":  sim.LiveSource(wl),
 		"store": StoreSource(dir),
 		"slice": SliceSource(dir, w),
 	} {
