@@ -175,7 +175,7 @@ func CheckInvariants(a Artifact) error {
 	if a.Derived.BatchSpeedup < MinBatchSpeedup {
 		return fmt.Errorf("bench: batch decode speedup %.2fx below the %.1fx floor", a.Derived.BatchSpeedup, MinBatchSpeedup)
 	}
-	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store", "sim_replay/pif", "engine/pif"} {
+	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store", "sim_replay/pif", "engine/pif", "engine/tifs"} {
 		m, ok := a.find(name)
 		if !ok {
 			return fmt.Errorf("bench: missing benchmark %q", name)
@@ -371,25 +371,28 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 	pifSpec := prefetch.Spec{Name: "pif"}
 	replay("sim_replay/pif", pifSpec)
 
-	// The isolated PIF engine: the OnAccess/OnRetire calls of the
-	// sim_replay/pif run, recorded once untimed, replayed into a fresh
-	// engine and a cache-backed stub issuer. Its records/sec counts the
-	// fixture's records, so it reads directly against sim_replay/pif.
-	calls, err := recordCalls(simCfg, wl, dir, pifSpec)
-	if err != nil {
-		return Artifact{}, err
-	}
+	// The isolated engines: each engine's OnAccess/OnRetire calls in a
+	// replay of the store, recorded once untimed, replayed into a fresh
+	// engine and a cache-backed stub issuer. Their records/sec count the
+	// fixture's records, so engine/pif reads directly against
+	// sim_replay/pif.
 	l1 := simCfg.System.L1I()
-	run("engine/pif", records, 0, 1, 1, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			p, err := prefetch.Resolve(pifSpec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			replayCalls(p, calls, stubIssuer{cache.New(l1)})
+	for _, spec := range []prefetch.Spec{pifSpec, {Name: "tifs"}} {
+		calls, err := recordCalls(simCfg, wl, dir, spec)
+		if err != nil {
+			return Artifact{}, err
 		}
-	})
+		run("engine/"+spec.Name, records, 0, 1, 1, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := prefetch.Resolve(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				replayCalls(p, calls, stubIssuer{cache.New(l1)})
+			}
+		})
+	}
 
 	// One sweep cell, unsharded vs sharded (approximate mode — the
 	// throughput mode; exact mode trades the speedup for bit parity):

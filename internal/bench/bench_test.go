@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -32,7 +33,7 @@ func TestRunArtifactStructure(t *testing.T) {
 		t.Errorf("schema = %d, want %d", a.Schema, SchemaVersion)
 	}
 	want := []string{
-		"engine/pif", "sim_replay/pif", "sim_replay/store",
+		"engine/pif", "engine/tifs", "sim_replay/pif", "sim_replay/store",
 		"store_decode/batch", "store_decode/mmap", "store_decode/per_record",
 		"sweep_cell/serial", "sweep_cell/sharded_2", "sweep_expand/cell",
 	}
@@ -55,10 +56,12 @@ func TestRunArtifactStructure(t *testing.T) {
 			}
 		}
 	}
-	// The isolated engine row counts the fixture's records but reads no
+	// The isolated engine rows count the fixture's records but read no
 	// trace bytes.
-	if m, ok := a.find("engine/pif"); !ok || m.RecordsPerSec <= 0 || m.MBPerSec != 0 {
-		t.Errorf("engine/pif = %+v, want records/s > 0 and no MB/s", m)
+	for _, name := range []string{"engine/pif", "engine/tifs"} {
+		if m, ok := a.find(name); !ok || m.RecordsPerSec <= 0 || m.MBPerSec != 0 {
+			t.Errorf("%s = %+v, want records/s > 0 and no MB/s", name, m)
+		}
 	}
 	// sweep expansion is not measured in trace bytes.
 	if m, ok := a.find("sweep_expand/cell"); !ok || m.MBPerSec != 0 {
@@ -110,6 +113,7 @@ func TestCheckInvariants(t *testing.T) {
 			{Name: "sim_replay/store", AllocsPerRecord: 0.01},
 			{Name: "sim_replay/pif", AllocsPerRecord: 0.01},
 			{Name: "engine/pif", AllocsPerRecord: 0.001},
+			{Name: "engine/tifs", AllocsPerRecord: 0.001},
 		},
 		Derived: Derived{BatchSpeedup: 2.5, MmapSpeedup: 1.2, SweepCellSpeedup: 2.0},
 	}
@@ -121,43 +125,27 @@ func TestCheckInvariants(t *testing.T) {
 	if err := CheckInvariants(slow); err == nil {
 		t.Error("sub-2x batch speedup accepted")
 	}
-	leaky := good
-	leaky.Benchmarks = []Measurement{
-		{Name: "store_decode/batch", AllocsPerRecord: 0.5},
-		{Name: "store_decode/mmap", AllocsPerRecord: 0.001},
-		{Name: "sim_replay/store", AllocsPerRecord: 0.01},
-		{Name: "sim_replay/pif", AllocsPerRecord: 0.01},
-		{Name: "engine/pif", AllocsPerRecord: 0.001},
-	}
-	if err := CheckInvariants(leaky); err == nil {
-		t.Error("allocating hot path accepted")
-	}
-	leakyPIF := good
-	leakyPIF.Benchmarks = []Measurement{
-		{Name: "store_decode/batch", AllocsPerRecord: 0.001},
-		{Name: "store_decode/mmap", AllocsPerRecord: 0.001},
-		{Name: "sim_replay/store", AllocsPerRecord: 0.01},
-		{Name: "sim_replay/pif", AllocsPerRecord: 0.2},
-		{Name: "engine/pif", AllocsPerRecord: 0.001},
-	}
-	if err := CheckInvariants(leakyPIF); err == nil {
-		t.Error("allocating PIF replay accepted")
-	}
-	leakyEngine := good
-	leakyEngine.Benchmarks = []Measurement{
-		{Name: "store_decode/batch", AllocsPerRecord: 0.001},
-		{Name: "store_decode/mmap", AllocsPerRecord: 0.001},
-		{Name: "sim_replay/store", AllocsPerRecord: 0.01},
-		{Name: "sim_replay/pif", AllocsPerRecord: 0.01},
-		{Name: "engine/pif", AllocsPerRecord: 0.2},
-	}
-	if err := CheckInvariants(leakyEngine); err == nil {
-		t.Error("allocating PIF engine accepted")
+	// Every row under the allocation ceiling fails when it allocates.
+	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store", "sim_replay/pif", "engine/pif", "engine/tifs"} {
+		leaky := good
+		leaky.Benchmarks = slices.Clone(good.Benchmarks)
+		for i := range leaky.Benchmarks {
+			if leaky.Benchmarks[i].Name == name {
+				leaky.Benchmarks[i].AllocsPerRecord = 0.2
+			}
+		}
+		if err := CheckInvariants(leaky); err == nil {
+			t.Errorf("%s allocating 0.2/record accepted", name)
+		}
 	}
 	missing := good
 	missing.Benchmarks = missing.Benchmarks[:1]
 	if err := CheckInvariants(missing); err == nil {
 		t.Error("missing benchmark accepted")
+	}
+	missing.Benchmarks = good.Benchmarks[:len(good.Benchmarks)-1]
+	if err := CheckInvariants(missing); err == nil {
+		t.Error("missing engine/tifs accepted")
 	}
 
 	// The mmap floor binds only where the mmap path actually served the

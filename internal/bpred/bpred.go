@@ -171,8 +171,8 @@ func (p *Predictor) chooserIndex(pc isa.Addr) int {
 	return int((uint64(pc) >> 2) % uint64(p.cfg.ChooserEntries))
 }
 
-// PredictCond predicts the direction of a conditional branch at pc.
-func (p *Predictor) PredictCond(pc isa.Addr) bool {
+// predictCond predicts the direction of a conditional branch at pc.
+func (p *Predictor) predictCond(pc isa.Addr) bool {
 	if p.chooser[p.chooserIndex(pc)].taken() {
 		return p.gshare[p.gshareIndex(pc)].taken()
 	}

@@ -60,7 +60,7 @@ func TestLearnsAlwaysTaken(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.UpdateCond(pc, true)
 	}
-	if !p.PredictCond(pc) {
+	if !p.predictCond(pc) {
 		t.Error("predictor should learn always-taken branch")
 	}
 	if rate := p.Stats().MispredictRate(); rate > 0.5 {
@@ -74,7 +74,7 @@ func TestLearnsAlwaysNotTaken(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.UpdateCond(pc, false)
 	}
-	if p.PredictCond(pc) {
+	if p.predictCond(pc) {
 		t.Error("predictor should learn never-taken branch")
 	}
 }

@@ -255,8 +255,8 @@ func (c *Cache) Flush() {
 	}
 }
 
-// Resident returns the number of valid lines.
-func (c *Cache) Resident() int {
+// resident returns the number of valid lines.
+func (c *Cache) resident() int {
 	n := 0
 	for i := range c.sets {
 		n += len(c.sets[i])

@@ -144,11 +144,11 @@ func TestFlushAndResident(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Fill(isa.Block(i), false)
 	}
-	if got := c.Resident(); got != 100 {
+	if got := c.resident(); got != 100 {
 		t.Errorf("Resident = %d, want 100", got)
 	}
 	c.Flush()
-	if got := c.Resident(); got != 0 {
+	if got := c.resident(); got != 0 {
 		t.Errorf("Resident after Flush = %d", got)
 	}
 }
@@ -192,7 +192,7 @@ func TestEvictionsCount(t *testing.T) {
 	}
 	step("polluter fills", polluted, func() {})
 
-	step("Flush", uint64(c.Resident()), c.Flush)
+	step("Flush", uint64(c.resident()), c.Flush)
 	step("Flush of an empty cache", 0, c.Flush)
 }
 
@@ -227,7 +227,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 				c.Fill(b, rng.Intn(2) == 0)
 			}
 		}
-		return c.Resident() <= 32
+		return c.resident() <= 32
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

@@ -108,9 +108,9 @@ func TestPolluterDisabled(t *testing.T) {
 				t.Fatalf("gap %d, blocks %d: disabled polluter fired", pc.gap, pc.blocks)
 			}
 		}
-		if c.Resident() != 0 || c.Stats() != (Stats{}) {
+		if c.resident() != 0 || c.Stats() != (Stats{}) {
 			t.Errorf("gap %d, blocks %d: disabled polluter touched the cache: %d resident, %+v",
-				pc.gap, pc.blocks, c.Resident(), c.Stats())
+				pc.gap, pc.blocks, c.resident(), c.Stats())
 		}
 	}
 }

@@ -219,20 +219,15 @@ func (p *PIF) Flush() {
 	}
 }
 
-// HistoryFor exposes the history buffer of a trap level (experiments).
-func (p *PIF) HistoryFor(tl isa.TrapLevel) *HistoryBuffer {
-	return p.engineFor(tl).history
-}
-
 // InWindow reports whether block b is inside a live SAB window at trap
 // level tl (observability for tests and diagnostics).
 func (p *PIF) InWindow(b isa.Block, tl isa.TrapLevel) bool {
 	return p.engineFor(tl).sabs.covered(b)
 }
 
-// LiveSABs returns the number of active stream address buffers across all
-// trap levels (observability for tests).
-func (p *PIF) LiveSABs() int {
+// liveSABs returns the number of active stream address buffers across all
+// trap levels.
+func (p *PIF) liveSABs() int {
 	n := 0
 	for _, e := range p.engines {
 		if e != nil {

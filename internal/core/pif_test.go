@@ -82,7 +82,7 @@ func TestPIFReplayPrefetchesRecordedStream(t *testing.T) {
 	if p.Stats().Triggers != 1 {
 		t.Errorf("triggers = %d, want 1", p.Stats().Triggers)
 	}
-	if p.LiveSABs() == 0 {
+	if p.liveSABs() == 0 {
 		t.Error("a SAB should be live after triggering")
 	}
 }
@@ -142,7 +142,7 @@ func TestPIFTrapLevelSeparation(t *testing.T) {
 	p.OnRetire(trace.Record{PC: isa.Block(500).BlockBase(), TL: isa.TL0}, true, iss)
 	p.Flush()
 
-	h0 := p.HistoryFor(isa.TL0)
+	h0 := p.engineFor(isa.TL0).history
 	for pos := uint64(0); pos < h0.Tail(); pos++ {
 		r, ok := h0.At(pos)
 		if ok && r.TL != isa.TL0 {
@@ -152,7 +152,7 @@ func TestPIFTrapLevelSeparation(t *testing.T) {
 			t.Errorf("handler block leaked into TL0 history: %v", r)
 		}
 	}
-	h1 := p.HistoryFor(isa.TL1)
+	h1 := p.engineFor(isa.TL1).history
 	if h1.Tail() == 0 {
 		t.Error("TL1 history empty despite handler execution")
 	}
@@ -173,7 +173,7 @@ func TestPIFMergedTrapLevels(t *testing.T) {
 	p.OnRetire(trace.Record{PC: isa.Block(101).BlockBase(), TL: isa.TL0}, true, iss)
 	p.Flush()
 	// All records share one history; the interrupt fragments the region.
-	h := p.HistoryFor(isa.TL0)
+	h := p.engineFor(isa.TL0).history
 	if h.Tail() < 3 {
 		t.Errorf("merged history has %d records, want 3 (fragmented)", h.Tail())
 	}

@@ -4,8 +4,8 @@ import (
 	"repro/internal/cache"
 	"repro/internal/frontend"
 	"repro/internal/isa"
+	"repro/internal/prefetch"
 	"repro/internal/stats"
-	"repro/internal/streampred"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -60,27 +60,43 @@ func Fig2(e *Env) (Fig2Result, error) {
 // one cache lifetime, not forever.
 const exposureTTL = 2048
 
+// studyPredictor sizes the temporal-stream predictor of the Figure 2 and
+// Figure 7 studies, with unlimited history (the paper's "without history
+// storage limitations" configuration). Each window exposes the next
+// studyLookahead history blocks as would-be prefetches.
+var studyPredictor = prefetch.TemporalConfig{Windows: 16, Slack: 8, StaleAfter: 64}
+
+const studyLookahead = 32
+
 // exposureSet tracks the blocks a predictor would have prefetched. The
 // TTL ticks on a clock shared by all variants (correct-path block events),
 // so recording points with sparse streams (misses) get no extra horizon.
 type exposureSet struct {
 	gen  map[isa.Block]uint64
 	now  *uint64
-	pred *streampred.Predictor
+	pred *prefetch.Temporal
 }
 
 // newExposureSet wires a fresh predictor to a would-prefetch set driven by
 // the shared clock.
 func newExposureSet(clock *uint64) *exposureSet {
-	s := &exposureSet{gen: make(map[isa.Block]uint64), now: clock}
-	s.pred = streampred.New(streampred.DefaultConfig())
-	s.pred.ExposeHook = func(b isa.Block) { s.gen[b] = *s.now }
-	return s
+	return &exposureSet{gen: make(map[isa.Block]uint64), now: clock, pred: prefetch.NewTemporal(studyPredictor)}
 }
 
-// Observe records one event of the recording stream.
+// Observe records one event of the recording stream. An advance exposes
+// only the blocks that slid into its window's lookahead; an open exposes
+// the new window's whole lookahead.
 func (s *exposureSet) Observe(b isa.Block) {
-	s.pred.Observe(b)
+	var exposed []isa.Block
+	if w, from := s.pred.Advance(b); w != nil {
+		exposed = s.pred.Span(from+studyLookahead, w.Pos+studyLookahead)
+	} else if w := s.pred.Open(b); w != nil {
+		exposed = s.pred.Span(w.Pos, w.Pos+studyLookahead)
+	}
+	for _, e := range exposed {
+		s.gen[e] = *s.now
+	}
+	s.pred.Append(b)
 }
 
 // Predicted reports whether b was exposed within the TTL.

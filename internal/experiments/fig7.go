@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/prefetch"
 	"repro/internal/stats"
-	"repro/internal/streampred"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -38,13 +38,7 @@ func Fig7(e *Env) (Fig7Result, error) {
 	}
 	err := e.ForEachWorkload(func(i int, wl workload.Profile) error {
 		hist := stats.NewHistogram()
-		p := streampred.New(streampred.DefaultConfig())
-		measuring := false
-		p.AdvanceHook = func(openDist int) {
-			if measuring && openDist > 0 {
-				hist.Observe(stats.Log2Bucket(uint64(openDist)))
-			}
-		}
+		p := prefetch.NewTemporal(studyPredictor)
 		var (
 			instrs  uint64
 			lastBlk isa.Block
@@ -52,13 +46,19 @@ func Fig7(e *Env) (Fig7Result, error) {
 		)
 		if err := e.EachRecord(wl, func(rec trace.Record) {
 			instrs++
-			measuring = instrs >= opts.WarmupInstrs
 			b := rec.Block()
 			if have && b == lastBlk {
 				return
 			}
 			lastBlk, have = b, true
-			p.Observe(b)
+			if w, _ := p.Advance(b); w != nil {
+				if instrs >= opts.WarmupInstrs {
+					hist.Observe(stats.Log2Bucket(uint64(w.Dist)))
+				}
+			} else {
+				p.Open(b)
+			}
+			p.Append(b)
 		}); err != nil {
 			return err
 		}

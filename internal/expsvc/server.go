@@ -7,16 +7,11 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/httpapi"
 	"repro/internal/report"
 )
-
-// maxWait caps long-poll waits so a stuck client cannot pin a handler
-// forever (same bound as the remote coordinator's API).
-const maxWait = 30 * time.Second
 
 // Wire envelopes: one request/response pair per endpoint, all
 // version-stamped JSON. Errors use the shared httpapi envelope.
@@ -81,7 +76,7 @@ func NewServer(svc *Service) *Server {
 	s.mux.HandleFunc("GET /v1/runs/{id}/jobs", s.handleJobs)
 	s.mux.HandleFunc("POST /v1/diff", s.handleDiff)
 	s.mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]int{"v": WireVersion})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"v": WireVersion})
 	})
 	return s
 }
@@ -89,30 +84,15 @@ func NewServer(svc *Service) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// writeJSON encodes one response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // writeErr maps service errors onto the versioned error envelope:
-// unknown runs and unloadable run directories are 404 (the ID does not
-// name a loadable run), everything else 400.
+// unknown runs and run directories without a run.json are 404 (the ID
+// does not name a loadable run), everything else 400.
 func writeErr(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
-	if errors.Is(err, os.ErrNotExist) || isNoRun(err) {
+	if errors.Is(err, errNoRun) || errors.Is(err, os.ErrNotExist) {
 		status = http.StatusNotFound
 	}
 	httpapi.WriteError(w, WireVersion, status, err.Error())
-}
-
-// isNoRun matches the service's unknown-run errors (Service.Run) and the
-// report store's not-a-results-directory errors (Store.Load on an absent
-// or incomplete run directory).
-func isNoRun(err error) bool {
-	msg := err.Error()
-	return strings.Contains(msg, "no run") || strings.Contains(msg, "is not a results directory")
 }
 
 // decode parses a request body, enforcing the wire version.
@@ -137,7 +117,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, runResponse{V: WireVersion, Run: st})
+	httpapi.WriteJSON(w, http.StatusOK, runResponse{V: WireVersion, Run: st})
 }
 
 func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
@@ -146,7 +126,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, runsResponse{V: WireVersion, Runs: sts})
+	httpapi.WriteJSON(w, http.StatusOK, runsResponse{V: WireVersion, Runs: sts})
 }
 
 // handleRun returns one run's status. With wait_ms, the handler
@@ -159,7 +139,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	waitMS, _ := strconv.ParseInt(q.Get("wait_ms"), 10, 64)
 	prevState := q.Get("state")
 	prevDone, _ := strconv.Atoi(q.Get("done"))
-	deadline := time.Now().Add(clampWait(waitMS))
+	deadline := time.Now().Add(httpapi.ClampWait(waitMS))
 	for {
 		changed := s.svc.Changed()
 		st, err := s.svc.Run(id)
@@ -169,11 +149,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		moved := prevState == "" || string(st.State) != prevState || st.Done != prevDone
 		if moved || time.Now().After(deadline) {
-			writeJSON(w, http.StatusOK, runResponse{V: WireVersion, Run: st})
+			httpapi.WriteJSON(w, http.StatusOK, runResponse{V: WireVersion, Run: st})
 			return
 		}
-		if !waitChange(r, changed, deadline) {
-			writeJSON(w, http.StatusOK, runResponse{V: WireVersion, Run: st})
+		if !httpapi.WaitChange(r, changed, deadline) {
+			httpapi.WriteJSON(w, http.StatusOK, runResponse{V: WireVersion, Run: st})
 			return
 		}
 	}
@@ -185,7 +165,7 @@ func (s *Server) handleArtifacts(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, artifactsResponse{V: WireVersion, Run: run, Artifacts: arts})
+	httpapi.WriteJSON(w, http.StatusOK, artifactsResponse{V: WireVersion, Run: run, Artifacts: arts})
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -194,7 +174,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, jobsResponse{V: WireVersion, Jobs: jobs})
+	httpapi.WriteJSON(w, http.StatusOK, jobsResponse{V: WireVersion, Jobs: jobs})
 }
 
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
@@ -209,36 +189,5 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, diffResponse{V: WireVersion, Report: rep})
-}
-
-// clampWait bounds a client-requested long-poll wait.
-func clampWait(ms int64) time.Duration {
-	d := time.Duration(ms) * time.Millisecond
-	if d < 0 {
-		return 0
-	}
-	if d > maxWait {
-		return maxWait
-	}
-	return d
-}
-
-// waitChange blocks until the state generation changes, the deadline
-// passes (returns false), or the request dies (returns false).
-func waitChange(r *http.Request, changed <-chan struct{}, deadline time.Time) bool {
-	wait := time.Until(deadline)
-	if wait <= 0 {
-		return false
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case <-changed:
-		return true
-	case <-timer.C:
-		return false
-	case <-r.Context().Done():
-		return false
-	}
+	httpapi.WriteJSON(w, http.StatusOK, diffResponse{V: WireVersion, Report: rep})
 }

@@ -196,3 +196,27 @@ func TestServerLongPollDeadline(t *testing.T) {
 		t.Errorf("matched cursor answered in %s; should park until the deadline", elapsed)
 	}
 }
+
+// TestServerSubmitErrorStatus: a refused submit is a 400 even when its
+// error echoes user input that reads "no run"; 404 is kept for IDs that
+// name no run.
+func TestServerSubmitErrorStatus(t *testing.T) {
+	svc, err := New(Config{DBDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ts := httptest.NewServer(NewServer(svc))
+	defer ts.Close()
+	client, err := DialService(ts.URL, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wl := range []string{"bogus", "no run"} {
+		req := testRequest()
+		req.Axes = []string{"workload=" + wl}
+		if _, err := client.Submit(context.Background(), req); !httpapi.IsStatus(err, http.StatusBadRequest) {
+			t.Errorf("submit with workload %q: err = %v, want 400", wl, err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package expsvc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -290,6 +291,9 @@ func (s *Service) Submit(req Request) (Status, error) {
 	return Status{Record: rec}, nil
 }
 
+// errNoRun marks an ID that names no run, service-owned or stored.
+var errNoRun = errors.New("no run")
+
 // Run returns one run's status: the record plus live progress.
 func (s *Service) Run(id string) (Status, error) {
 	s.mu.Lock()
@@ -302,7 +306,7 @@ func (s *Service) Run(id string) (Status, error) {
 		if run, _, err := s.db.Store.Load(id); err == nil {
 			return Status{Record: Record{ID: id, State: StateStored, CreatedAt: run.CreatedAt}}, nil
 		}
-		return Status{}, fmt.Errorf("expsvc: no run %q", id)
+		return Status{}, fmt.Errorf("expsvc: %w %q", errNoRun, id)
 	}
 	return Status{Record: rec, Done: p.done, Total: p.total}, nil
 }

@@ -91,9 +91,6 @@ func New(cfg Config) *Frontend {
 // Stats returns a copy of the counters.
 func (f *Frontend) Stats() Stats { return f.stats }
 
-// Predictor exposes the underlying branch predictor (for statistics).
-func (f *Frontend) Predictor() *bpred.Predictor { return f.bp }
-
 // Feed consumes the next retired instruction and emits the access stream
 // produced while fetching it: wrong-path accesses injected by resolving
 // the previous instruction's branch, followed by the demand access for
@@ -173,15 +170,4 @@ func (f *Frontend) resolvePrev(next trace.Record, emit func(Access)) (transfer b
 	}
 	f.refetch = true // squash forces a refetch of the correct path
 	return transfer
-}
-
-// Stream replays an entire retire-order stream and returns the access
-// stream (convenience for experiments and tests).
-func Stream(cfg Config, s trace.Stream) []Access {
-	fe := New(cfg)
-	out := make([]Access, 0, len(s)/2)
-	for _, r := range s {
-		fe.Feed(r, func(a Access) { out = append(out, a) })
-	}
-	return out
 }

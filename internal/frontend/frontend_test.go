@@ -9,9 +9,15 @@ import (
 	"repro/internal/workload"
 )
 
+// feed runs a fresh front end over s and returns its access stream.
 func feed(t *testing.T, s trace.Stream) []Access {
 	t.Helper()
-	return Stream(DefaultConfig(), s)
+	fe := New(DefaultConfig())
+	var out []Access
+	for _, r := range s {
+		fe.Feed(r, func(a Access) { out = append(out, a) })
+	}
+	return out
 }
 
 func TestSequentialRunEmitsPerBlock(t *testing.T) {
@@ -207,8 +213,7 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Stream(DefaultConfig(), s)
-	b := Stream(DefaultConfig(), s)
+	a, b := feed(t, s), feed(t, s)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -256,7 +261,7 @@ func TestBlockRunEndpointsFeedIdentically(t *testing.T) {
 		if g, w := ends.Stats(), every.Stats(); g != w {
 			t.Errorf("%s: frontend stats %+v, want %+v", wl.Name, g, w)
 		}
-		if g, w := ends.Predictor().Stats(), every.Predictor().Stats(); g != w {
+		if g, w := ends.bp.Stats(), every.bp.Stats(); g != w {
 			t.Errorf("%s: predictor stats %+v, want %+v", wl.Name, g, w)
 		}
 	}

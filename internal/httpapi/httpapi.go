@@ -1,8 +1,8 @@
 // Package httpapi holds the HTTP plumbing shared by this repository's
 // JSON APIs — the remote-execution coordinator (internal/remote) and the
 // experiment service (internal/expsvc): the versioned error envelope,
-// optional bearer-token authentication, and a JSON request helper for
-// clients.
+// optional bearer-token authentication, the servers' JSON responses and
+// long-poll waits, and a JSON request helper for clients.
 //
 // Every API speaks version-stamped JSON envelopes; an error response is
 // always {"v": N, "error": "..."}. Authentication is a single shared
@@ -22,6 +22,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"time"
 )
 
 // ErrorBody is the versioned error envelope every API returns on
@@ -31,11 +32,46 @@ type ErrorBody struct {
 	Err string `json:"error"`
 }
 
-// WriteError writes the versioned error envelope with the given status.
-func WriteError(w http.ResponseWriter, version, status int, msg string) {
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(ErrorBody{V: version, Err: msg})
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError writes the versioned error envelope with the given status.
+func WriteError(w http.ResponseWriter, version, status int, msg string) {
+	WriteJSON(w, status, ErrorBody{V: version, Err: msg})
+}
+
+// MaxWait caps long-poll waits so a stuck client cannot pin a handler
+// forever.
+const MaxWait = 30 * time.Second
+
+// ClampWait bounds a client-requested long-poll wait of ms milliseconds
+// to [0, MaxWait].
+func ClampWait(ms int64) time.Duration {
+	return time.Duration(min(max(ms, 0), MaxWait.Milliseconds())) * time.Millisecond
+}
+
+// WaitChange blocks until changed is closed (true), or until the deadline
+// passes or the request dies (false). Servers pass the channel of their
+// state generation, closed on every change.
+func WaitChange(r *http.Request, changed <-chan struct{}, deadline time.Time) bool {
+	wait := time.Until(deadline)
+	if wait <= 0 {
+		return false
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-changed:
+		return true
+	case <-timer.C:
+		return false
+	case <-r.Context().Done():
+		return false
+	}
 }
 
 // bearerPrefix is the Authorization scheme the APIs accept.

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 // okHandler answers every request with a trivial versioned body.
@@ -103,5 +105,53 @@ func TestDoDecodesEnvelopeIntoStatusError(t *testing.T) {
 	var se *StatusError
 	if !errors.As(err, &se) || se.Msg != "no such run" {
 		t.Fatalf("envelope message not preserved: %v", err)
+	}
+}
+
+func TestClampWait(t *testing.T) {
+	cases := []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{-5, 0},
+		{0, 0},
+		{250, 250 * time.Millisecond},
+		{MaxWait.Milliseconds() + 1, MaxWait},
+		{math.MaxInt64, MaxWait},
+	}
+	for _, tc := range cases {
+		if got := ClampWait(tc.ms); got != tc.want {
+			t.Errorf("ClampWait(%d) = %s, want %s", tc.ms, got, tc.want)
+		}
+	}
+}
+
+func TestWaitChange(t *testing.T) {
+	changed := make(chan struct{})
+	close(changed)
+	never := make(chan struct{})
+	live := httptest.NewRequest(http.MethodGet, "/v1/runs/x", nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	dead := live.WithContext(ctx)
+
+	cases := []struct {
+		name    string
+		r       *http.Request
+		changed <-chan struct{}
+		wait    time.Duration
+		want    bool
+	}{
+		{"change", live, changed, time.Minute, true},
+		{"deadline", live, never, 20 * time.Millisecond, false},
+		{"deadline already passed", live, changed, -time.Second, false},
+		{"cancelled request", dead, never, time.Minute, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := WaitChange(tc.r, tc.changed, time.Now().Add(tc.wait)); got != tc.want {
+				t.Errorf("WaitChange = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }

@@ -1,7 +1,9 @@
 // Package prefetch defines the prefetcher interface shared by all engines
 // in the repository and implements the paper's comparison baselines: the
 // aggressive next-line prefetcher and TIFS (Temporal Instruction Fetch
-// Streaming), which records and replays the L1-I *miss* stream.
+// Streaming), which records and replays the L1-I *miss* stream. TIFS runs
+// on Temporal, the record-and-replay kernel it shares with the Section 2
+// predictor of Figures 2 and 7 (internal/experiments).
 //
 // Proactive Instruction Fetch itself lives in internal/core and implements
 // the same interface; the perfect-L1 upper bound is handled by the timing

@@ -135,8 +135,8 @@ func TestTIFSHitsDoNotRecord(t *testing.T) {
 	iss := newFakeIssuer()
 	hitAt(tifs, iss, 10)
 	hitAt(tifs, iss, 11)
-	if tifs.HistoryLen() != 0 {
-		t.Errorf("hits recorded into history: len=%d", tifs.HistoryLen())
+	if len(tifs.kernel.history) != 0 {
+		t.Errorf("hits recorded into history: len=%d", len(tifs.kernel.history))
 	}
 }
 
@@ -176,8 +176,8 @@ func TestTIFSBoundedHistory(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		missAt(tifs, iss, isa.Block(i))
 	}
-	if tifs.HistoryLen() != 4 {
-		t.Errorf("history len = %d, want 4", tifs.HistoryLen())
+	if len(tifs.kernel.history) != 4 {
+		t.Errorf("history len = %d, want 4", len(tifs.kernel.history))
 	}
 }
 

@@ -7,11 +7,9 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-)
 
-// maxWait caps long-poll waits so a stuck client cannot pin a handler
-// forever.
-const maxWait = 30 * time.Second
+	"repro/internal/httpapi"
+)
 
 // Wire envelopes: one request/response pair per endpoint. All are
 // version-stamped JSON.
@@ -104,20 +102,13 @@ func NewServer(core *Core) *Server {
 	s.mux.HandleFunc("POST /v1/heartbeat", s.handleHeartbeat)
 	s.mux.HandleFunc("POST /v1/complete", s.handleComplete)
 	s.mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]int{"v": WireVersion})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"v": WireVersion})
 	})
 	return s
 }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// writeJSON encodes one response.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
 
 // writeErr maps core errors to HTTP statuses: ErrClosed -> 409 (the
 // client Backend translates it to runner.ErrBackendClosed), unknown
@@ -130,7 +121,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrNoRun), errors.Is(err, ErrNoWorker):
 		status = http.StatusNotFound
 	}
-	writeJSON(w, status, errorResponse{V: WireVersion, Error: err.Error()})
+	httpapi.WriteJSON(w, status, errorResponse{V: WireVersion, Error: err.Error()})
 }
 
 // decode parses a request body, enforcing the wire version.
@@ -150,7 +141,7 @@ func (s *Server) handleOpenRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, openRunResponse{V: WireVersion, RunID: id})
+	httpapi.WriteJSON(w, http.StatusOK, openRunResponse{V: WireVersion, RunID: id})
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
@@ -163,7 +154,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"v": WireVersion})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]int{"v": WireVersion})
 }
 
 func (s *Server) handleCloseRun(w http.ResponseWriter, r *http.Request) {
@@ -171,7 +162,7 @@ func (s *Server) handleCloseRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"v": WireVersion})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]int{"v": WireVersion})
 }
 
 // handleResults streams the run's results from a cursor. With wait_ms,
@@ -183,7 +174,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	cursor, _ := strconv.Atoi(q.Get("cursor"))
 	waitMS, _ := strconv.ParseInt(q.Get("wait_ms"), 10, 64)
-	deadline := time.Now().Add(clampWait(waitMS))
+	deadline := time.Now().Add(httpapi.ClampWait(waitMS))
 	for {
 		changed := s.core.Changed()
 		results, done, err := s.core.Results(runID, cursor)
@@ -192,11 +183,11 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if len(results) > 0 || done || time.Now().After(deadline) {
-			writeJSON(w, http.StatusOK, resultsResponse{V: WireVersion, Results: results, Done: done})
+			httpapi.WriteJSON(w, http.StatusOK, resultsResponse{V: WireVersion, Results: results, Done: done})
 			return
 		}
-		if !waitChange(r, changed, deadline) {
-			writeJSON(w, http.StatusOK, resultsResponse{V: WireVersion, Results: nil, Done: false})
+		if !httpapi.WaitChange(r, changed, deadline) {
+			httpapi.WriteJSON(w, http.StatusOK, resultsResponse{V: WireVersion, Results: nil, Done: false})
 			return
 		}
 	}
@@ -213,7 +204,7 @@ func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, registerWorkerResponse{
+	httpapi.WriteJSON(w, http.StatusOK, registerWorkerResponse{
 		V:          WireVersion,
 		WorkerID:   id,
 		LeaseTTLMS: s.core.LeaseTTL().Milliseconds(),
@@ -228,7 +219,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	deadline := time.Now().Add(clampWait(req.WaitMS))
+	deadline := time.Now().Add(httpapi.ClampWait(req.WaitMS))
 	for {
 		changed := s.core.Changed()
 		leases, err := s.core.LeaseTasks(req.WorkerID, req.Max)
@@ -237,11 +228,11 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if len(leases) > 0 || time.Now().After(deadline) {
-			writeJSON(w, http.StatusOK, leaseResponse{V: WireVersion, Leases: leases})
+			httpapi.WriteJSON(w, http.StatusOK, leaseResponse{V: WireVersion, Leases: leases})
 			return
 		}
-		if !waitChange(r, changed, deadline) {
-			writeJSON(w, http.StatusOK, leaseResponse{V: WireVersion})
+		if !httpapi.WaitChange(r, changed, deadline) {
+			httpapi.WriteJSON(w, http.StatusOK, leaseResponse{V: WireVersion})
 			return
 		}
 	}
@@ -258,7 +249,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, heartbeatResponse{V: WireVersion, Lost: lost})
+	httpapi.WriteJSON(w, http.StatusOK, heartbeatResponse{V: WireVersion, Lost: lost})
 }
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -272,36 +263,5 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, completeResponse{V: WireVersion, Accepted: accepted})
-}
-
-// clampWait bounds a client-requested long-poll wait.
-func clampWait(ms int64) time.Duration {
-	d := time.Duration(ms) * time.Millisecond
-	if d < 0 {
-		return 0
-	}
-	if d > maxWait {
-		return maxWait
-	}
-	return d
-}
-
-// waitChange blocks until the state generation changes, the deadline
-// passes (returns false), or the request dies (returns false).
-func waitChange(r *http.Request, changed <-chan struct{}, deadline time.Time) bool {
-	wait := time.Until(deadline)
-	if wait <= 0 {
-		return false
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case <-changed:
-		return true
-	case <-timer.C:
-		return false
-	case <-r.Context().Done():
-		return false
-	}
+	httpapi.WriteJSON(w, http.StatusOK, completeResponse{V: WireVersion, Accepted: accepted})
 }

@@ -223,8 +223,8 @@ func (e *Executor) call(f *Func, cursor int, o *op, depth, childDepth int) {
 }
 
 // GenerateStream builds the program for p, runs n instructions, and
-// returns the retire-order stream. It is the one-call entry point used by
-// examples and experiments.
+// returns the retire-order stream in memory. Only tests call it; the
+// simulator and the experiments drive an Executor directly.
 func GenerateStream(p Profile, n uint64) (trace.Stream, error) {
 	prog, err := ProgramFor(p)
 	if err != nil {
