@@ -47,12 +47,13 @@
 // verdict as a machine-readable report on stdout.
 //
 // The submit, status, and diff -svc modes are thin clients of a pifexpd
-// experiment service: submit queues a sweep (the spec flags mean exactly
-// what they mean under `experiments sweep`) and prints the run ID alone
-// on stdout, status lists or follows runs, and diff -svc compares
-// service runs — or a service run against a local -out directory, which
-// is shipped inline — through the service's diff endpoint. -auth-token
-// authenticates against a token-protected service or coordinator.
+// experiment service: submit queues a sweep (the spec flags fill the same
+// experiments.SweepRequest as under `experiments sweep`) and prints the
+// run ID alone on stdout, status lists or follows runs, and diff -svc
+// also accepts service run IDs as sides — it fetches their artifacts and
+// per-job results from the service and diffs them here, against each
+// other or against a local -out directory. -auth-token authenticates
+// against a token-protected service or coordinator.
 package main
 
 import (
@@ -114,16 +115,7 @@ func scaleFlags(fs *flag.FlagSet) (quick *bool, warmup, measure *uint64, paralle
 
 // buildOptions resolves the shared flags into experiment options.
 func buildOptions(quick bool, warmup, measure uint64, parallel int, storeDir string, verbose bool) experiments.Options {
-	opts := experiments.DefaultOptions()
-	if quick {
-		opts = experiments.QuickOptions()
-	}
-	if warmup > 0 {
-		opts.WarmupInstrs = warmup
-	}
-	if measure > 0 {
-		opts.MeasureInstrs = measure
-	}
+	opts := experiments.PresetOptions(quick, warmup, measure)
 	opts.Parallel = parallel
 	opts.StoreDir = storeDir
 	if verbose {
@@ -226,23 +218,28 @@ func runMain() int {
 	return 0
 }
 
-// axisFlags collects repeatable -axis specifications.
+// axisFlags collects repeatable -axis and -engine specifications.
 type axisFlags []string
 
 func (a *axisFlags) String() string     { return strings.Join(*a, "; ") }
 func (a *axisFlags) Set(v string) error { *a = append(*a, v); return nil }
 
+// sweepFlags registers the sweep-spec flags of the sweep and submit
+// modes into req.
+func sweepFlags(fs *flag.FlagSet, req *experiments.SweepRequest) {
+	fs.Var((*axisFlags)(&req.Axes), "axis", "sweep axis as name=v1,v2,... (workload, engine, history, budget, l1, source, shards); repeatable, crossed in flag order")
+	fs.Var((*axisFlags)(&req.Engines), "engine", "engine spec name[:param=value,...] for the engine axis (repeatable; tuned specs sweep like names — mutually exclusive with -axis engine=...)")
+	fs.StringVar(&req.Name, "name", "sweep", "sweep name (prefixes cell keys and job labels)")
+	fs.StringVar(&req.Source, "source", "", "record source for every cell: live, store, slice@off:len, store@DIR, or slice@off:len@DIR (shorthand for a one-value source axis; store/slice without @DIR replay the workload's spilled store under -tracedir, or its in-memory stream when -tracedir is unset)")
+	fs.IntVar(&req.Shards, "shards", 0, "split every cell's replay into K window-shard jobs (cells need a replayable source, e.g. -source store; keys and results are unchanged, so sharded runs diff exit-0 against unsharded ones)")
+	fs.BoolVar(&req.ShardApprox, "shard-approx", false, "shard with fixed per-shard warmup instead of the exact offset scheme: linear total work, so shards speed the cell up, at the cost of approximate (not bit-exact) results")
+}
+
 // sweepMain runs an ad-hoc design-space sweep declared with -axis flags.
 func sweepMain(args []string) int {
 	fs := flag.NewFlagSet("experiments sweep", flag.ExitOnError)
-	var axes axisFlags
-	fs.Var(&axes, "axis", "sweep axis as name=v1,v2,... (workload, engine, history, budget, l1, source, shards); repeatable, crossed in flag order")
-	var engines axisFlags
-	fs.Var(&engines, "engine", "engine spec name[:param=value,...] for the engine axis (repeatable; tuned specs sweep like names — mutually exclusive with -axis engine=...)")
-	name := fs.String("name", "sweep", "sweep name (prefixes cell keys and job labels)")
-	source := fs.String("source", "", "record source for every cell: live, store, slice@off:len, store@DIR, or slice@off:len@DIR (shorthand for a one-value source axis; store/slice without @DIR replay the workload's spilled store under -tracedir, or its in-memory stream when -tracedir is unset)")
-	shards := fs.Int("shards", 0, "split every cell's replay into K window-shard jobs (cells need a replayable source, e.g. -source store; keys and results are unchanged, so sharded runs diff exit-0 against unsharded ones)")
-	shardApprox := fs.Bool("shard-approx", false, "shard with fixed per-shard warmup instead of the exact offset scheme: linear total work, so shards speed the cell up, at the cost of approximate (not bit-exact) results")
+	var req experiments.SweepRequest
+	sweepFlags(fs, &req)
 	quick, warmup, measure, parallel, traceDir, out, backend, authToken, verbose, profile := scaleFlags(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: experiments sweep -axis name=v1,v2,... [-axis ...] [-engine SPEC ...] [-source SPEC] [-shards K] [flags]")
@@ -266,72 +263,39 @@ func sweepMain(args []string) int {
 		opts.Backend = be
 		defer be.Close()
 	}
-	if *source != "" {
-		axes = append(axes, "source="+*source)
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	env := experiments.NewEnvContext(ctx, opts)
-	spec, err := experiments.BuildSweep(env, *name, axes, engines)
+	spec, err := req.Spec(env)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments sweep:", err)
 		fs.Usage()
 		return 2
 	}
-	if *shards < 0 {
-		fmt.Fprintln(os.Stderr, "experiments sweep: -shards must be >= 0")
-		fs.Usage()
-		return 2
-	}
-	spec.BaseShards = *shards
-	spec.BaseShardApprox = *shardApprox
-	start := time.Now()
-	grid, err := env.RunGrid(spec)
+	res, err := experiments.RunSweep(env, spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments sweep:", err)
 		return 1
 	}
-	total := time.Since(start)
-
-	summary, err := grid.Summary()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments sweep:", err)
-		return 1
-	}
-	fmt.Printf("== sweep %s: %d cells ==\n", spec.Name, grid.Size())
+	cells := res.Summary.Cells
+	fmt.Printf("== sweep %s: %d cells ==\n", spec.Name, len(cells))
 	fmt.Printf("%-52s %10s %10s %12s\n", "cell", "uipc", "coverage", "misses")
-	for _, c := range summary.Cells {
+	for _, c := range cells {
 		fmt.Printf("%-52s %10.4f %9.1f%% %12d\n", c.Label, c.UIPC, 100*c.Coverage, c.Misses)
 	}
 	fmt.Printf("(%d cell(s) in %s; warmup=%d measure=%d instructions per cell; %d workers)\n",
-		grid.Size(), total.Round(time.Millisecond),
+		len(cells), res.Elapsed.Round(time.Millisecond),
 		opts.WarmupInstrs, opts.MeasureInstrs, env.Parallel())
 
 	if *out != "" {
-		art, err := report.NewArtifact(spec.Name, "ad-hoc design-space sweep", "", summary)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments sweep:", err)
-			return 1
-		}
-		run := report.Run{
-			ID:         runName(*out),
-			CreatedAt:  time.Now().UTC(),
-			Options:    opts.RunOptions(),
-			TotalNanos: int64(total),
-		}
-		if err := report.Save(*out, run, []report.Artifact{art}); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments sweep:", err)
-			return 1
-		}
-		jobs := env.JobResults()
-		if err := report.SaveJobResults(*out, jobs); err != nil {
+		if err := res.Save(*out, runName(*out)); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments sweep:", err)
 			return 1
 		}
 		fmt.Printf("(results stored in %s; %d raw per-job result(s) under %s)\n",
-			*out, len(jobs), filepath.Join(*out, "jobs"))
+			*out, len(res.Jobs), filepath.Join(*out, "jobs"))
 	}
 	return 0
 }
@@ -352,16 +316,16 @@ func runName(dir string) string {
 // when the two runs hold different artifact or job sets (nothing to
 // compare for the missing entries — a setup problem, not drift).
 //
-// Without -svc both sides are local run directories. With -svc each side
-// is resolved independently: a path that loads as a run directory is
-// shipped inline, anything else is taken as a service run ID — so a
-// service run gates against a local -out baseline with one command.
+// Each side is a local run directory (anything report.Load accepts) or,
+// with -svc, a run on the experiment service, fetched over its read
+// endpoints; either way the diff is computed here, so a service run gates
+// against a local -out baseline, or another service run, with one command.
 func diffMain(args []string) int {
 	fs := flag.NewFlagSet("experiments diff", flag.ExitOnError)
 	abs := fs.Float64("abs", 1e-12, "absolute tolerance per metric")
 	rel := fs.Float64("rel", 1e-9, "relative tolerance per metric")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable diff report (code, sides, diff, rendered text) as JSON on stdout")
-	svc := fs.String("svc", "", "diff through the pifexpd experiment service at ADDR: each side is a service run ID, or a local run directory shipped inline")
+	svc := fs.String("svc", "", "read sides that are not local run directories as run IDs on the pifexpd experiment service at ADDR")
 	authToken := fs.String("auth-token", "", "bearer token for a token-protected service")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: experiments diff [-abs X] [-rel Y] [-json] [-svc ADDR [-auth-token T]] A B")
@@ -376,47 +340,29 @@ func diffMain(args []string) int {
 	nameA, nameB := fs.Arg(0), fs.Arg(1)
 	tol := report.Tolerances{Default: report.Tolerance{Abs: *abs, Rel: *rel}}
 
-	var rep report.DiffReport
+	var client *expsvc.Client
 	if *svc != "" {
-		client, err := expsvc.DialService(*svc, *authToken)
-		if err != nil {
+		var err error
+		if client, err = expsvc.DialService(*svc, *authToken); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments diff:", err)
 			return 2
 		}
-		sideA := diffSide(nameA)
-		sideB := diffSide(nameB)
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		rep, err = client.Diff(ctx, sideA, sideB, *abs, *rel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments diff:", err)
-			return 2
-		}
-	} else {
-		_, aArts, err := report.Load(nameA)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments diff:", err)
-			return 2
-		}
-		_, bArts, err := report.Load(nameB)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments diff:", err)
-			return 2
-		}
-		aJobs, err := report.LoadJobResults(nameA)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments diff:", err)
-			return 2
-		}
-		bJobs, err := report.LoadJobResults(nameB)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments diff:", err)
-			return 2
-		}
-		d := report.DiffArtifacts(aArts, bArts, tol)
-		d.Merge(report.DiffJobResults(aJobs, bJobs, tol))
-		rep = report.NewDiffReport(nameA, nameB, d)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	aArts, aJobs, err := loadSide(ctx, client, nameA)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments diff:", err)
+		return 2
+	}
+	bArts, bJobs, err := loadSide(ctx, client, nameB)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments diff:", err)
+		return 2
+	}
+	d := report.DiffArtifacts(aArts, bArts, tol)
+	d.Merge(report.DiffJobResults(aJobs, bJobs, tol))
+	rep := report.NewDiffReport(nameA, nameB, d)
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -427,7 +373,6 @@ func diffMain(args []string) int {
 		}
 		return rep.Code
 	}
-	d := rep.Diff
 	fmt.Print(rep.Text)
 	switch {
 	case d.HasMissing():
@@ -443,41 +388,38 @@ func diffMain(args []string) int {
 	return rep.Code
 }
 
-// diffSide resolves one diff argument for the service mode: a local run
-// directory (anything report.Load accepts) becomes an inline side,
-// anything else is passed through as a service run ID and resolved — or
-// rejected — by the service.
-func diffSide(arg string) expsvc.DiffSide {
+// loadSide loads one diff side's artifacts and per-job results: from a
+// local run directory when report.Load accepts arg, otherwise, given a
+// service client, from the service run arg.
+func loadSide(ctx context.Context, client *expsvc.Client, arg string) ([]report.Artifact, []report.JobResult, error) {
 	_, arts, err := report.Load(arg)
-	if err != nil {
-		return expsvc.DiffSide{RunID: arg}
+	if err == nil {
+		jobs, err := report.LoadJobResults(arg)
+		return arts, jobs, err
 	}
-	side := expsvc.DiffSide{Label: arg, Artifacts: arts}
-	if jobs, err := report.LoadJobResults(arg); err == nil {
-		side.Jobs = jobs
+	if client == nil {
+		return nil, nil, err
 	}
-	return side
+	if _, arts, err = client.Artifacts(ctx, arg); err != nil {
+		return nil, nil, err
+	}
+	jobs, err := client.Jobs(ctx, arg)
+	return arts, jobs, err
 }
 
 // submitMain queues one sweep on an experiment service. The sweep-spec
-// flags carry `experiments sweep` semantics verbatim — the service feeds
-// them through the same spec parser. The new run's ID is printed alone
-// on stdout (script-friendly); -wait follows the run to completion.
+// flags fill the same request as `experiments sweep`, and the service
+// builds and runs it through the same code. The new run's ID is printed
+// alone on stdout (script-friendly); -wait follows the run to completion.
 func submitMain(args []string) int {
 	fs := flag.NewFlagSet("experiments submit", flag.ExitOnError)
 	svc := fs.String("svc", "", "experiment service address (required)")
 	authToken := fs.String("auth-token", "", "bearer token for a token-protected service")
-	var axes axisFlags
-	fs.Var(&axes, "axis", "sweep axis as name=v1,v2,... (workload, engine, history, budget, l1, source, shards); repeatable, crossed in flag order")
-	var engines axisFlags
-	fs.Var(&engines, "engine", "engine spec name[:param=value,...] for the engine axis (repeatable; mutually exclusive with -axis engine=...)")
-	name := fs.String("name", "sweep", "sweep name (prefixes cell keys and job labels)")
-	source := fs.String("source", "", "record source for every cell (shorthand for a one-value source axis)")
-	shards := fs.Int("shards", 0, "split every cell's replay into K window-shard jobs")
-	shardApprox := fs.Bool("shard-approx", false, "shard with fixed per-shard warmup (linear total work, approximate results)")
-	quick := fs.Bool("quick", false, "reduced-scale run (shorter warmup and measurement)")
-	warmup := fs.Uint64("warmup", 0, "override warmup instructions (0 = service default)")
-	measure := fs.Uint64("measure", 0, "override measured instructions (0 = service default)")
+	var req experiments.SweepRequest
+	sweepFlags(fs, &req)
+	fs.BoolVar(&req.Quick, "quick", false, "reduced-scale run (shorter warmup and measurement)")
+	fs.Uint64Var(&req.WarmupInstrs, "warmup", 0, "override warmup instructions (0 = service default)")
+	fs.Uint64Var(&req.MeasureInstrs, "measure", 0, "override measured instructions (0 = service default)")
 	wait := fs.Bool("wait", false, "follow the run to completion (progress on stderr; exit 0 done, 1 failed)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: experiments submit -svc ADDR -axis name=v1,v2,... [-axis ...] [-engine SPEC ...] [flags] [-wait]")
@@ -497,17 +439,7 @@ func submitMain(args []string) int {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	st, err := client.Submit(ctx, expsvc.Request{
-		Name:          *name,
-		Axes:          axes,
-		Engines:       engines,
-		Source:        *source,
-		Shards:        *shards,
-		ShardApprox:   *shardApprox,
-		Quick:         *quick,
-		WarmupInstrs:  *warmup,
-		MeasureInstrs: *measure,
-	})
+	st, err := client.Submit(ctx, req)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments submit:", err)
 		return 2

@@ -108,6 +108,23 @@ func QuickOptions() Options {
 	}
 }
 
+// PresetOptions is QuickOptions when quick is set, DefaultOptions
+// otherwise, with nonzero warmup and measure counts overriding the
+// preset's.
+func PresetOptions(quick bool, warmup, measure uint64) Options {
+	opts := DefaultOptions()
+	if quick {
+		opts = QuickOptions()
+	}
+	if warmup > 0 {
+		opts.WarmupInstrs = warmup
+	}
+	if measure > 0 {
+		opts.MeasureInstrs = measure
+	}
+	return opts
+}
+
 // SweepSuite resolves the suite the design-space sweep artifacts run
 // over: Options.SweepWorkloads when set, the XL suite otherwise. Every
 // consumer of the sweep suite (the artifact drivers, the CLI's default
@@ -197,9 +214,6 @@ func NewEnvContext(ctx context.Context, opts Options) *Env {
 
 // Options returns the environment's options.
 func (e *Env) Options() Options { return e.opts }
-
-// Context returns the environment's context.
-func (e *Env) Context() context.Context { return e.ctx }
 
 // Parallel returns the environment's resolved worker-pool width.
 func (e *Env) Parallel() int { return runner.Workers(e.opts.Parallel) }

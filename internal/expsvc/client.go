@@ -122,13 +122,3 @@ func (c *Client) Jobs(ctx context.Context, id string) ([]report.JobResult, error
 	}
 	return resp.Jobs, nil
 }
-
-// Diff requests a comparison of two sides under default tolerances
-// abs/rel and returns the typed report carrying the exit-code verdict.
-func (c *Client) Diff(ctx context.Context, a, b DiffSide, abs, rel float64) (report.DiffReport, error) {
-	var resp diffResponse
-	if err := c.post(ctx, "/v1/diff", diffRequest{V: WireVersion, A: a, B: b, Abs: abs, Rel: rel}, &resp); err != nil {
-		return report.DiffReport{}, err
-	}
-	return resp.Report, nil
-}

@@ -28,6 +28,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/report"
 )
 
@@ -70,30 +71,9 @@ const (
 // Terminal reports whether the state can never change again.
 func (s State) Terminal() bool { return s == StateDone || s == StateFailed || s == StateStored }
 
-// Request is one submitted sweep spec. The fields mirror the
-// `experiments sweep` CLI flags one for one and feed the same
-// experiments.BuildSweep parser, so -axis/-engine/-shards semantics are
-// identical whether a sweep runs through the CLI or the service.
-type Request struct {
-	// Name names the sweep (and the stored grid-summary artifact).
-	Name string `json:"name"`
-	// Axes are -axis specs ("workload=xl", "engine=pif,tifs", ...).
-	Axes []string `json:"axes,omitempty"`
-	// Engines are repeated -engine specs ("pif:history=64K", ...).
-	Engines []string `json:"engines,omitempty"`
-	// Source is the -source shorthand (a one-value source axis).
-	Source string `json:"source,omitempty"`
-	// Shards is -shards: split every cell's replay into K window-shard
-	// jobs (0 = unsharded).
-	Shards int `json:"shards,omitempty"`
-	// ShardApprox is -shard-approx (fixed per-shard warmup).
-	ShardApprox bool `json:"shard_approx,omitempty"`
-	// Quick selects the reduced-scale option preset (-quick).
-	Quick bool `json:"quick,omitempty"`
-	// WarmupInstrs / MeasureInstrs override the preset (0 = preset).
-	WarmupInstrs  uint64 `json:"warmup_instrs,omitempty"`
-	MeasureInstrs uint64 `json:"measure_instrs,omitempty"`
-}
+// Request is one submitted sweep: the CLI's own sweep request, so a
+// submission means exactly what the same `experiments sweep` flags mean.
+type Request = experiments.SweepRequest
 
 // Record is one run's persisted database entry.
 type Record struct {

@@ -42,21 +42,6 @@ type jobsResponse struct {
 	Jobs []report.JobResult `json:"jobs"`
 }
 
-type diffRequest struct {
-	V int      `json:"v"`
-	A DiffSide `json:"a"`
-	B DiffSide `json:"b"`
-	// Abs/Rel are the default per-metric tolerances (the CLI's
-	// -abs/-rel flags).
-	Abs float64 `json:"abs"`
-	Rel float64 `json:"rel"`
-}
-
-type diffResponse struct {
-	V      int               `json:"v"`
-	Report report.DiffReport `json:"report"`
-}
-
 // Server is the thin HTTP translation over a Service: decode, delegate,
 // encode. Long-polling a run's status is the only logic it owns, built
 // on Service.Changed generations. Authentication is layered outside by
@@ -74,7 +59,6 @@ func NewServer(svc *Service) *Server {
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleRun)
 	s.mux.HandleFunc("GET /v1/runs/{id}/artifacts", s.handleArtifacts)
 	s.mux.HandleFunc("GET /v1/runs/{id}/jobs", s.handleJobs)
-	s.mux.HandleFunc("POST /v1/diff", s.handleDiff)
 	s.mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"v": WireVersion})
 	})
@@ -95,21 +79,14 @@ func writeErr(w http.ResponseWriter, err error) {
 	httpapi.WriteError(w, WireVersion, status, err.Error())
 }
 
-// decode parses a request body, enforcing the wire version.
-func decode[T any](r *http.Request, v *T, version func(T) int) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return fmt.Errorf("expsvc: bad request body: %w", err)
-	}
-	if got := version(*v); got != WireVersion {
-		return fmt.Errorf("expsvc: request has wire version %d, want %d", got, WireVersion)
-	}
-	return nil
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := decode(r, &req, func(q submitRequest) int { return q.V }); err != nil {
-		writeErr(w, err)
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		writeErr(w, fmt.Errorf("expsvc: bad request body: %w", err))
+		return
+	}
+	if req.V != WireVersion {
+		writeErr(w, fmt.Errorf("expsvc: request has wire version %d, want %d", req.V, WireVersion))
 		return
 	}
 	st, err := s.svc.Submit(req.Request)
@@ -175,19 +152,4 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	httpapi.WriteJSON(w, http.StatusOK, jobsResponse{V: WireVersion, Jobs: jobs})
-}
-
-func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
-	var req diffRequest
-	if err := decode(r, &req, func(q diffRequest) int { return q.V }); err != nil {
-		writeErr(w, err)
-		return
-	}
-	tol := report.Tolerances{Default: report.Tolerance{Abs: req.Abs, Rel: req.Rel}}
-	rep, err := s.svc.Diff(req.A, req.B, tol)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	httpapi.WriteJSON(w, http.StatusOK, diffResponse{V: WireVersion, Report: rep})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // TestServerEndToEnd drives the full wire path — DialService, Submit,
-// WaitRun's long-poll, Runs, Artifacts, Jobs, Diff — against a real
+// WaitRun's long-poll, Runs, Artifacts, Jobs — against a real
 // service behind the token-auth middleware, exactly the daemon's stack.
 func TestServerEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -89,19 +90,22 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Errorf("Jobs = %d, want 2", len(jobs))
 	}
 
-	// Diff the run against itself inline — the CLI's run-vs-local shape —
-	// and against an absent run (a 404, the exit-2 error class).
-	rep, err := client.Diff(ctx, DiffSide{RunID: st.ID},
-		DiffSide{Label: "local", Artifacts: arts, Jobs: jobs}, 1e-12, 1e-9)
+	// What `experiments diff -svc` reads over the wire is what the run
+	// directory holds, and an absent run is a 404 (its exit-2 error class).
+	_, diskArts, err := report.Load(svc.db.Dir(st.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Code != 0 {
-		t.Errorf("self diff code = %d, want 0:\n%s", rep.Code, rep.Text)
+	diskJobs, err := report.LoadJobResults(svc.db.Dir(st.ID))
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err = client.Diff(ctx, DiffSide{RunID: st.ID}, DiffSide{RunID: "absent"}, 1e-12, 1e-9)
+	if !reflect.DeepEqual(arts, diskArts) || !reflect.DeepEqual(jobs, diskJobs) {
+		t.Errorf("served artifacts/jobs differ from the stored run")
+	}
+	_, _, err = client.Artifacts(ctx, "absent")
 	if !httpapi.IsStatus(err, http.StatusNotFound) {
-		t.Errorf("diff against absent run: err = %v, want 404", err)
+		t.Errorf("Artifacts(absent): err = %v, want 404", err)
 	}
 	_, err = client.Run(ctx, "absent")
 	if !httpapi.IsStatus(err, http.StatusNotFound) {

@@ -19,8 +19,9 @@ import (
 // that crashes the service twice is not retried a third time.
 const DefaultMaxAttempts = 2
 
-// queueCap bounds the submission queue; submissions beyond it are
-// refused rather than buffered without limit.
+// queueCap bounds the submission queue (New widens it to hold every
+// recovered run); submissions beyond it are refused rather than buffered
+// without limit.
 const queueCap = 256
 
 // Config parameterizes a Service.
@@ -106,11 +107,18 @@ func New(cfg Config) (*Service, error) {
 		gen:    make(chan struct{}),
 		recs:   make(map[string]Record),
 		prog:   make(map[string]progress),
-		queue:  make(chan string, queueCap),
 	}
-	if err := s.recover(); err != nil {
+	requeue, err := s.recover()
+	if err != nil {
 		cancel()
 		return nil, err
+	}
+	// One service can leave queueCap runs queued and one running, so the
+	// queue holds every recovered run: recovery sends before the executor
+	// starts, and must neither block nor drop work.
+	s.queue = make(chan string, max(queueCap, len(requeue)))
+	for _, id := range requeue {
+		s.queue <- id
 	}
 	s.wg.Add(1)
 	go s.executor()
@@ -124,16 +132,17 @@ func (s *Service) logf(format string, args ...any) {
 	}
 }
 
-// recover loads every record and requeues interrupted work: a queued
-// record simply re-enters the queue; a running record was stranded by a
-// crash (or kill) and re-enters as queued — unless its attempt budget is
-// spent, in which case it is marked failed. Requeue order is creation
-// order, so recovery preserves submission fairness.
-func (s *Service) recover() error {
+// recover loads every record and returns the IDs of interrupted work to
+// requeue: a queued record simply re-enters the queue; a running record
+// was stranded by a crash (or kill) and re-enters as queued — unless its
+// attempt budget is spent, in which case it is marked failed. Requeue
+// order is creation order, so recovery preserves submission fairness.
+func (s *Service) recover() ([]string, error) {
 	recs, err := s.db.Records()
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var requeue []string
 	for _, rec := range recs {
 		switch rec.State {
 		case StateQueued, StateRunning:
@@ -143,23 +152,23 @@ func (s *Service) recover() error {
 				rec.FinishedAt = &now
 				rec.Error = fmt.Sprintf("expsvc: interrupted after %d attempt(s); giving up", rec.Attempts)
 				if err := s.db.SaveRecord(rec); err != nil {
-					return err
+					return nil, err
 				}
 				s.logf("recover: %s failed (%s)", rec.ID, rec.Error)
 			} else {
 				if rec.State == StateRunning {
 					rec.State = StateQueued
 					if err := s.db.SaveRecord(rec); err != nil {
-						return err
+						return nil, err
 					}
 				}
-				s.queue <- rec.ID
+				requeue = append(requeue, rec.ID)
 				s.logf("recover: %s requeued (attempt %d of %d)", rec.ID, rec.Attempts+1, s.cfg.MaxAttempts)
 			}
 		}
 		s.recs[rec.ID] = rec
 	}
-	return nil
+	return requeue, nil
 }
 
 // Close stops the executor and waits for it. A sweep in flight is
@@ -209,32 +218,13 @@ func (s *Service) persist(rec Record) error {
 	return nil
 }
 
-// buildOptions resolves a request into experiment options, mirroring the
-// CLI's buildOptions (preset, overrides, pool width, store pool).
+// buildOptions resolves a request into experiment options: its preset
+// and overrides, plus the service's pool width and store pool.
 func (s *Service) buildOptions(req Request) experiments.Options {
-	opts := experiments.DefaultOptions()
-	if req.Quick {
-		opts = experiments.QuickOptions()
-	}
-	if req.WarmupInstrs > 0 {
-		opts.WarmupInstrs = req.WarmupInstrs
-	}
-	if req.MeasureInstrs > 0 {
-		opts.MeasureInstrs = req.MeasureInstrs
-	}
+	opts := experiments.PresetOptions(req.Quick, req.WarmupInstrs, req.MeasureInstrs)
 	opts.Parallel = s.cfg.Parallel
 	opts.StoreDir = s.cfg.StoreDir
 	return opts
-}
-
-// axesOf folds the -source shorthand into the request's axis list, the
-// way the CLI appends "source=..." before building the spec.
-func axesOf(req Request) []string {
-	axes := append([]string(nil), req.Axes...)
-	if req.Source != "" {
-		axes = append(axes, "source="+req.Source)
-	}
-	return axes
 }
 
 // validate builds (and discards) the request's sweep spec, so a
@@ -245,14 +235,8 @@ func (s *Service) validate(req Request) error {
 	if err := opts.Validate(); err != nil {
 		return err
 	}
-	env := experiments.NewEnvContext(s.ctx, opts)
-	if _, err := experiments.BuildSweep(env, req.Name, axesOf(req), req.Engines); err != nil {
-		return err
-	}
-	if req.Shards < 0 {
-		return fmt.Errorf("expsvc: shards must be >= 0")
-	}
-	return nil
+	_, err := req.Spec(experiments.NewEnvContext(s.ctx, opts))
+	return err
 }
 
 // Submit validates a request, persists it queued, and enqueues it.
@@ -282,7 +266,7 @@ func (s *Service) Submit(req Request) (Status, error) {
 	case s.queue <- rec.ID:
 	default:
 		rec.State = StateFailed
-		rec.Error = fmt.Sprintf("expsvc: queue full (%d runs pending)", queueCap)
+		rec.Error = fmt.Sprintf("expsvc: queue full (%d runs pending)", cap(s.queue))
 		_ = s.persist(rec)
 		return Status{}, fmt.Errorf("%s", rec.Error)
 	}
@@ -463,96 +447,18 @@ func (s *Service) runSweep(rec *Record) error {
 		return err
 	}
 	env := experiments.NewEnvContext(s.ctx, opts)
-	spec, err := experiments.BuildSweep(env, req.Name, axesOf(req), req.Engines)
+	spec, err := req.Spec(env)
 	if err != nil {
 		return err
 	}
-	spec.BaseShards = req.Shards
-	spec.BaseShardApprox = req.ShardApprox
-
-	start := time.Now()
-	grid, err := env.RunGrid(spec)
+	res, err := experiments.RunSweep(env, spec)
 	if err != nil {
 		return err
 	}
-	total := time.Since(start)
-	summary, err := grid.Summary()
-	if err != nil {
+	if err := res.Save(s.db.Dir(rec.ID), rec.ID); err != nil {
 		return err
 	}
-	// The artifact must be byte-identical to the CLI's `experiments sweep
-	// -out` artifact for the same spec: same ID, title, empty text, same
-	// summary payload — the acceptance diff compares exactly this.
-	art, err := report.NewArtifact(spec.Name, "ad-hoc design-space sweep", "", summary)
-	if err != nil {
-		return err
-	}
-	run := report.Run{
-		ID:         rec.ID,
-		CreatedAt:  time.Now().UTC(),
-		Options:    opts.RunOptions(),
-		TotalNanos: int64(total),
-	}
-	if err := s.db.Store.Save(run, []report.Artifact{art}); err != nil {
-		return err
-	}
-	jobs := env.JobResults()
-	if err := report.SaveJobResults(s.db.Dir(rec.ID), jobs); err != nil {
-		return err
-	}
-	rec.TotalJobs = len(jobs)
-	rec.ElapsedNanos = int64(total)
+	rec.TotalJobs = len(res.Jobs)
+	rec.ElapsedNanos = int64(res.Elapsed)
 	return nil
-}
-
-// DiffSide names one side of a diff request: a run in the service's
-// database (RunID), or an inline artifact/job set shipped with the
-// request — how the CLI diffs a service run against a local -out
-// directory without uploading it to the corpus.
-type DiffSide struct {
-	// RunID selects a database run ("" = inline).
-	RunID string `json:"run_id,omitempty"`
-	// Label names an inline side in the rendered report.
-	Label string `json:"label,omitempty"`
-	// Artifacts and Jobs are the inline side's payload.
-	Artifacts []report.Artifact  `json:"artifacts,omitempty"`
-	Jobs      []report.JobResult `json:"jobs,omitempty"`
-}
-
-// resolve loads a side's artifact and job sets.
-func (s *Service) resolve(side DiffSide) (string, []report.Artifact, []report.JobResult, error) {
-	if side.RunID == "" {
-		label := side.Label
-		if label == "" {
-			label = "inline"
-		}
-		return label, side.Artifacts, side.Jobs, nil
-	}
-	_, arts, err := s.db.Store.Load(side.RunID)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	jobs, err := s.Jobs(side.RunID)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	return side.RunID, arts, jobs, nil
-}
-
-// Diff compares two sides — artifacts and per-job results — under the
-// given tolerances and returns the typed report carrying the
-// `experiments diff` exit-code verdict. A side that fails to load is an
-// error (the CLI's exit-2 class), not a diff outcome.
-func (s *Service) Diff(a, b DiffSide, tol report.Tolerances) (report.DiffReport, error) {
-	la, aArts, aJobs, err := s.resolve(a)
-	if err != nil {
-		return report.DiffReport{}, err
-	}
-	lb, bArts, bJobs, err := s.resolve(b)
-	if err != nil {
-		return report.DiffReport{}, err
-	}
-	d := report.DiffArtifacts(aArts, bArts, tol)
-	d.Merge(report.DiffJobResults(aJobs, bJobs, tol))
-	return report.NewDiffReport(la, lb, d), nil
 }

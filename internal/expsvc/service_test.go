@@ -1,12 +1,16 @@
 package expsvc
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/report"
 )
 
@@ -363,63 +367,160 @@ func TestServiceRunsMergesStored(t *testing.T) {
 	}
 }
 
-// TestServiceDiff covers diff-as-a-service resolution: run-vs-run on the
-// database, run-vs-inline (the local-baseline shape), and the error class
-// for an unknown side.
-func TestServiceDiff(t *testing.T) {
-	dir := t.TempDir()
-	store := report.Store{Root: dir}
-	art, err := report.NewArtifact("sweep", "t", "", map[string]float64{"uipc": 1.0})
-	if err != nil {
-		t.Fatal(err)
+// TestServiceRunMatchesRunSweep: a service run stores byte for byte the
+// artifact and per-job files that experiments.RunSweep and SweepRun.Save
+// store for the same request, the path `experiments sweep -out` takes.
+func TestServiceRunMatchesRunSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("service tests run simulations; skipped in -short mode")
 	}
-	drifted, err := report.NewArtifact("sweep", "t", "", map[string]float64{"uipc": 2.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Save(report.Run{ID: "base", CreatedAt: time.Now().UTC()}, []report.Artifact{art}); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Save(report.Run{ID: "same", CreatedAt: time.Now().UTC()}, []report.Artifact{art}); err != nil {
-		t.Fatal(err)
-	}
-
-	svc, err := New(Config{DBDir: dir})
+	svc, err := New(Config{DBDir: t.TempDir(), Parallel: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	tol := report.Tolerances{Default: report.Tolerance{Abs: 1e-12, Rel: 1e-9}}
-
-	rep, err := svc.Diff(DiffSide{RunID: "base"}, DiffSide{RunID: "same"}, tol)
+	req := testRequest()
+	st, err := svc.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Code != 0 {
-		t.Errorf("identical runs diff code = %d, want 0:\n%s", rep.Code, rep.Text)
+	if fin := waitTerminal(t, svc, st.ID); fin.State != StateDone {
+		t.Fatalf("final state = %s (error %q), want %s", fin.State, fin.Error, StateDone)
 	}
 
-	rep, err = svc.Diff(DiffSide{RunID: "base"}, DiffSide{Label: "local", Artifacts: []report.Artifact{drifted}}, tol)
+	opts := experiments.PresetOptions(req.Quick, req.WarmupInstrs, req.MeasureInstrs)
+	opts.Parallel = 2
+	env := experiments.NewEnv(opts)
+	spec, err := req.Spec(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Code != 1 {
-		t.Errorf("drifted inline diff code = %d, want 1:\n%s", rep.Code, rep.Text)
-	}
-	if rep.A != "base" || rep.B != "local" {
-		t.Errorf("report sides = %q/%q, want base/local", rep.A, rep.B)
-	}
-
-	rep, err = svc.Diff(DiffSide{RunID: "base"}, DiffSide{Label: "empty"}, tol)
+	res, err := experiments.RunSweep(env, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Code != 3 {
-		t.Errorf("missing-set diff code = %d, want 3:\n%s", rep.Code, rep.Text)
+	local := filepath.Join(t.TempDir(), "local")
+	if err := res.Save(local, "local"); err != nil {
+		t.Fatal(err)
 	}
 
-	if _, err := svc.Diff(DiffSide{RunID: "base"}, DiffSide{RunID: "absent"}, tol); err == nil {
-		t.Error("diff against an absent run resolved")
+	// run.json differs by run ID and timings; every other file matches.
+	files := func(dir string) map[string][]byte {
+		out := map[string][]byte{}
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			rel, _ := filepath.Rel(dir, path)
+			if rel != "run.json" && rel != recordFile {
+				out[rel], err = os.ReadFile(path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	got, want := files(svc.db.Dir(st.ID)), files(local)
+	if len(want) != 3 { // the artifact and two job files
+		t.Fatalf("local sweep stored %d files, want 3", len(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		for name := range want {
+			if !bytes.Equal(got[name], want[name]) {
+				t.Errorf("%s differs between the service run and the local sweep", name)
+			}
+		}
+		t.Errorf("service run stores %d files, local sweep %d", len(got), len(want))
+	}
+}
+
+// TestServiceRecoversFullQueue: one service can leave queueCap runs
+// queued and one running; a service reopened on that database starts
+// without blocking, and requeues every run without failing any.
+func TestServiceRecoversFullQueue(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDB(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	created := time.Date(2026, 8, 7, 0, 0, 0, 0, time.UTC)
+	n := queueCap + 1
+	for i := range n {
+		rec := Record{
+			SchemaVersion: RecordSchemaVersion,
+			ID:            fmt.Sprintf("r20260807T000000-%04d-aaaaaa", i),
+			State:         StateQueued,
+			Request:       testRequest(),
+			CreatedAt:     created.Add(time.Duration(i) * time.Second),
+		}
+		if i == 0 {
+			rec.State, rec.Attempts = StateRunning, 1
+		}
+		if err := db.SaveRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Park the executor on the first run it takes, so every other run
+	// stays queued while the test looks.
+	entered := make(chan string, n)
+	release := make(chan struct{})
+	opened := make(chan *Service, 1)
+	go func() {
+		svc, err := New(Config{DBDir: dir, hookRunning: func(id string) {
+			entered <- id
+			<-release
+		}})
+		if err != nil {
+			t.Error(err)
+		}
+		opened <- svc
+	}()
+	var svc *Service
+	select {
+	case svc = <-opened:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("New still blocked after 10s with %d runs pending", n)
+	}
+	if svc == nil {
+		t.FailNow()
+	}
+	defer func() {
+		closed := make(chan struct{})
+		go func() {
+			defer close(closed)
+			svc.Close()
+		}()
+		close(release)
+		<-closed
+	}()
+	var running string
+	select {
+	case running = <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("executor never started a recovered run")
+	}
+
+	sts, err := svc.Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sts) != n {
+		t.Fatalf("Runs() lists %d runs, want %d", len(sts), n)
+	}
+	for _, st := range sts {
+		want := StateQueued
+		if st.ID == running {
+			want = StateRunning
+		}
+		if st.State != want {
+			t.Errorf("run %s: state %s (error %q), want %s", st.ID, st.State, st.Error, want)
+		}
+	}
+	if got := len(svc.queue); got != n-1 {
+		t.Errorf("queue holds %d runs, want %d", got, n-1)
 	}
 }
 

@@ -11,33 +11,33 @@ func TestRegistryBaselines(t *testing.T) {
 		"nextline": "Next-Line",
 		"tifs":     "TIFS",
 	} {
-		p, err := NewByName(name)
+		p, err := Resolve(Spec{Name: name})
 		if err != nil {
-			t.Errorf("NewByName(%q): %v", name, err)
+			t.Errorf("Resolve(%q): %v", name, err)
 			continue
 		}
 		if p.Name() != want {
-			t.Errorf("NewByName(%q).Name() = %q, want %q", name, p.Name(), want)
+			t.Errorf("Resolve(%q).Name() = %q, want %q", name, p.Name(), want)
 		}
 	}
 }
 
 func TestRegistryFreshInstances(t *testing.T) {
-	a, err := NewByName("tifs")
+	a, err := Resolve(Spec{Name: "tifs"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewByName("tifs")
+	b, err := Resolve(Spec{Name: "tifs"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.(*TIFS) == b.(*TIFS) {
-		t.Error("NewByName returned a shared instance; engines are stateful and must be private per job")
+		t.Error("Resolve returned a shared instance; engines are stateful and must be private per job")
 	}
 }
 
 func TestRegistryUnknown(t *testing.T) {
-	_, err := NewByName("markov")
+	_, err := Resolve(Spec{Name: "markov"})
 	if err == nil {
 		t.Fatal("unknown engine accepted")
 	}

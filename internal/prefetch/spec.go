@@ -358,12 +358,6 @@ func Resolved(spec Spec) (Spec, error) {
 	return out, nil
 }
 
-// NewByName constructs a fresh engine instance by registry name with all
-// parameters at their schema defaults.
-func NewByName(name string) (Prefetcher, error) {
-	return Resolve(Spec{Name: name})
-}
-
 // ParseSpec parses the CLI's -engine syntax, "name" or "name:k=v,...",
 // into a validated Spec. Values parse schema-aware: int params accept K
 // and M binary suffixes ("64K" = 65536), bool params accept true/false

@@ -2,7 +2,6 @@ package remote
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -29,10 +28,10 @@ func TestAuthProtectedCoordinator(t *testing.T) {
 
 	// Tokenless and wrong-token dials die on the run-open request with the
 	// 401 class, not a hang or a misparse.
-	if _, err := Dial(srv.URL); !isUnauthorized(err) {
+	if _, err := DialAuth(srv.URL, ""); !httpapi.IsStatus(err, http.StatusUnauthorized) {
 		t.Fatalf("tokenless Dial: err = %v, want 401", err)
 	}
-	if _, err := DialAuth(srv.URL, "wrong"); !isUnauthorized(err) {
+	if _, err := DialAuth(srv.URL, "wrong"); !httpapi.IsStatus(err, http.StatusUnauthorized) {
 		t.Fatalf("wrong-token Dial: err = %v, want 401", err)
 	}
 
@@ -40,7 +39,7 @@ func TestAuthProtectedCoordinator(t *testing.T) {
 	ctxNoAuth, cancelNoAuth := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancelNoAuth()
 	bare := &Worker{Coord: srv.URL, Name: "bare", Parallel: 1}
-	if err := bare.Run(ctxNoAuth); !isUnauthorized(err) {
+	if err := bare.Run(ctxNoAuth); !httpapi.IsStatus(err, http.StatusUnauthorized) {
 		t.Fatalf("tokenless worker Run: err = %v, want 401", err)
 	}
 
@@ -80,14 +79,4 @@ func TestAuthProtectedCoordinator(t *testing.T) {
 			t.Errorf("job %d (%s) failed through the protected stack: %v", i, r.Label, r.Err)
 		}
 	}
-}
-
-// isUnauthorized reports whether err is a 401 from either transport
-// error shape (remote's statusError or httpapi's StatusError).
-func isUnauthorized(err error) bool {
-	var se *statusError
-	if errors.As(err, &se) {
-		return se.status == http.StatusUnauthorized
-	}
-	return httpapi.IsStatus(err, http.StatusUnauthorized)
 }

@@ -1,12 +1,9 @@
 package remote
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -39,13 +36,10 @@ type Backend struct {
 	once   sync.Once
 }
 
-// Dial connects to a coordinator at addr (host:port or http://host:port)
-// and opens a run on it. The returned Backend is ready for RunOn.
-func Dial(addr string) (*Backend, error) { return DialAuth(addr, "") }
-
-// DialAuth is Dial against a token-protected coordinator (pifcoord
-// -auth-token): every request carries the bearer token. An empty token
-// is plain Dial.
+// DialAuth connects to a coordinator at addr (host:port or
+// http://host:port) and opens a run on it; the returned Backend is ready
+// for RunOn. With a token, every request carries it as a bearer token
+// (pifcoord -auth-token); an empty token dials an open coordinator.
 func DialAuth(addr, token string) (*Backend, error) {
 	base := addr
 	if !strings.Contains(base, "://") {
@@ -100,65 +94,16 @@ func (b *Backend) post(ctx context.Context, path string, req, resp any) error {
 	return httpJSON(ctx, b.hc, http.MethodPost, b.base+path, req, resp)
 }
 
-// httpJSON is the shared request helper for backend and worker.
+// httpJSON is the shared request helper for backend and worker:
+// httpapi.Do, with a 409 (coordinator or run closed) mapped to
+// runner.ErrBackendClosed.
 func httpJSON(ctx context.Context, hc *http.Client, method, url string, req, resp any) error {
-	var body io.Reader
-	if req != nil {
-		buf, err := json.Marshal(req)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(buf)
+	err := httpapi.Do(ctx, hc, method, url, req, resp)
+	var se *httpapi.StatusError
+	if errors.As(err, &se) && se.Status == http.StatusConflict {
+		return fmt.Errorf("%w (coordinator: %s)", runner.ErrBackendClosed, se.Msg)
 	}
-	hreq, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return err
-	}
-	if req != nil {
-		hreq.Header.Set("Content-Type", "application/json")
-	}
-	hresp, err := hc.Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		var e errorResponse
-		msg := ""
-		if json.NewDecoder(io.LimitReader(hresp.Body, 1<<16)).Decode(&e) == nil {
-			msg = e.Error
-		}
-		if hresp.StatusCode == http.StatusConflict {
-			return fmt.Errorf("%w (coordinator: %s)", runner.ErrBackendClosed, msg)
-		}
-		return &statusError{status: hresp.StatusCode, method: method, url: url, msg: msg}
-	}
-	if resp == nil {
-		return nil
-	}
-	return json.NewDecoder(hresp.Body).Decode(resp)
-}
-
-// statusError is a non-OK, non-409 HTTP response from the coordinator,
-// carrying the status so callers can react to specific codes: 404 means
-// the coordinator no longer knows the caller's ID — a restarted
-// coordinator lost its in-memory state, so a worker must re-register
-// and a client's run is gone.
-type statusError struct {
-	status      int
-	method, url string
-	msg         string
-}
-
-func (e *statusError) Error() string {
-	return fmt.Sprintf("remote: %s %s: status %d: %s", e.method, e.url, e.status, e.msg)
-}
-
-// isNotFound reports whether err is a coordinator 404 (unknown worker,
-// run, or task ID).
-func isNotFound(err error) bool {
-	var se *statusError
-	return errors.As(err, &se) && se.status == http.StatusNotFound
+	return err
 }
 
 // Submit implements runner.Backend: encode the job, ship it. A closed
@@ -214,7 +159,7 @@ func (b *Backend) poll() {
 		url := fmt.Sprintf("%s/v1/runs/%s/results?cursor=%d&wait_ms=%d", b.base, b.runID, cursor, resultsPollMS)
 		err := httpJSON(context.Background(), b.hc, http.MethodGet, url, nil, &resp)
 		if err != nil {
-			if isNotFound(err) {
+			if httpapi.IsStatus(err, http.StatusNotFound) {
 				// The run is gone: a restarted coordinator lost it. No
 				// result can ever arrive; close the stream so RunOn
 				// reports the mid-run loss instead of polling forever.

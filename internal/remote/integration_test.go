@@ -62,7 +62,7 @@ func TestRemoteBackendConformance(t *testing.T) {
 	h.startWorker("w1", 2)
 	h.startWorker("w2", 2)
 	runnertest.Conformance(t, func(t *testing.T) runner.Backend {
-		b, err := Dial(h.srv.URL)
+		b, err := DialAuth(h.srv.URL, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	h := newHarness(t, CoreOptions{})
 	h.startWorker("w1", 2)
 	h.startWorker("w2", 2)
-	b, err := Dial(h.srv.URL)
+	b, err := DialAuth(h.srv.URL, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestWorkerKilledMidRun(t *testing.T) {
 	killVictim := h.startWorker("victim", 1)
 	jobs := runnertest.Jobs(t, 5)
 
-	b, err := Dial(h.srv.URL)
+	b, err := DialAuth(h.srv.URL, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
 	}
 	cur.Store(NewServer(NewCore(CoreOptions{})))
 
-	b, err := Dial(srv.URL)
+	b, err := DialAuth(srv.URL, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestWorkerReregistersAfterCoordinatorRestart(t *testing.T) {
 // which the client maps to runner.ErrBackendClosed.
 func TestRemoteSubmitAfterCoordinatorClose(t *testing.T) {
 	h := newHarness(t, CoreOptions{})
-	b, err := Dial(h.srv.URL)
+	b, err := DialAuth(h.srv.URL, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,11 +77,6 @@ type completeResponse struct {
 	Accepted bool `json:"accepted"`
 }
 
-type errorResponse struct {
-	V     int    `json:"v"`
-	Error string `json:"error"`
-}
-
 // Server is the thin HTTP translation over a coordinator Core: decode,
 // delegate, encode. Long-polling (lease and results waits) is the only
 // logic it owns, built on Core.Changed generations.
@@ -121,7 +116,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrNoRun), errors.Is(err, ErrNoWorker):
 		status = http.StatusNotFound
 	}
-	httpapi.WriteJSON(w, status, errorResponse{V: WireVersion, Error: err.Error()})
+	httpapi.WriteError(w, WireVersion, status, err.Error())
 }
 
 // decode parses a request body, enforcing the wire version.

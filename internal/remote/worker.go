@@ -45,12 +45,6 @@ type Worker struct {
 	inflight map[int]context.CancelFunc // taskID -> cancel (lease lost / shutdown)
 }
 
-// running is one leased task being executed.
-type running struct {
-	lease Lease
-	job   runner.Job
-}
-
 // Run executes the worker loop until ctx is canceled or the coordinator
 // refuses it (registration on a closed coordinator). In-flight tasks at
 // cancellation are abandoned unposted: the coordinator's heartbeat
@@ -111,7 +105,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			if isNotFound(err) {
+			if httpapi.IsStatus(err, http.StatusNotFound) {
 				// The coordinator does not know this worker: it restarted
 				// and lost its in-memory state. Every lease died with it —
 				// cancel in-flight tasks so their results are never posted
@@ -225,7 +219,7 @@ func (w *Worker) runTask(ctx context.Context, workerID string, lease Lease) {
 		if err == nil {
 			return
 		}
-		if isNotFound(err) {
+		if httpapi.IsStatus(err, http.StatusNotFound) {
 			// The coordinator no longer knows this worker or task
 			// (restart, or the run drained without us): the post can
 			// never be accepted, so retrying is pointless.
@@ -267,7 +261,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context, every time.Duration) {
 		err := httpJSON(ctx, w.hc, http.MethodPost, w.base+"/v1/heartbeat",
 			heartbeatRequest{V: WireVersion, WorkerID: workerID, TaskIDs: ids}, &resp)
 		if err != nil {
-			if isNotFound(err) {
+			if httpapi.IsStatus(err, http.StatusNotFound) {
 				// Registration lost (coordinator restart): every lease is
 				// void. Cancel the local jobs; the lease loop re-registers.
 				w.cancelInflight()

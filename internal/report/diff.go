@@ -64,8 +64,8 @@ func (ts Tolerances) For(path string) Tolerance {
 }
 
 // MetricDiff is one numeric leaf that differs between two runs. The JSON
-// field names are part of the machine-readable diff contract shared by
-// `experiments diff -json` and the experiment service's diff endpoint.
+// field names are part of the machine-readable diff contract of
+// `experiments diff -json`.
 type MetricDiff struct {
 	// Path locates the metric: "<artifact>.<field path>", e.g.
 	// "fig2.retire[3]".
@@ -144,9 +144,9 @@ func (d Diff) Code() int {
 }
 
 // DiffReport is the machine-readable form of one comparison: the diff
-// plus its exit-code verdict and rendered text. It is the payload of
-// `experiments diff -json` and the experiment service's diff endpoint —
-// one struct, two transports.
+// plus its exit-code verdict and rendered text. `experiments diff -json`
+// prints it, whether its sides are local run directories or runs on the
+// experiment service.
 type DiffReport struct {
 	// Code is the `experiments diff` exit-code verdict for this diff
 	// (0 identical-within-tolerance, 1 drift, 3 missing artifacts/jobs).

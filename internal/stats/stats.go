@@ -1,6 +1,6 @@
-// Package stats provides the counters, histograms, and series containers
-// used by the experiment drivers to accumulate and render results in the
-// same shape as the paper's tables and figures.
+// Package stats provides the histograms, series, and tables the
+// experiment drivers use to accumulate and render results in the same
+// shape as the paper's tables and figures.
 package stats
 
 import (
@@ -9,26 +9,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Counter is a simple named event counter.
-type Counter struct {
-	Name  string
-	Count uint64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.Count++ }
-
-// Add adds n to the counter.
-func (c *Counter) Add(n uint64) { c.Count += n }
-
-// Ratio returns c.Count / d.Count as a float, or 0 if d is zero.
-func (c *Counter) Ratio(d *Counter) float64 {
-	if d.Count == 0 {
-		return 0
-	}
-	return float64(c.Count) / float64(d.Count)
-}
 
 // Histogram is a dense linear histogram over int keys. Keys may be
 // negative (e.g., block offsets before a trigger access).
@@ -75,31 +55,6 @@ func (h *Histogram) Keys() []int {
 	return keys
 }
 
-// CumulativeAt returns the fraction of samples with key <= k.
-func (h *Histogram) CumulativeAt(k int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var sum uint64
-	for key, n := range h.buckets {
-		if key <= k {
-			sum += n
-		}
-	}
-	return float64(sum) / float64(h.total)
-}
-
-// BucketRange aggregates counts for keys in [lo, hi].
-func (h *Histogram) BucketRange(lo, hi int) uint64 {
-	var sum uint64
-	for key, n := range h.buckets {
-		if key >= lo && key <= hi {
-			sum += n
-		}
-	}
-	return sum
-}
-
 // Log2Bucket returns the log2 bucket index for a positive value:
 // values 1 → 0, 2..3 → 1, 4..7 → 2, etc. Zero and negatives map to 0.
 func Log2Bucket(v uint64) int {
@@ -123,9 +78,6 @@ func (s *Series) Append(label string, value float64) {
 	s.Labels = append(s.Labels, label)
 	s.Values = append(s.Values, value)
 }
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.Values) }
 
 // Table is a rectangular result: one row per workload (or config), one
 // column per measured quantity. It renders as aligned text, the textual
@@ -177,55 +129,6 @@ func (t *Table) Render(pct bool) string {
 	return b.String()
 }
 
-// RenderSeries formats a set of series as a labeled grid (labels of the
-// first series define the x axis).
-func RenderSeries(title string, pct bool, series ...*Series) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	if len(series) == 0 {
-		return b.String()
-	}
-	width := 12
-	for _, s := range series {
-		if len(s.Name) > width {
-			width = len(s.Name)
-		}
-	}
-	fmt.Fprintf(&b, "%-*s", width+2, "")
-	for _, l := range series[0].Labels {
-		fmt.Fprintf(&b, "%10s", l)
-	}
-	b.WriteByte('\n')
-	for _, s := range series {
-		fmt.Fprintf(&b, "%-*s", width+2, s.Name)
-		for _, v := range s.Values {
-			if pct {
-				fmt.Fprintf(&b, "%9.1f%%", v*100)
-			} else {
-				fmt.Fprintf(&b, "%10.3f", v)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// WeightedCDF converts a histogram into a cumulative Series over its keys,
-// labelling keys with the given printf format.
-func WeightedCDF(name, labelFmt string, h *Histogram) *Series {
-	s := &Series{Name: name}
-	var cum uint64
-	for _, k := range h.Keys() {
-		cum += h.Count(k)
-		frac := 0.0
-		if h.Total() > 0 {
-			frac = float64(cum) / float64(h.Total())
-		}
-		s.Append(fmt.Sprintf(labelFmt, k), frac)
-	}
-	return s
-}
-
 // Mean returns the arithmetic mean of vs, or 0 for empty input.
 func Mean(vs []float64) float64 {
 	if len(vs) == 0 {
@@ -236,20 +139,4 @@ func Mean(vs []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vs))
-}
-
-// GeoMean returns the geometric mean of vs (all values must be positive),
-// or 0 for empty input.
-func GeoMean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range vs {
-		if v <= 0 {
-			return 0
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(vs)))
 }

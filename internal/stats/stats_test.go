@@ -1,28 +1,10 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestCounter(t *testing.T) {
-	c := &Counter{Name: "hits"}
-	c.Inc()
-	c.Add(4)
-	if c.Count != 5 {
-		t.Errorf("Count = %d, want 5", c.Count)
-	}
-	d := &Counter{Name: "total", Count: 10}
-	if got := c.Ratio(d); got != 0.5 {
-		t.Errorf("Ratio = %f, want 0.5", got)
-	}
-	zero := &Counter{}
-	if got := c.Ratio(zero); got != 0 {
-		t.Errorf("Ratio with zero denominator = %f, want 0", got)
-	}
-}
 
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
@@ -51,38 +33,9 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
-func TestHistogramCumulative(t *testing.T) {
-	h := NewHistogram()
-	for k := 1; k <= 4; k++ {
-		h.Observe(k)
-	}
-	if got := h.CumulativeAt(2); got != 0.5 {
-		t.Errorf("CumulativeAt(2) = %f, want 0.5", got)
-	}
-	if got := h.CumulativeAt(100); got != 1.0 {
-		t.Errorf("CumulativeAt(100) = %f, want 1", got)
-	}
-	if got := h.CumulativeAt(0); got != 0 {
-		t.Errorf("CumulativeAt(0) = %f, want 0", got)
-	}
-}
-
-func TestHistogramBucketRange(t *testing.T) {
-	h := NewHistogram()
-	h.ObserveN(2, 3)
-	h.ObserveN(3, 4)
-	h.ObserveN(8, 1)
-	if got := h.BucketRange(2, 4); got != 7 {
-		t.Errorf("BucketRange(2,4) = %d, want 7", got)
-	}
-	if got := h.BucketRange(5, 7); got != 0 {
-		t.Errorf("BucketRange(5,7) = %d, want 0", got)
-	}
-}
-
 func TestEmptyHistogram(t *testing.T) {
 	h := NewHistogram()
-	if h.Fraction(1) != 0 || h.CumulativeAt(5) != 0 || h.Total() != 0 {
+	if h.Fraction(1) != 0 || h.Total() != 0 {
 		t.Error("empty histogram should report zeros")
 	}
 }
@@ -118,8 +71,8 @@ func TestSeries(t *testing.T) {
 	s := &Series{Name: "cov"}
 	s.Append("a", 0.5)
 	s.Append("b", 0.9)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.Labels) != 2 || len(s.Values) != 2 {
+		t.Fatalf("points = %v %v", s.Labels, s.Values)
 	}
 	if s.Labels[1] != "b" || s.Values[1] != 0.9 {
 		t.Errorf("unexpected point: %v %v", s.Labels, s.Values)
@@ -142,55 +95,11 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestRenderSeries(t *testing.T) {
-	a := &Series{Name: "PIF"}
-	a.Append("DB2", 0.99)
-	a.Append("Oracle", 0.98)
-	out := RenderSeries("Fig 10", true, a)
-	if !strings.Contains(out, "PIF") || !strings.Contains(out, "99.0%") {
-		t.Errorf("series render wrong:\n%s", out)
-	}
-	if got := RenderSeries("empty", true); !strings.Contains(got, "empty") {
-		t.Errorf("empty render: %q", got)
-	}
-}
-
-func TestWeightedCDF(t *testing.T) {
-	h := NewHistogram()
-	h.ObserveN(1, 1)
-	h.ObserveN(2, 1)
-	h.ObserveN(3, 2)
-	s := WeightedCDF("cdf", "%d", h)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if s.Values[2] != 1.0 {
-		t.Errorf("CDF should end at 1, got %f", s.Values[2])
-	}
-	if s.Values[0] != 0.25 {
-		t.Errorf("first point = %f, want 0.25", s.Values[0])
-	}
-	for i := 1; i < s.Len(); i++ {
-		if s.Values[i] < s.Values[i-1] {
-			t.Errorf("CDF not monotone at %d", i)
-		}
-	}
-}
-
 func TestMeanGeoMean(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("Mean = %f", got)
 	}
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %f", got)
-	}
-	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-9 {
-		t.Errorf("GeoMean = %f, want 4", got)
-	}
-	if got := GeoMean([]float64{1, 0}); got != 0 {
-		t.Errorf("GeoMean with zero = %f, want 0", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("GeoMean(nil) = %f", got)
 	}
 }

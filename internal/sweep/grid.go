@@ -12,24 +12,6 @@ import (
 // Size returns the number of cells.
 func (g *Grid) Size() int { return len(g.Cells) }
 
-// AxisNames returns the axis names in declaration order.
-func (g *Grid) AxisNames() []string {
-	names := make([]string, len(g.Spec.Axes))
-	for i, ax := range g.Spec.Axes {
-		names[i] = ax.Name
-	}
-	return names
-}
-
-// AxisSize returns the number of values on the named axis (0 if unknown).
-func (g *Grid) AxisSize(axis string) int {
-	i, ok := g.axisIdx[axis]
-	if !ok {
-		return 0
-	}
-	return g.sizes[i]
-}
-
 // IndexAt returns the row-major cell index of the given per-axis value
 // positions (one coordinate per axis, in declaration order).
 func (g *Grid) IndexAt(coords ...int) (int, error) {

@@ -5,7 +5,8 @@
 # follow it to completion, and require the service's stored run to diff
 # exit-0 against the same spec run locally with `experiments sweep -out`
 # (the acceptance contract: one sweep definition, two execution paths,
-# byte-identical artifacts and per-job results).
+# byte-identical artifacts and per-job results) and against a second
+# service run of the same spec.
 #
 # The service is then restarted on the same database to check the run
 # survives (still listed done, still diffable), and the bearer token is
@@ -68,9 +69,9 @@ run_id=$("$bin/experiments" submit -svc "$svc" -auth-token "$token" \
 echo "expsvc smoke: run $run_id done"
 "$bin/experiments" status -svc "$svc" -auth-token "$token"
 
-# The same spec run locally must be byte-identical: diff-as-a-service
-# compares the service's stored run against the local -out directory
-# (shipped inline) and must exit 0.
+# The same spec run locally must be byte-identical: `diff -svc` fetches
+# the service's stored run and diffs it against the local -out
+# directory, and must exit 0.
 "$bin/experiments" sweep "${spec_args[@]}" -out "$work/local"
 "$bin/experiments" diff -svc "$svc" -auth-token "$token" "$run_id" "$work/local"
 echo "expsvc smoke: service run identical to local sweep"
@@ -78,6 +79,13 @@ echo "expsvc smoke: service run identical to local sweep"
 # -json carries the same verdict machine-readably.
 "$bin/experiments" diff -json -svc "$svc" -auth-token "$token" \
     "$run_id" "$work/local" | grep -q '"code": 0'
+
+# A second service run of the same spec diffs exit-0 against the first:
+# both sides arrive over HTTP.
+run_b=$("$bin/experiments" submit -svc "$svc" -auth-token "$token" \
+    "${spec_args[@]}" -wait)
+"$bin/experiments" diff -svc "$svc" -auth-token "$token" "$run_id" "$run_b"
+echo "expsvc smoke: two service runs of one spec identical"
 
 # Restart the service on the same database: the run database is
 # persistent, so the completed run must still be listed done and diff
