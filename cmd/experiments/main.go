@@ -203,12 +203,8 @@ func runMain() int {
 			Timings:    timings,
 			TotalNanos: int64(total),
 		}
-		if err := report.Save(*out, run, artifacts); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 1
-		}
 		jobs := env.JobResults()
-		if err := report.SaveJobResults(*out, jobs); err != nil {
+		if err := report.Save(*out, run, artifacts, jobs); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return 1
 		}

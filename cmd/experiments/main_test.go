@@ -37,10 +37,7 @@ func TestDiffExitCodes(t *testing.T) {
 			}
 			arts, jobs = []report.Artifact{art}, []report.JobResult{job}
 		}
-		if err := store.Save(report.Run{ID: id, CreatedAt: time.Now().UTC()}, arts); err != nil {
-			t.Fatal(err)
-		}
-		if err := report.SaveJobResults(store.Dir(id), jobs); err != nil {
+		if err := report.Save(store.Dir(id), report.Run{ID: id, CreatedAt: time.Now().UTC()}, arts, jobs); err != nil {
 			t.Fatal(err)
 		}
 		return store.Dir(id)

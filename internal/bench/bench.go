@@ -175,7 +175,7 @@ func CheckInvariants(a Artifact) error {
 	if a.Derived.BatchSpeedup < MinBatchSpeedup {
 		return fmt.Errorf("bench: batch decode speedup %.2fx below the %.1fx floor", a.Derived.BatchSpeedup, MinBatchSpeedup)
 	}
-	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store", "sim_replay/pif", "engine/pif", "engine/tifs"} {
+	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store", "sim_replay/pif", "sim_live/none", "workload/exec", "engine/pif", "engine/tifs"} {
 		m, ok := a.find(name)
 		if !ok {
 			return fmt.Errorf("bench: missing benchmark %q", name)
@@ -370,6 +370,32 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 	replay("sim_replay/store", engine)
 	pifSpec := prefetch.Spec{Name: "pif"}
 	replay("sim_replay/pif", pifSpec)
+
+	// The live path: the executor alone, writing the fixture's stream
+	// (the store's phases) into one reused batch, and a live job over
+	// the same stream with no engine.
+	run("workload/exec", records, 0, 0, 1, func(b *testing.B) {
+		buf := make([]trace.Record, 0, cfg.BatchRecords)
+		drop := func(b []trace.Record) []trace.Record { return b[:0] }
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ex := workload.NewExecutor(prog)
+			buf = ex.RunBatches(cfg.WarmupRecords, buf, drop)
+			buf = ex.RunBatches(cfg.MeasureRecords, buf, drop)[:0]
+		}
+	})
+	run("sim_live/none", records, 0, 1, 1, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.RunJob(context.Background(), sim.Job{
+				Config:   simCfg,
+				Workload: wl,
+				Engine:   prefetch.Spec{Name: "none"},
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 
 	// The isolated engines: each engine's OnAccess/OnRetire calls in a
 	// replay of the store, recorded once untimed, replayed into a fresh

@@ -33,9 +33,9 @@ func TestRunArtifactStructure(t *testing.T) {
 		t.Errorf("schema = %d, want %d", a.Schema, SchemaVersion)
 	}
 	want := []string{
-		"engine/pif", "engine/tifs", "sim_replay/pif", "sim_replay/store",
+		"engine/pif", "engine/tifs", "sim_live/none", "sim_replay/pif", "sim_replay/store",
 		"store_decode/batch", "store_decode/mmap", "store_decode/per_record",
-		"sweep_cell/serial", "sweep_cell/sharded_2", "sweep_expand/cell",
+		"sweep_cell/serial", "sweep_cell/sharded_2", "sweep_expand/cell", "workload/exec",
 	}
 	got := a.Names()
 	if len(got) != len(want) {
@@ -56,9 +56,9 @@ func TestRunArtifactStructure(t *testing.T) {
 			}
 		}
 	}
-	// The isolated engine rows count the fixture's records but read no
-	// trace bytes.
-	for _, name := range []string{"engine/pif", "engine/tifs"} {
+	// The isolated engine rows and the live rows count the fixture's
+	// records but read no trace bytes.
+	for _, name := range []string{"engine/pif", "engine/tifs", "sim_live/none", "workload/exec"} {
 		if m, ok := a.find(name); !ok || m.RecordsPerSec <= 0 || m.MBPerSec != 0 {
 			t.Errorf("%s = %+v, want records/s > 0 and no MB/s", name, m)
 		}
@@ -112,6 +112,8 @@ func TestCheckInvariants(t *testing.T) {
 			{Name: "store_decode/mmap", AllocsPerRecord: 0.001},
 			{Name: "sim_replay/store", AllocsPerRecord: 0.01},
 			{Name: "sim_replay/pif", AllocsPerRecord: 0.01},
+			{Name: "sim_live/none", AllocsPerRecord: 0.01},
+			{Name: "workload/exec", AllocsPerRecord: 0.001},
 			{Name: "engine/pif", AllocsPerRecord: 0.001},
 			{Name: "engine/tifs", AllocsPerRecord: 0.001},
 		},
@@ -126,7 +128,7 @@ func TestCheckInvariants(t *testing.T) {
 		t.Error("sub-2x batch speedup accepted")
 	}
 	// Every row under the allocation ceiling fails when it allocates.
-	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store", "sim_replay/pif", "engine/pif", "engine/tifs"} {
+	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store", "sim_replay/pif", "sim_live/none", "workload/exec", "engine/pif", "engine/tifs"} {
 		leaky := good
 		leaky.Benchmarks = slices.Clone(good.Benchmarks)
 		for i := range leaky.Benchmarks {

@@ -208,7 +208,11 @@ func (c *Cache) Fill(b isa.Block, prefetch bool) (victim isa.Block, evicted bool
 	}
 	nl := line{tag: uint64(b), valid: true, prefetched: prefetch}
 	if len(set) < c.cfg.Assoc {
-		c.sets[si] = append([]line{nl}, set...)
+		// Grow into the ways New preallocated.
+		set = set[:len(set)+1]
+		copy(set[1:], set)
+		set[0] = nl
+		c.sets[si] = set
 		return 0, false
 	}
 	// Evict LRU (last element).

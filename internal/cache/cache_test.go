@@ -277,3 +277,23 @@ func TestStatsConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFillAllocatesNothing asserts Fill grows a warming set into the ways
+// New preallocated: filling every way of every set, from New or after a
+// Flush, makes no allocation.
+func TestFillAllocatesNothing(t *testing.T) {
+	cfg := Config{SizeBytes: 4 * 64 * 8, Assoc: 4, BlockBytes: 64} // 8 sets, 32 lines
+	c := New(cfg)
+	allocs := testing.AllocsPerRun(10, func() {
+		c.Flush()
+		for b := 0; b < 32; b++ {
+			c.Fill(isa.Block(b), b%2 == 0)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("filling every way allocated %.1f times, want 0", allocs)
+	}
+	if got := c.resident(); got != 32 {
+		t.Errorf("resident = %d after filling every way, want 32", got)
+	}
+}

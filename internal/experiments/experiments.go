@@ -262,11 +262,7 @@ func (e *Env) Stream(p workload.Profile) (trace.Stream, error) {
 			m.err = err
 			return
 		}
-		total := e.opts.WarmupInstrs + e.opts.MeasureInstrs
-		s := make(trace.Stream, 0, total+1024)
-		ex := workload.NewExecutor(prog)
-		ex.Run(total, func(r trace.Record) { s = append(s, r) })
-		m.val = s
+		m.val = workload.Collect(prog, e.opts.WarmupInstrs+e.opts.MeasureInstrs)
 	})
 	return m.val, m.err
 }

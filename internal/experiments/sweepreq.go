@@ -86,8 +86,8 @@ func RunSweep(env *Env, spec sweep.Spec) (SweepRun, error) {
 	return SweepRun{Summary: summary, Elapsed: elapsed, Jobs: env.JobResults(), opts: env.Options().RunOptions()}, nil
 }
 
-// Save stores the sweep in dir as run id: the grid-summary artifact and
-// run.json (report.Save), then jobs/<key>.json (report.SaveJobResults).
+// Save stores the sweep in dir as run id: the grid-summary artifact,
+// jobs/<key>.json, then run.json (report.Save).
 func (r SweepRun) Save(dir, id string) error {
 	art, err := report.NewArtifact(r.Summary.Name, "ad-hoc design-space sweep", "", r.Summary)
 	if err != nil {
@@ -99,8 +99,5 @@ func (r SweepRun) Save(dir, id string) error {
 		Options:    r.opts,
 		TotalNanos: int64(r.Elapsed),
 	}
-	if err := report.Save(dir, run, []report.Artifact{art}); err != nil {
-		return err
-	}
-	return report.SaveJobResults(dir, r.Jobs)
+	return report.Save(dir, run, []report.Artifact{art}, r.Jobs)
 }

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/prefetch"
+	"repro/internal/report"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -176,6 +178,41 @@ func TestEnvCollectsJobResults(t *testing.T) {
 	}
 	if again := e.JobResults(); len(again) != want {
 		t.Fatalf("rerun grew job results to %d", len(again))
+	}
+}
+
+// TestSweepRunSaveFailureLeavesNoRun asserts a sweep save that fails
+// while writing its per-job results leaves no directory report.Load
+// accepts, whether the directory was fresh or held a complete earlier
+// run: run.json, the proof of a complete run, is written last.
+func TestSweepRunSaveFailureLeavesNoRun(t *testing.T) {
+	good, err := report.NewJobResult("sweep.cell-a", "cell a", nil, map[string]float64{"uipc": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := SweepRun{Summary: sweep.Summary{Name: "sweep"}, Jobs: []report.JobResult{good}}
+	bad := SweepRun{Summary: sweep.Summary{Name: "sweep"}, Jobs: []report.JobResult{{Key: "not a key"}}}
+
+	fresh := filepath.Join(t.TempDir(), "run")
+	if err := bad.Save(fresh, "run"); err == nil {
+		t.Fatal("Save with an invalid job key succeeded")
+	}
+	if _, _, err := report.Load(fresh); err == nil {
+		t.Error("report.Load accepted a fresh directory whose save failed")
+	}
+
+	over := filepath.Join(t.TempDir(), "run")
+	if err := ok.Save(over, "run"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := report.Load(over); err != nil {
+		t.Fatalf("complete earlier run: %v", err)
+	}
+	if err := bad.Save(over, "run"); err == nil {
+		t.Fatal("Save with an invalid job key over an earlier run succeeded")
+	}
+	if _, _, err := report.Load(over); err == nil {
+		t.Error("report.Load accepted an earlier run's directory whose overwrite failed")
 	}
 }
 

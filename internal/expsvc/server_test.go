@@ -111,6 +111,9 @@ func TestServerEndToEnd(t *testing.T) {
 	if !httpapi.IsStatus(err, http.StatusNotFound) {
 		t.Errorf("Run(absent): err = %v, want 404", err)
 	}
+	if jobs, err := client.Jobs(ctx, "absent"); !httpapi.IsStatus(err, http.StatusNotFound) {
+		t.Errorf("Jobs(absent) = %v, err = %v; want 404", jobs, err)
+	}
 }
 
 // TestServerWireVersion: requests carrying a foreign wire version are

@@ -347,10 +347,12 @@ func (s *Service) Artifacts(id string) (report.Run, []report.Artifact, error) {
 	return s.db.Store.Load(id)
 }
 
-// Jobs loads a run's raw per-job results.
+// Jobs loads a run's raw per-job results. Like Artifacts, it answers
+// only for a loadable run: a directory without run.json names no
+// complete run, and its jobs/ (absent, partial or stale) is not served.
 func (s *Service) Jobs(id string) ([]report.JobResult, error) {
-	if !report.ValidArtifactID(id) {
-		return nil, fmt.Errorf("expsvc: invalid run ID %q", id)
+	if _, _, err := s.db.Store.Load(id); err != nil {
+		return nil, err
 	}
 	return report.LoadJobResults(s.db.Dir(id))
 }

@@ -23,11 +23,12 @@ func crashAfter(t *testing.T, n int) {
 	t.Cleanup(func() { crashBeforeRename = nil })
 }
 
-// tempFiles returns the names of abandoned atomic-write temp files in dir.
+// tempFiles returns the names of abandoned atomic-write temp files in dir
+// (a missing dir has none).
 func tempFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
-	if err != nil {
+	if err != nil && !os.IsNotExist(err) {
 		t.Fatal(err)
 	}
 	var tmps []string
@@ -39,29 +40,40 @@ func tempFiles(t *testing.T, dir string) []string {
 	return tmps
 }
 
-func crashTestRun() (Run, []Artifact, int) {
+// runTempFiles returns the abandoned temps of a run directory and its
+// jobs/ subdirectory.
+func runTempFiles(t *testing.T, dir string) []string {
+	return append(tempFiles(t, dir), tempFiles(t, JobsDir(dir))...)
+}
+
+func crashTestRun(t *testing.T) (Run, []Artifact, []JobResult, int) {
 	run := Run{ID: "crash", CreatedAt: time.Date(2026, 8, 7, 0, 0, 0, 0, time.UTC)}
 	arts := []Artifact{{SchemaVersion: SchemaVersion, ID: "fig2"}, {SchemaVersion: SchemaVersion, ID: "table1"}}
-	return run, arts, len(arts) + 1 // artifacts + run.json
+	job, err := NewJobResult("sweep.cell-a", "cell a", nil, map[string]float64{"uipc": 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := []JobResult{job}
+	return run, arts, jobs, len(arts) + len(jobs) + 1 // artifacts + jobs + run.json
 }
 
 // TestSaveCrashAtEveryWrite kills Save at each of its writes in turn and
 // checks the crash-safety contract: Load never accepts the directory as a
 // complete run, and the abandoned temp file is visible for cleanup tooling
-// but never shadows a real artifact.
+// but never shadows a real artifact or job.
 func TestSaveCrashAtEveryWrite(t *testing.T) {
-	run, arts, writes := crashTestRun()
+	run, arts, jobs, writes := crashTestRun(t)
 	for k := 0; k < writes; k++ {
 		dir := t.TempDir()
 		crashAfter(t, k)
-		err := Save(dir, run, arts)
+		err := Save(dir, run, arts, jobs)
 		if !errors.Is(err, errSimulatedCrash) {
 			t.Fatalf("crash at write %d: Save error = %v", k, err)
 		}
 		if _, _, err := Load(dir); err == nil {
 			t.Errorf("crash at write %d: Load accepted a partial run directory", k)
 		}
-		if tmps := tempFiles(t, dir); len(tmps) != 1 {
+		if tmps := runTempFiles(t, dir); len(tmps) != 1 {
 			t.Errorf("crash at write %d: temp files = %v, want exactly one abandoned temp", k, tmps)
 		}
 		if _, err := os.Stat(filepath.Join(dir, runFile)); !os.IsNotExist(err) {
@@ -76,14 +88,14 @@ func TestSaveCrashAtEveryWrite(t *testing.T) {
 // complete run directory: the stale run.json must already be gone, so Load
 // cannot serve a chimera of old manifest + new artifacts.
 func TestSaveCrashDuringOverwrite(t *testing.T) {
-	run, arts, writes := crashTestRun()
+	run, arts, jobs, writes := crashTestRun(t)
 	for k := 0; k < writes; k++ {
 		dir := t.TempDir()
-		if err := Save(dir, run, arts); err != nil {
+		if err := Save(dir, run, arts, jobs); err != nil {
 			t.Fatal(err)
 		}
 		crashAfter(t, k)
-		if err := Save(dir, run, arts); !errors.Is(err, errSimulatedCrash) {
+		if err := Save(dir, run, arts, jobs); !errors.Is(err, errSimulatedCrash) {
 			t.Fatalf("crash at write %d: Save error = %v", k, err)
 		}
 		if _, _, err := Load(dir); err == nil {
@@ -95,16 +107,19 @@ func TestSaveCrashDuringOverwrite(t *testing.T) {
 // TestSaveLeavesNoTempFiles scans a successfully saved run directory for
 // leftover atomic-write temps.
 func TestSaveLeavesNoTempFiles(t *testing.T) {
-	run, arts, _ := crashTestRun()
+	run, arts, jobs, _ := crashTestRun(t)
 	dir := t.TempDir()
-	if err := Save(dir, run, arts); err != nil {
+	if err := Save(dir, run, arts, jobs); err != nil {
 		t.Fatal(err)
 	}
-	if tmps := tempFiles(t, dir); len(tmps) != 0 {
+	if tmps := runTempFiles(t, dir); len(tmps) != 0 {
 		t.Errorf("temp files left after successful Save: %v", tmps)
 	}
 	if _, _, err := Load(dir); err != nil {
 		t.Fatal(err)
+	}
+	if got, err := LoadJobResults(dir); err != nil || len(got) != len(jobs) {
+		t.Fatalf("LoadJobResults = %d jobs, err = %v; want %d", len(got), err, len(jobs))
 	}
 }
 

@@ -34,7 +34,7 @@ func FuzzArtifactRoundTrip(f *testing.F) {
 			t.Skip()
 		}
 		dir := t.TempDir()
-		if err := Save(dir, Run{ID: "fuzz"}, []Artifact{art}); err != nil {
+		if err := Save(dir, Run{ID: "fuzz"}, []Artifact{art}, nil); err != nil {
 			t.Fatalf("Save(%q): %v", id, err)
 		}
 		run, arts, err := Load(dir)

@@ -99,7 +99,7 @@ func NewJobResult(key, label string, point map[string]string, data any) (JobResu
 // JobsDir returns the per-job results directory inside a run directory.
 func JobsDir(runDir string) string { return filepath.Join(runDir, jobsDir) }
 
-// SaveJobResults writes one <key>.json per job under <runDir>/jobs/,
+// saveJobResults writes one <key>.json per job under <runDir>/jobs/,
 // replacing the directory wholesale: unlike artifacts, per-job results
 // have no manifest in run.json, so LoadJobResults reads whatever files
 // are present — stale jobs from an earlier run stored in the same
@@ -107,7 +107,7 @@ func JobsDir(runDir string) string { return filepath.Join(runDir, jobsDir) }
 // outdated cells as current. Duplicate keys are an error — two jobs
 // colliding on one file would silently drop a grid cell. Saving an empty
 // slice clears any previous jobs directory and writes nothing.
-func SaveJobResults(runDir string, jobs []JobResult) error {
+func saveJobResults(runDir string, jobs []JobResult) error {
 	dir := JobsDir(runDir)
 	if err := os.RemoveAll(dir); err != nil {
 		return err

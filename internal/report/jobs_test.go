@@ -52,7 +52,7 @@ func TestJobResultsRoundTrip(t *testing.T) {
 		mkJob(t, "s.workload-a_engine-pif", 1.25, map[string]string{"workload": "a", "engine": "pif"}),
 		mkJob(t, "s.workload-a_engine-none", 1.0, map[string]string{"workload": "a", "engine": "none"}),
 	}
-	if err := SaveJobResults(dir, jobs); err != nil {
+	if err := saveJobResults(dir, jobs); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadJobResults(dir)
@@ -78,7 +78,7 @@ func TestJobResultsRoundTrip(t *testing.T) {
 func TestSaveJobResultsRejectsDuplicates(t *testing.T) {
 	dir := t.TempDir()
 	jobs := []JobResult{mkJob(t, "dup.key", 1, nil), mkJob(t, "dup.key", 2, nil)}
-	if err := SaveJobResults(dir, jobs); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if err := saveJobResults(dir, jobs); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate keys accepted: %v", err)
 	}
 }
@@ -89,10 +89,10 @@ func TestSaveJobResultsRejectsDuplicates(t *testing.T) {
 // source of truth).
 func TestSaveJobResultsReplacesStale(t *testing.T) {
 	dir := t.TempDir()
-	if err := SaveJobResults(dir, []JobResult{mkJob(t, "old.cell", 1, nil)}); err != nil {
+	if err := saveJobResults(dir, []JobResult{mkJob(t, "old.cell", 1, nil)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveJobResults(dir, []JobResult{mkJob(t, "new.cell", 2, nil)}); err != nil {
+	if err := saveJobResults(dir, []JobResult{mkJob(t, "new.cell", 2, nil)}); err != nil {
 		t.Fatal(err)
 	}
 	jobs, err := LoadJobResults(dir)
@@ -103,7 +103,7 @@ func TestSaveJobResultsReplacesStale(t *testing.T) {
 		t.Fatalf("stale jobs survived overwrite: %+v", jobs)
 	}
 	// An empty save clears the directory entirely.
-	if err := SaveJobResults(dir, nil); err != nil {
+	if err := saveJobResults(dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	if jobs, err := LoadJobResults(dir); err != nil || len(jobs) != 0 {
@@ -113,7 +113,7 @@ func TestSaveJobResultsReplacesStale(t *testing.T) {
 
 func TestSaveJobResultsEmptyIsNoop(t *testing.T) {
 	dir := t.TempDir()
-	if err := SaveJobResults(dir, nil); err != nil {
+	if err := saveJobResults(dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(JobsDir(dir)); !os.IsNotExist(err) {
@@ -127,7 +127,7 @@ func TestSaveJobResultsEmptyIsNoop(t *testing.T) {
 
 func TestLoadJobResultsRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	if err := SaveJobResults(dir, []JobResult{mkJob(t, "ok.key", 1, nil)}); err != nil {
+	if err := saveJobResults(dir, []JobResult{mkJob(t, "ok.key", 1, nil)}); err != nil {
 		t.Fatal(err)
 	}
 	// Key/stem mismatch.

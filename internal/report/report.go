@@ -260,16 +260,18 @@ func ReadArtifact(path string) (Artifact, error) {
 // runFile is the name of the metadata sidecar inside a run directory.
 const runFile = "run.json"
 
-// Save writes a run directory: run.json plus one <artifact-id>.json per
-// artifact. dir is created if needed; existing files are overwritten.
+// Save writes a run directory: one <artifact-id>.json per artifact, the
+// per-job results under jobs/ (replaced wholesale, see saveJobResults),
+// then run.json. dir is created if needed; existing files are
+// overwritten.
 //
 // Crash safety: every file is written atomically (see writeFileAtomic)
 // and run.json — the only file Load treats as proof of a complete run —
-// is written last. A writer killed at any single write therefore leaves
-// either a directory without run.json (which Load rejects outright) or a
-// fully consistent run; a readable-but-partial run directory is never
-// observable.
-func Save(dir string, run Run, artifacts []Artifact) error {
+// is written last. A writer killed, or failing, at any single write
+// therefore leaves either a directory without run.json (which Load
+// rejects outright) or a fully consistent run; a readable-but-partial
+// run directory is never observable.
+func Save(dir string, run Run, artifacts []Artifact, jobs []JobResult) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -290,6 +292,9 @@ func Save(dir string, run Run, artifacts []Artifact) error {
 		if err := WriteArtifact(filepath.Join(dir, a.ID+".json"), a); err != nil {
 			return err
 		}
+	}
+	if err := saveJobResults(dir, jobs); err != nil {
+		return err
 	}
 	b, err := encode(run, true)
 	if err != nil {
@@ -338,12 +343,12 @@ type Store struct {
 // Dir returns the directory of a run.
 func (s Store) Dir(runID string) string { return filepath.Join(s.Root, runID) }
 
-// Save stores a run under its ID.
+// Save stores a run without per-job results under its ID.
 func (s Store) Save(run Run, artifacts []Artifact) error {
 	if !validID(run.ID) {
 		return fmt.Errorf("report: invalid run ID %q", run.ID)
 	}
-	return Save(s.Dir(run.ID), run, artifacts)
+	return Save(s.Dir(run.ID), run, artifacts, nil)
 }
 
 // Load reads a stored run by ID.

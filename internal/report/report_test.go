@@ -74,7 +74,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		Options:   RunOptions{Workloads: []string{"OLTP DB2"}, WarmupInstrs: 100, MeasureInstrs: 50},
 		Timings:   []Timing{{ID: "fig2", Nanos: 12345}},
 	}
-	if err := Save(dir, run, arts); err != nil {
+	if err := Save(dir, run, arts, nil); err != nil {
 		t.Fatal(err)
 	}
 	gotRun, gotArts, err := Load(dir)
@@ -110,7 +110,7 @@ func TestSaveDoesNotMutateCallerRun(t *testing.T) {
 	arts := []Artifact{mustArtifact(t, "fig2", sample()), mustArtifact(t, "table1", nil)}
 	caller := []string{"orig0", "orig1", "orig2"}
 	run := Run{ID: "r", Artifacts: caller}
-	if err := Save(t.TempDir(), run, arts); err != nil {
+	if err := Save(t.TempDir(), run, arts, nil); err != nil {
 		t.Fatal(err)
 	}
 	if caller[0] != "orig0" || caller[1] != "orig1" || caller[2] != "orig2" {
@@ -120,7 +120,7 @@ func TestSaveDoesNotMutateCallerRun(t *testing.T) {
 
 func TestLoadRejectsMislabeledArtifact(t *testing.T) {
 	dir := t.TempDir()
-	if err := Save(dir, Run{ID: "r"}, []Artifact{mustArtifact(t, "fig2", sample())}); err != nil {
+	if err := Save(dir, Run{ID: "r"}, []Artifact{mustArtifact(t, "fig2", sample())}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// A fig3.json whose payload declares a different ID must not load.
@@ -163,7 +163,7 @@ func TestEncodeDeterministic(t *testing.T) {
 func TestLoadRejectsSchemaMismatch(t *testing.T) {
 	dir := t.TempDir()
 	a := mustArtifact(t, "fig2", sample())
-	if err := Save(dir, Run{ID: "r"}, []Artifact{a}); err != nil {
+	if err := Save(dir, Run{ID: "r"}, []Artifact{a}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the artifact's schema version.

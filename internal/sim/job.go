@@ -125,8 +125,9 @@ func runOpened(ctx context.Context, j Job, p prefetch.Prefetcher, it trace.Batch
 }
 
 // liveJob executes the job by running the workload program. The
-// executor pushes its records into one batch buffer, which is stepped
-// (and the context polled) each time it fills and at each phase end.
+// executor writes its records straight into one batch buffer, which is
+// stepped (and the context polled) each time it fills and at each phase
+// end.
 func liveJob(ctx context.Context, j Job, p prefetch.Prefetcher) (Result, error) {
 	prog := j.Program
 	if prog == nil {
@@ -141,26 +142,18 @@ func liveJob(ctx context.Context, j Job, p prefetch.Prefetcher) (Result, error) 
 	s := New(j.Config, p, j.Workload.Seed)
 	buf := make([]trace.Record, 0, stepBatch)
 	var err error
-	emit := func(r trace.Record) {
-		buf = append(buf, r)
-		if len(buf) == stepBatch {
-			s.StepBatch(buf)
-			buf = buf[:0]
-			if err = ctx.Err(); err != nil {
-				ex.Abort()
-			}
+	step := func(b []trace.Record) []trace.Record {
+		s.StepBatch(b)
+		if err = ctx.Err(); err != nil {
+			ex.Abort()
 		}
+		return b[:0]
 	}
-	// Each phase is one executor Run, which starts a fresh transaction:
+	// Each phase is one executor run, which starts a fresh transaction:
 	// the phase boundaries are part of the live stream.
 	return drive(j, s, func(n uint64) error {
-		ex.Run(n, emit)
-		s.StepBatch(buf)
-		buf = buf[:0]
-		if err != nil {
-			return err
-		}
-		return ctx.Err()
+		buf = step(ex.RunBatches(n, buf, step))
+		return err
 	})
 }
 

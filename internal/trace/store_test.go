@@ -349,6 +349,31 @@ func TestStoreWriterStickyError(t *testing.T) {
 	}
 }
 
+// TestStoreWriteAllocatesNothing asserts that writing a record into an
+// open chunk allocates nothing: recording a store allocates per chunk
+// (its file and write buffer), never per record.
+func TestStoreWriteAllocatesNothing(t *testing.T) {
+	s := synthStream(3, 4096)
+	w, err := CreateStore(filepath.Join(t.TempDir(), "store"), "wl", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Write(s[0]); err != nil { // opens the only chunk
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, r := range s {
+			if err := w.Write(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("writing %d records allocates %v times, want 0", len(s), allocs)
+	}
+}
+
 func TestStoreWriteAfterClose(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	w, err := CreateStore(dir, "wl", 4)

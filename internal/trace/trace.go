@@ -110,14 +110,13 @@ type Header struct {
 }
 
 // encodeRecord delta-encodes r against lastPC into bw. The record costs
-// one varint (PC delta) plus a trap-level byte and a flags byte.
+// one varint (PC delta) plus a trap-level byte and a flags byte. It is
+// appended straight into bw's free space, so writing a record allocates
+// nothing; a local array passed to Write would escape to the heap, one
+// allocation per record.
 func encodeRecord(bw *bufio.Writer, lastPC isa.Addr, r Record) error {
-	delta := int64(r.PC) - int64(lastPC)
-	var buf [binary.MaxVarintLen64 + 2]byte
-	n := binary.PutVarint(buf[:], delta)
-	buf[n] = byte(r.TL)
-	buf[n+1] = byte(r.Flags)
-	_, err := bw.Write(buf[:n+2])
+	b := binary.AppendVarint(bw.AvailableBuffer(), int64(r.PC)-int64(lastPC))
+	_, err := bw.Write(append(b, byte(r.TL), byte(r.Flags)))
 	return err
 }
 

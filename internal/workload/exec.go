@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -16,7 +17,10 @@ type Executor struct {
 	prog *Program
 	rng  *rand.Rand
 
-	emit    func(trace.Record)
+	// buf and flush are the consumer's batch and its hand-off, set for
+	// the duration of one RunBatches call.
+	buf     []trace.Record
+	flush   func([]trace.Record) []trace.Record
 	tl      isa.TrapLevel
 	pending trace.Flags
 	variant int // current transaction's path variant
@@ -49,10 +53,20 @@ func (e *Executor) nextInterruptGap() int {
 	return gap
 }
 
-// Run emits at least n instructions (stopping at the first instruction at
-// or past the budget) and returns the exact number emitted.
-func (e *Executor) Run(n uint64, emit func(trace.Record)) uint64 {
-	e.emit = emit
+// RunBatches emits at least n instructions (stopping at the first
+// instruction at or past the budget) by appending their records to buf.
+// Each time buf fills, it calls flush with the full batch; flush consumes
+// it and returns the slice to keep appending to — typically buf[:0], or
+// buf itself with more capacity for a consumer that keeps every record.
+// RunBatches returns the unflushed tail (never full), so a consumer can
+// carry one batch across calls. buf must have spare capacity, and so must
+// every slice flush returns.
+//
+// Straight-line runs are written in one loop: only the instruction that
+// can stop the run or fire an interrupt takes the per-instruction path.
+// The stream is the same whatever the buffer's capacity.
+func (e *Executor) RunBatches(n uint64, buf []trace.Record, flush func([]trace.Record) []trace.Record) []trace.Record {
+	e.buf, e.flush = buf, flush
 	e.budget = e.emitted + n
 	e.stopped = false
 	for !e.stopped {
@@ -61,17 +75,37 @@ func (e *Executor) Run(n uint64, emit func(trace.Record)) uint64 {
 		e.pending |= trace.FlagCallTarget
 		e.execFunc(&e.prog.Funcs[entry], 0)
 	}
+	buf = e.buf
+	e.buf, e.flush = nil, nil
+	return buf
+}
+
+// runBatch is the batch size of Run's adapter.
+const runBatch = 256
+
+// Run emits at least n instructions through emit, one call per record,
+// and returns the total number emitted across calls. It is an adapter
+// over RunBatches.
+func (e *Executor) Run(n uint64, emit func(trace.Record)) uint64 {
+	flush := func(b []trace.Record) []trace.Record {
+		for _, r := range b {
+			emit(r)
+		}
+		return b[:0]
+	}
+	flush(e.RunBatches(n, make([]trace.Record, 0, runBatch), flush))
 	return e.emitted
 }
 
-// Emitted returns the total instructions emitted across Run calls.
+// Emitted returns the total instructions emitted across runs.
 func (e *Executor) Emitted() uint64 { return e.emitted }
 
-// Abort stops the in-progress Run before its budget: no further
-// instructions are emitted and Run returns once the current call stack
-// unwinds. It is intended to be called from within the emit callback
-// (e.g. on context cancellation); the executor's stream state is
-// unspecified afterwards, so an aborted run's output must be discarded.
+// Abort stops the in-progress run before its budget: no further
+// instructions are emitted and RunBatches returns once the current call
+// stack unwinds. It is intended to be called from within the flush callback
+// (e.g. on context cancellation; from Run's emit it takes effect at the
+// end of the current batch); the executor's stream state is unspecified
+// afterwards, so an aborted run's output must be discarded.
 func (e *Executor) Abort() { e.stopped = true }
 
 // pickVariant draws the transaction's path variant: the hottest variant
@@ -108,13 +142,15 @@ func (e *Executor) pickEntry() int {
 // emitInstr emits the instruction at offset cursor within f, consuming any
 // pending entry/return flags, and fires due interrupts.
 func (e *Executor) emitInstr(f *Func, cursor int, extra trace.Flags) {
-	rec := trace.Record{
+	e.buf = append(e.buf, trace.Record{
 		PC:    f.Base.Plus(cursor),
 		TL:    e.tl,
 		Flags: e.pending | extra,
-	}
+	})
 	e.pending = 0
-	e.emit(rec)
+	if len(e.buf) == cap(e.buf) {
+		e.buf = e.flush(e.buf)
+	}
 	e.emitted++
 	if e.emitted >= e.budget {
 		e.stopped = true
@@ -202,10 +238,45 @@ func (e *Executor) execFunc(f *Func, depth int) {
 }
 
 // emitRun emits the n sequential instructions starting at offset cursor
-// within f, stopping early at the budget.
+// within f, stopping early at the budget. It writes the longest prefix
+// that can neither reach the budget nor fire an interrupt, capped by the
+// batch's free space, in one loop, and hands the instruction that can
+// to emitInstr.
 func (e *Executor) emitRun(f *Func, cursor, n int) {
-	for end := cursor + n; cursor < end && !e.stopped; cursor++ {
-		e.emitInstr(f, cursor, 0)
+	for end := cursor + n; cursor < end && !e.stopped; {
+		k := min(end-cursor, cap(e.buf)-len(e.buf))
+		if e.emitted+uint64(k) >= e.budget {
+			k = 0
+			if e.budget > e.emitted {
+				k = int(e.budget - e.emitted - 1)
+			}
+		}
+		ticks := e.intrEnabled && e.tl == isa.TL0
+		if ticks {
+			k = min(k, e.intrIn-1)
+		}
+		if k == 0 {
+			e.emitInstr(f, cursor, 0)
+			cursor++
+			continue
+		}
+		lo := len(e.buf)
+		e.buf = e.buf[:lo+k]
+		run := e.buf[lo:]
+		pc := f.Base.Plus(cursor)
+		run[0] = trace.Record{PC: pc, TL: e.tl, Flags: e.pending}
+		e.pending = 0
+		for i := 1; i < k; i++ {
+			run[i] = trace.Record{PC: pc.Plus(i), TL: e.tl}
+		}
+		cursor += k
+		e.emitted += uint64(k)
+		if ticks {
+			e.intrIn -= k
+		}
+		if len(e.buf) == cap(e.buf) {
+			e.buf = e.flush(e.buf)
+		}
 	}
 }
 
@@ -230,8 +301,13 @@ func GenerateStream(p Profile, n uint64) (trace.Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := make(trace.Stream, 0, n+1024)
-	ex := NewExecutor(prog)
-	ex.Run(n, func(r trace.Record) { s = append(s, r) })
-	return s, nil
+	return Collect(prog, n), nil
+}
+
+// Collect runs a fresh executor over prog for n instructions and returns
+// the stream in memory. The stream itself is the executor's batch, so
+// records are written once, straight into it.
+func Collect(prog *Program, n uint64) trace.Stream {
+	grow := func(b []trace.Record) []trace.Record { return slices.Grow(b, len(b)+1) }
+	return NewExecutor(prog).RunBatches(n, make(trace.Stream, 0, n+1), grow)
 }

@@ -14,7 +14,10 @@ import (
 // (PC as a little-endian uint64, then the TL byte, then the Flags byte)
 // against the stream the image and executor produced when pinned. The
 // goldens catch stream drift only through the whole simulator; this test
-// names the layer that moved.
+// names the layer that moved. Each profile is then driven through
+// RunBatches at several buffer capacities, carrying the unflushed tail
+// across calls, so every boundary of its straight-line fast path meets
+// the same pinned stream.
 func TestExecutorStreamPinned(t *testing.T) {
 	cases := []struct {
 		prof      Profile
@@ -60,6 +63,35 @@ func TestExecutorStreamPinned(t *testing.T) {
 			}
 			if got := h.Sum64(); got != c.digest {
 				t.Errorf("stream digest = %016x, want %016x", got, c.digest)
+			}
+
+			for _, capacity := range []int{1, 7, 4096} {
+				h.Reset()
+				flush := func(b []trace.Record) []trace.Record {
+					if len(b) != capacity {
+						t.Fatalf("capacity %d: flushed %d records", capacity, len(b))
+					}
+					for _, r := range b {
+						emit(r)
+					}
+					return b[:0]
+				}
+				ex := NewExecutor(prog)
+				buf := make([]trace.Record, 0, capacity)
+				var want uint64
+				for _, n := range runs {
+					want += n
+					buf = ex.RunBatches(n, buf, flush)
+					if ex.Emitted() != want {
+						t.Fatalf("capacity %d: RunBatches(%d) left Emitted = %d, want %d", capacity, n, ex.Emitted(), want)
+					}
+				}
+				for _, r := range buf {
+					emit(r)
+				}
+				if got := h.Sum64(); got != c.digest {
+					t.Errorf("capacity %d: stream digest = %016x, want %016x", capacity, got, c.digest)
+				}
 			}
 		})
 	}

@@ -13,15 +13,18 @@ import (
 const iterBatch = 8192
 
 // Iterator adapts the push-model Executor to the pull-model
-// trace.Iterator: the executor runs in its own goroutine, handing record
-// batches across a bounded channel, so consumers pull one record at a
-// time with bounded memory and the emitted stream is byte-identical to
-// the equivalent sequence of Run calls.
+// trace.Iterator: the executor runs in its own goroutine, writing record
+// batches that it hands across a bounded channel, so consumers pull one
+// record at a time with bounded memory and the emitted stream is
+// byte-identical to the equivalent sequence of Run calls. A drained batch
+// goes back to the producer over a free channel, so an iterator allocates
+// at most four batches however long its stream is.
 //
 // Callers that stop early must Close the iterator to release the
 // producer goroutine; Close after exhaustion is a cheap no-op.
 type Iterator struct {
 	batches chan []trace.Record
+	free    chan []trace.Record
 	stop    chan struct{}
 	once    sync.Once
 	cur     []trace.Record
@@ -29,37 +32,43 @@ type Iterator struct {
 }
 
 // Iterator starts the executor producing phases' instruction counts —
-// one Run call per phase, in order — and returns the pull side. Phase
+// one run per phase, in order — and returns the pull side. Phase
 // boundaries matter: the executor begins a fresh transaction at each Run
 // call, so Iterator(a, b) reproduces Run(a)+Run(b) exactly (the pattern
 // the simulator uses for warmup then measurement), which differs near the
 // boundary from a single Run(a+b).
 func (e *Executor) Iterator(phases ...uint64) *Iterator {
+	// At most four batches circulate: the two queued, the consumer's
+	// and the producer's. free holds all of them, so none is dropped.
 	it := &Iterator{
 		batches: make(chan []trace.Record, 2),
+		free:    make(chan []trace.Record, 4),
 		stop:    make(chan struct{}),
 	}
 	go func() {
 		defer close(it.batches)
-		buf := make([]trace.Record, 0, iterBatch)
 		aborted := false
-		emit := func(r trace.Record) {
-			buf = append(buf, r)
-			if len(buf) == iterBatch {
-				select {
-				case it.batches <- buf:
-					buf = make([]trace.Record, 0, iterBatch)
-				case <-it.stop:
-					e.Abort()
-					aborted = true
-				}
+		flush := func(b []trace.Record) []trace.Record {
+			select {
+			case it.batches <- b:
+			case <-it.stop:
+				e.Abort()
+				aborted = true
+				return b[:0]
+			}
+			select {
+			case b = <-it.free:
+				return b[:0]
+			default:
+				return make([]trace.Record, 0, iterBatch)
 			}
 		}
+		buf := make([]trace.Record, 0, iterBatch)
 		for _, n := range phases {
 			if aborted {
 				return
 			}
-			e.Run(n, emit)
+			buf = e.RunBatches(n, buf, flush)
 		}
 		if aborted || len(buf) == 0 {
 			return
@@ -78,15 +87,26 @@ func NewIterator(prog *Program, phases ...uint64) *Iterator {
 	return NewExecutor(prog).Iterator(phases...)
 }
 
+// refill hands the drained current batch back to the producer and
+// receives the next one; it reports false at the end of the final phase.
+func (it *Iterator) refill() bool {
+	if it.cur != nil {
+		select {
+		case it.free <- it.cur:
+		default:
+		}
+		it.cur = nil
+	}
+	b, ok := <-it.batches
+	it.cur, it.pos = b, 0
+	return ok
+}
+
 // Next implements trace.Iterator; io.EOF marks the end of the final
 // phase.
 func (it *Iterator) Next() (trace.Record, error) {
-	if it.pos >= len(it.cur) {
-		b, ok := <-it.batches
-		if !ok {
-			return trace.Record{}, io.EOF
-		}
-		it.cur, it.pos = b, 0
+	if it.pos >= len(it.cur) && !it.refill() {
+		return trace.Record{}, io.EOF
 	}
 	r := it.cur[it.pos]
 	it.pos++
@@ -100,12 +120,8 @@ func (it *Iterator) NextBatch(dst []trace.Record) (int, error) {
 	if len(dst) == 0 {
 		return 0, nil
 	}
-	if it.pos >= len(it.cur) {
-		b, ok := <-it.batches
-		if !ok {
-			return 0, io.EOF
-		}
-		it.cur, it.pos = b, 0
+	if it.pos >= len(it.cur) && !it.refill() {
+		return 0, io.EOF
 	}
 	n := copy(dst, it.cur[it.pos:])
 	it.pos += n

@@ -161,3 +161,35 @@ func TestIteratorEmpty(t *testing.T) {
 	}
 	it.Close()
 }
+
+// TestIteratorRecyclesBatches asserts the iterator's batches are reused:
+// draining a 1.6M-record stream allocates no more than draining a
+// 100K-record one, within a small constant (a longer stream may fill
+// every circulating batch), where a fresh batch per hand-off would cost
+// about 180 more.
+func TestIteratorRecyclesBatches(t *testing.T) {
+	prog, err := BuildProgram(OLTPDB2())
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]trace.Record, 4096)
+	drain := func(n uint64) float64 {
+		return testing.AllocsPerRun(1, func() {
+			it := NewIterator(prog, n)
+			defer it.Close()
+			for {
+				if _, err := it.NextBatch(buf); err != nil {
+					if !errors.Is(err, io.EOF) {
+						t.Fatal(err)
+					}
+					return
+				}
+			}
+		})
+	}
+	short, long := drain(100_000), drain(1_600_000)
+	t.Logf("allocations: %.0f for 100K records, %.0f for 1.6M", short, long)
+	if long > short+8 {
+		t.Errorf("draining 1.6M records made %.0f allocations, 100K made %.0f: batches are not recycled", long, short)
+	}
+}
