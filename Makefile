@@ -29,8 +29,9 @@ bench:
 
 # bench-check is the CI gate: re-measures both suites, verifies the
 # committed artifacts are structurally fresh, and enforces the
-# performance invariants (replay: batch decode >= 2x per-record,
-# ~0 allocs/record; runner: engine-spec resolution a few percent of job
+# performance invariants (replay: batch decode >= 2x per-record, a row
+# of three engines >= 1.1x their separate jobs, ~0 allocs/record;
+# runner: engine-spec resolution a few percent of job
 # runtime at most, and a program build within 128 allocations).
 bench-check:
 	go run ./cmd/benchreplay -check BENCH_replay.json

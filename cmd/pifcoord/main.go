@@ -33,6 +33,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -64,8 +65,14 @@ func main() {
 	}
 	core := remote.NewCore(opts)
 
+	// Listen first, so the printed address is the bound one (-listen :0).
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pifcoord:", err)
+		os.Exit(1)
+	}
 	handler := httpapi.RequireAuth(*authToken, remote.WireVersion, remote.NewServer(core), "/v1/healthz")
-	srv := &http.Server{Addr: *listen, Handler: handler}
+	srv := &http.Server{Handler: handler}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	shutdownDone := make(chan struct{})
@@ -79,10 +86,10 @@ func main() {
 	}()
 
 	fmt.Fprintf(os.Stderr, "pifcoord: listening on %s (lease ttl %s, max attempts %d)\n",
-		*listen, *leaseTTL, *maxAttempts)
-	err := srv.ListenAndServe()
+		ln.Addr(), *leaseTTL, *maxAttempts)
+	err = srv.Serve(ln)
 	if errors.Is(err, http.ErrServerClosed) {
-		// ListenAndServe returns as soon as Shutdown closes the listener;
+		// Serve returns as soon as Shutdown closes the listener;
 		// in-flight handlers (which may still enqueue results) run until
 		// Shutdown returns. Only then is it safe to close the store.
 		<-shutdownDone

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -68,8 +69,14 @@ func main() {
 		os.Exit(1)
 	}
 
+	// Listen first, so the printed address is the bound one (-listen :0).
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pifexpd:", err)
+		os.Exit(1)
+	}
 	handler := httpapi.RequireAuth(*authToken, expsvc.WireVersion, expsvc.NewServer(svc), "/v1/healthz")
-	srv := &http.Server{Addr: *listen, Handler: handler}
+	srv := &http.Server{Handler: handler}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	shutdownDone := make(chan struct{})
@@ -85,8 +92,8 @@ func main() {
 		srv.Shutdown(shutdownCtx)
 	}()
 
-	fmt.Fprintf(os.Stderr, "pifexpd: listening on %s (db %s, backend %s)\n", *listen, *dbDir, *backend)
-	err = srv.ListenAndServe()
+	fmt.Fprintf(os.Stderr, "pifexpd: listening on %s (db %s, backend %s)\n", ln.Addr(), *dbDir, *backend)
+	err = srv.Serve(ln)
 	if errors.Is(err, http.ErrServerClosed) {
 		<-shutdownDone
 		return

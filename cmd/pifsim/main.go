@@ -2,23 +2,22 @@
 // measured coverage, miss ratio, and UIPC — the unit of work every figure
 // of the evaluation is built from.
 //
-// Both -workload and -prefetcher accept comma-separated lists (or "all");
-// the cross product fans out as jobs over a worker pool (-parallel) with
-// per-job wall-clock timing. A single job prints the full result detail.
+// -workload accepts a comma-separated list (or "all"), and -engine
+// repeats; the cross product fans out as jobs over a worker pool
+// (-parallel) with per-job wall-clock timing. A single job prints the
+// full result detail.
 //
 // Engines are declarative specs: the repeatable -engine flag takes
 // "name" or "name:param=value,..." (integer params accept K/M suffixes),
 // validated against each engine's registered schema — run
-// `pifsim -list-engines` to print every schema. The legacy -prefetcher
-// name list plus tuning flags (-history, -sabs, -window, -degree)
-// still works and folds into the same specs.
+// `pifsim -list-engines` to print every schema. With no -engine, pif
+// runs.
 //
 // Usage:
 //
 //	pifsim [-workload "OLTP DB2,Web Apache"|all] [-engine pif:budget_kb=32]
 //	       [-engine tifs] [-parallel N] [-perfect] [-warmup N] [-measure N] [-v]
-//	pifsim [-prefetcher pif,tifs|all] [-history N] [-sabs N] [-window N] [-degree N] ...
-//	pifsim -trace apache.store [-engine pif,...] ...
+//	pifsim -trace apache.store [-engine pif] [-engine tifs] ...
 //	pifsim -trace apache.store -source slice@8M:2M [-engine ...] ...
 //	pifsim -list-engines
 //
@@ -49,7 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/prefetch"
 	"repro/internal/prof"
 	"repro/internal/remote"
@@ -70,17 +68,12 @@ func run() int {
 	sourceSpec := flag.String("source", "", "record source: live, store, or slice@off:len (store and slice replay the -trace store; default live, or store when -trace is set)")
 	list := flag.Bool("list", false, "list workloads and prefetchers and exit")
 	listEngines := flag.Bool("list-engines", false, "print every engine's parameter schema and exit")
-	pfNames := flag.String("prefetcher", "pif", "comma-separated prefetchers (pif, tifs, nextline, none, ...), or \"all\"")
 	var engineSpecs engineFlags
-	flag.Var(&engineSpecs, "engine", "engine spec name[:param=value,...] (repeatable; replaces -prefetcher and the tuning flags)")
+	flag.Var(&engineSpecs, "engine", "engine spec name[:param=value,...] (repeatable; default pif)")
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
 	perfect := flag.Bool("perfect", false, "simulate the perfect-latency L1 bound")
 	warmup := flag.Uint64("warmup", 8_000_000, "warmup instructions")
 	measure := flag.Uint64("measure", 2_000_000, "measured instructions")
-	history := flag.Int("history", 0, "PIF history buffer regions (0 = paper default 32K)")
-	sabs := flag.Int("sabs", 0, "PIF stream address buffers (0 = paper default 4)")
-	window := flag.Int("window", 0, "PIF SAB window regions (0 = paper default 7)")
-	degree := flag.Int("degree", 4, "next-line prefetch degree")
 	backendSpec := flag.String("backend", "local", "execution backend: local, or remote@ADDR (a pifcoord coordinator; jobs run on its worker fleet)")
 	authToken := flag.String("auth-token", "", "bearer token for a token-protected remote coordinator (empty for an open one)")
 	shards := flag.Int("shards", 1, "split a store replay into N parallel windows and stitch the results (needs -trace)")
@@ -117,22 +110,7 @@ func run() int {
 		return 0
 	}
 
-	if len(engineSpecs) > 0 {
-		// -engine carries its own tuning; mixing it with the legacy
-		// name+knob flags would silently ignore one of them.
-		var conflict string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "prefetcher", "history", "sabs", "window", "degree":
-				conflict = f.Name
-			}
-		})
-		if conflict != "" {
-			fmt.Fprintf(os.Stderr, "pifsim: -engine and -%s are mutually exclusive (fold the tuning into the engine spec)\n", conflict)
-			return 1
-		}
-	}
-	engines, err := resolveEngines(engineSpecs, *pfNames, *history, *sabs, *window, *degree)
+	engines, err := resolveEngines(engineSpecs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pifsim:", err)
 		return 1
@@ -207,7 +185,7 @@ func run() int {
 		workloads, err = resolveWorkloads(*wlNames)
 		for _, wl := range workloads {
 			for _, eng := range engines {
-				jobs = append(jobs, eng.job(wl.Name+"/"+eng.name, wl, cfg, nil))
+				jobs = append(jobs, runner.Job{Label: wl.Name + "/" + eng.String(), Workload: wl, Config: cfg, Engine: eng})
 			}
 		}
 	}
@@ -280,30 +258,12 @@ type engineFlags []string
 func (e *engineFlags) String() string     { return strings.Join(*e, ",") }
 func (e *engineFlags) Set(v string) error { *e = append(*e, v); return nil }
 
-// engine pairs a display name with its declarative spec. Every engine —
-// tuned or not — is a validated spec, so every engine ships to every
-// backend (including remote) identically.
-type engine struct {
-	name string
-	spec prefetch.Spec
-}
-
-// job builds the engine's job for one workload/config/source.
-func (e engine) job(label string, wl workload.Profile, cfg sim.Config, src sim.Source) runner.Job {
-	return runner.Job{Label: label, Workload: wl, Config: cfg, Source: src, Engine: e.spec}
-}
-
 // shardedRun replays the store source once per engine, split into the
 // requested number of windows, as a one-cell-per-engine sweep: sweep
 // plans each cell into shard jobs (sim.SplitReplay), runs every shard
 // of every engine in one batch on eng, and folds each cell back into
 // one whole-run result (sim.MergeShardResults).
-func shardedRun(eng sweep.PoolEngine, wl workload.Profile, src sim.Source, cfg sim.Config, engines []engine, shards int, exact, perfect, verbose bool) error {
-	specs := make([]prefetch.Spec, len(engines))
-	names := make([]string, len(engines))
-	for i, e := range engines {
-		specs[i], names[i] = e.spec, e.name
-	}
+func shardedRun(eng sweep.PoolEngine, wl workload.Profile, src sim.Source, cfg sim.Config, engines []prefetch.Spec, shards int, exact, perfect, verbose bool) error {
 	g, err := sweep.Run(eng, sweep.Spec{
 		Name:            "pifsim",
 		Base:            cfg,
@@ -311,7 +271,7 @@ func shardedRun(eng sweep.PoolEngine, wl workload.Profile, src sim.Source, cfg s
 		BaseShardApprox: !exact,
 		Axes: []sweep.Axis{
 			sweep.WorkloadAxis("workload", []workload.Profile{wl}),
-			sweep.EngineSpecAxis("engine", specs, names),
+			sweep.EngineSpecAxis("engine", engines, nil),
 			sweep.SourceAxis("source", []sweep.SourceChoice{{
 				Key: "store",
 				New: func(*sweep.Settings) sim.Source { return src },
@@ -357,7 +317,7 @@ func shardedRun(eng sweep.PoolEngine, wl workload.Profile, src sim.Source, cfg s
 // The store names the workload (its profile supplies the front-end
 // seed); jobs carry a Source factory, so every job opens a private
 // reader and jobs fan out concurrently over the same trace.
-func traceJobs(dir string, window *trace.Window, cfg sim.Config, engines []engine) ([]runner.Job, error) {
+func traceJobs(dir string, window *trace.Window, cfg sim.Config, engines []prefetch.Spec) ([]runner.Job, error) {
 	ix, err := trace.ReadIndex(dir)
 	if err != nil {
 		return nil, err
@@ -396,7 +356,7 @@ func traceJobs(dir string, window *trace.Window, cfg sim.Config, engines []engin
 	}
 	var jobs []runner.Job
 	for _, eng := range engines {
-		jobs = append(jobs, eng.job(wl.Name+label+"/"+eng.name, wl, cfg, source))
+		jobs = append(jobs, runner.Job{Label: wl.Name + label + "/" + eng.String(), Workload: wl, Config: cfg, Source: source, Engine: eng})
 	}
 	return jobs, nil
 }
@@ -417,51 +377,19 @@ func resolveWorkloads(names string) ([]workload.Profile, error) {
 	return out, nil
 }
 
-// resolveEngines builds the engine list: explicit -engine specs when
-// given, otherwise the legacy -prefetcher names with the tuning flags
-// folded into the equivalent specs. Every spec is validated up front so
-// a typo fails before any job runs.
-func resolveEngines(specs []string, names string, history, sabs, window, degree int) ([]engine, error) {
-	if len(specs) > 0 {
-		var out []engine
-		for _, s := range specs {
-			sp, err := prefetch.ParseSpec(s)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, engine{sp.String(), sp})
-		}
-		return out, nil
+// resolveEngines parses the -engine specs (pif when there are none).
+// Every engine, tuned or not, is a validated declarative spec, so a typo
+// fails before any job runs and every engine ships to every backend.
+func resolveEngines(specs []string) ([]prefetch.Spec, error) {
+	if len(specs) == 0 {
+		specs = []string{"pif"}
 	}
-	if names == "all" {
-		names = strings.Join(prefetch.Names(), ",")
-	}
-	var out []engine
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		spec := prefetch.Spec{Name: name}
-		switch name {
-		case "pif":
-			if history > 0 {
-				// -history tunes only the history capacity: pin the index
-				// at its default so the schema's history/4 derivation does
-				// not resize it (matching the historical flag semantics).
-				spec = spec.With("history", float64(history)).
-					With("index", float64(core.DefaultConfig().IndexEntries))
-			}
-			if sabs > 0 {
-				spec = spec.With("sabs", float64(sabs))
-			}
-			if window > 0 {
-				spec = spec.With("window", float64(window))
-			}
-		case "nextline":
-			spec = spec.With("degree", float64(degree))
-		}
-		if err := prefetch.Validate(spec); err != nil {
+	out := make([]prefetch.Spec, len(specs))
+	for i, s := range specs {
+		var err error
+		if out[i], err = prefetch.ParseSpec(s); err != nil {
 			return nil, err
 		}
-		out = append(out, engine{name, spec})
 	}
 	return out, nil
 }

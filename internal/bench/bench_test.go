@@ -33,7 +33,7 @@ func TestRunArtifactStructure(t *testing.T) {
 		t.Errorf("schema = %d, want %d", a.Schema, SchemaVersion)
 	}
 	want := []string{
-		"engine/pif", "engine/tifs", "sim_live/none", "sim_replay/pif", "sim_replay/store",
+		"engine/pif", "engine/tifs", "sim_live/none", "sim_live/row", "sim_live/separate", "sim_replay/pif", "sim_replay/store",
 		"store_decode/batch", "store_decode/mmap", "store_decode/per_record",
 		"sweep_cell/serial", "sweep_cell/sharded_2", "sweep_expand/cell", "workload/exec",
 	}
@@ -58,7 +58,7 @@ func TestRunArtifactStructure(t *testing.T) {
 	}
 	// The isolated engine rows and the live rows count the fixture's
 	// records but read no trace bytes.
-	for _, name := range []string{"engine/pif", "engine/tifs", "sim_live/none", "workload/exec"} {
+	for _, name := range []string{"engine/pif", "engine/tifs", "sim_live/none", "sim_live/row", "sim_live/separate", "workload/exec"} {
 		if m, ok := a.find(name); !ok || m.RecordsPerSec <= 0 || m.MBPerSec != 0 {
 			t.Errorf("%s = %+v, want records/s > 0 and no MB/s", name, m)
 		}
@@ -67,7 +67,7 @@ func TestRunArtifactStructure(t *testing.T) {
 	if m, ok := a.find("sweep_expand/cell"); !ok || m.MBPerSec != 0 {
 		t.Errorf("sweep_expand/cell MB/s = %f, want 0", m.MBPerSec)
 	}
-	if a.Derived.BatchSpeedup <= 0 || a.Derived.MmapSpeedup <= 0 || a.Derived.SweepCellSpeedup <= 0 {
+	if a.Derived.BatchSpeedup <= 0 || a.Derived.MmapSpeedup <= 0 || a.Derived.SweepCellSpeedup <= 0 || a.Derived.RowSpeedup <= 0 {
 		t.Errorf("derived ratios = %+v, want > 0", a.Derived)
 	}
 	if a.Config.ChunkSource != "mmap" && a.Config.ChunkSource != "readfile" {
@@ -113,11 +113,12 @@ func TestCheckInvariants(t *testing.T) {
 			{Name: "sim_replay/store", AllocsPerRecord: 0.01},
 			{Name: "sim_replay/pif", AllocsPerRecord: 0.01},
 			{Name: "sim_live/none", AllocsPerRecord: 0.01},
+			{Name: "sim_live/row", AllocsPerRecord: 0.01},
 			{Name: "workload/exec", AllocsPerRecord: 0.001},
 			{Name: "engine/pif", AllocsPerRecord: 0.001},
 			{Name: "engine/tifs", AllocsPerRecord: 0.001},
 		},
-		Derived: Derived{BatchSpeedup: 2.5, MmapSpeedup: 1.2, SweepCellSpeedup: 2.0},
+		Derived: Derived{BatchSpeedup: 2.5, MmapSpeedup: 1.2, SweepCellSpeedup: 2.0, RowSpeedup: 1.4},
 	}
 	if err := CheckInvariants(good); err != nil {
 		t.Errorf("good artifact rejected: %v", err)
@@ -127,8 +128,13 @@ func TestCheckInvariants(t *testing.T) {
 	if err := CheckInvariants(slow); err == nil {
 		t.Error("sub-2x batch speedup accepted")
 	}
+	slowRow := good
+	slowRow.Derived.RowSpeedup = 1.0
+	if err := CheckInvariants(slowRow); err == nil {
+		t.Error("a row no faster than its separate jobs accepted")
+	}
 	// Every row under the allocation ceiling fails when it allocates.
-	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store", "sim_replay/pif", "sim_live/none", "workload/exec", "engine/pif", "engine/tifs"} {
+	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store", "sim_replay/pif", "sim_live/none", "sim_live/row", "workload/exec", "engine/pif", "engine/tifs"} {
 		leaky := good
 		leaky.Benchmarks = slices.Clone(good.Benchmarks)
 		for i := range leaky.Benchmarks {

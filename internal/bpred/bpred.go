@@ -158,17 +158,19 @@ func (p *Predictor) Stats() Stats { return p.stats }
 // ResetStats zeroes the event counters.
 func (p *Predictor) ResetStats() { p.stats = Stats{} }
 
+// The table indexes mask instead of taking a remainder: Validate
+// requires every table size to be a power of two, so the two agree.
 func (p *Predictor) gshareIndex(pc isa.Addr) int {
 	h := (uint64(pc) >> 2) ^ (p.history & p.histMask)
-	return int(h % uint64(p.cfg.GShareEntries))
+	return int(h & uint64(p.cfg.GShareEntries-1))
 }
 
 func (p *Predictor) bimodalIndex(pc isa.Addr) int {
-	return int((uint64(pc) >> 2) % uint64(p.cfg.BimodalEntries))
+	return int((uint64(pc) >> 2) & uint64(p.cfg.BimodalEntries-1))
 }
 
 func (p *Predictor) chooserIndex(pc isa.Addr) int {
-	return int((uint64(pc) >> 2) % uint64(p.cfg.ChooserEntries))
+	return int((uint64(pc) >> 2) & uint64(p.cfg.ChooserEntries-1))
 }
 
 // predictCond predicts the direction of a conditional branch at pc.
@@ -234,7 +236,7 @@ func (p *Predictor) BTBUpdate(pc, target isa.Addr) {
 }
 
 func (p *Predictor) btbIndex(pc isa.Addr) int {
-	return int((uint64(pc) >> 2) % uint64(p.cfg.BTBEntries))
+	return int((uint64(pc) >> 2) & uint64(p.cfg.BTBEntries-1))
 }
 
 // RASPush records a call's return address.

@@ -238,3 +238,33 @@ func TestResetStats(t *testing.T) {
 		t.Error("ResetStats should zero counters")
 	}
 }
+
+// TestIndexMasksMatchRemainder: the masked table indexes equal the
+// remainder by the table size for seeded random PCs and histories, at
+// the default configuration and at 64-entry tables.
+func TestIndexMasksMatchRemainder(t *testing.T) {
+	small := Config{GShareEntries: 64, BimodalEntries: 64, ChooserEntries: 64, BTBEntries: 64, RASDepth: 4, HistoryBits: 6}
+	rng := rand.New(rand.NewSource(7))
+	for _, cfg := range []Config{DefaultConfig(), small} {
+		p := New(cfg)
+		for i := 0; i < 10_000; i++ {
+			pc := isa.Addr(rng.Uint64())
+			p.history = rng.Uint64()
+			h := (uint64(pc) >> 2) ^ (p.history & p.histMask)
+			for _, c := range []struct {
+				name      string
+				got, want int
+			}{
+				{"gshare", p.gshareIndex(pc), int(h % uint64(cfg.GShareEntries))},
+				{"bimodal", p.bimodalIndex(pc), int((uint64(pc) >> 2) % uint64(cfg.BimodalEntries))},
+				{"chooser", p.chooserIndex(pc), int((uint64(pc) >> 2) % uint64(cfg.ChooserEntries))},
+				{"btb", p.btbIndex(pc), int((uint64(pc) >> 2) % uint64(cfg.BTBEntries))},
+			} {
+				if c.got != c.want {
+					t.Fatalf("%d-entry %s index of pc %#x, history %#x: %d, want %d",
+						cfg.GShareEntries, c.name, uint64(pc), p.history, c.got, c.want)
+				}
+			}
+		}
+	}
+}

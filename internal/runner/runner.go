@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,7 +75,7 @@ type Result struct {
 	Sim sim.Result
 	// Err is the job's failure, if any.
 	Err error
-	// Elapsed is the job's wall-clock duration.
+	// Elapsed is the job's wall-clock duration, or its share of its row's.
 	Elapsed time.Duration
 }
 
@@ -140,11 +141,24 @@ type Backend interface {
 // bare) from Submit after Close.
 var ErrBackendClosed = errors.New("runner: backend closed")
 
-// localJob is one submitted job inside a LocalBackend.
+// simJob is the job as the simulator sees it.
+func (j Job) simJob() sim.Job {
+	return sim.Job{
+		Config:     j.Config,
+		Workload:   j.Workload,
+		Program:    j.Program,
+		From:       j.Source,
+		Engine:     j.Engine,
+		Instrument: j.Instrument,
+	}
+}
+
+// localJob is one submitted unit inside a LocalBackend: a single job,
+// or a row of jobs sharing a front half (idx[k] tags jobs[k]).
 type localJob struct {
-	ctx context.Context
-	idx int
-	job Job
+	ctx  context.Context
+	idx  []int
+	jobs []Job
 }
 
 // LocalBackend is the in-process Backend: a bounded pool of worker
@@ -154,6 +168,7 @@ type localJob struct {
 type LocalBackend struct {
 	jobs    chan localJob
 	results chan Result
+	workers int
 	wg      sync.WaitGroup
 	once    sync.Once
 
@@ -172,23 +187,27 @@ func NewLocalBackend(workers int) *LocalBackend {
 	b := &LocalBackend{
 		jobs:    make(chan localJob),
 		results: make(chan Result),
+		workers: Workers(workers),
 	}
-	n := Workers(workers)
-	b.wg.Add(n)
-	for i := 0; i < n; i++ {
+	b.wg.Add(b.workers)
+	for i := 0; i < b.workers; i++ {
 		go func() {
 			defer b.wg.Done()
 			for lj := range b.jobs {
-				// A job dispatched in the cancellation race window is
+				// A unit dispatched in the cancellation race window is
 				// skipped, never started: a mid-grid cancel stays prompt
-				// and the skipped job reports ctx.Err(), so a caller
+				// and each skipped job reports ctx.Err(), so a caller
 				// salvaging per-job results cannot mistake it for a
 				// completed zero-valued simulation.
 				if err := lj.ctx.Err(); err != nil {
-					b.results <- Result{Index: lj.idx, Label: lj.job.Label, Err: err}
+					for k, j := range lj.jobs {
+						b.results <- Result{Index: lj.idx[k], Label: j.Label, Err: err}
+					}
 					continue
 				}
-				b.results <- runJob(lj.ctx, lj.idx, lj.job)
+				for _, r := range runRow(lj.ctx, lj.idx, lj.jobs) {
+					b.results <- r
+				}
 			}
 		}()
 	}
@@ -198,6 +217,13 @@ func NewLocalBackend(workers int) *LocalBackend {
 // Submit implements Backend. Submitting to a closed backend returns
 // ErrBackendClosed.
 func (b *LocalBackend) Submit(ctx context.Context, idx int, j Job) error {
+	return b.submitRow(ctx, []int{idx}, []Job{j})
+}
+
+// submitRow enqueues a row of jobs sharing a front half as one unit,
+// jobs[k] tagged idx[k]. The Backend interface and the remote wire stay
+// one job per Submit.
+func (b *LocalBackend) submitRow(ctx context.Context, idx []int, jobs []Job) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -207,7 +233,7 @@ func (b *LocalBackend) Submit(ctx context.Context, idx int, j Job) error {
 		return ErrBackendClosed
 	}
 	select {
-	case b.jobs <- localJob{ctx: ctx, idx: idx, job: j}:
+	case b.jobs <- localJob{ctx: ctx, idx: idx, jobs: jobs}:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -233,25 +259,59 @@ func (b *LocalBackend) Close() error {
 	return nil
 }
 
-// runJob executes a single job.
-func runJob(ctx context.Context, idx int, j Job) Result {
-	res := Result{Index: idx, Label: j.Label}
+// runRow executes one unit: a single job, or a row of jobs sharing a
+// front half. Every member's Elapsed is the unit's wall time divided by
+// its size, so a run's Elapsed values still sum to its wall time.
+func runRow(ctx context.Context, idx []int, jobs []Job) []Result {
 	start := time.Now()
-	if j.Engine.Name == "" {
-		res.Err = fmt.Errorf("runner: job %q names no engine", j.Label)
-		res.Elapsed = time.Since(start)
-		return res
+	sj := make([]sim.Job, len(jobs))
+	for k, j := range jobs {
+		sj[k] = j.simJob()
 	}
-	res.Sim, res.Err = sim.RunJob(ctx, sim.Job{
-		Config:     j.Config,
-		Workload:   j.Workload,
-		Program:    j.Program,
-		From:       j.Source,
-		Engine:     j.Engine,
-		Instrument: j.Instrument,
-	})
-	res.Elapsed = time.Since(start)
-	return res
+	sims, errs := sim.RunRow(ctx, sj)
+	each := time.Since(start) / time.Duration(len(jobs))
+	out := make([]Result, len(jobs))
+	for k, j := range jobs {
+		out[k] = Result{Index: idx[k], Label: j.Label, Sim: sims[k], Err: errs[k], Elapsed: each}
+	}
+	return out
+}
+
+// units groups jobs into units of job indices for a LocalBackend of the
+// given width: jobs sharing a front half (sim.SameFront) form one row.
+// Rows must not idle workers, so while units are fewer than workers the
+// largest is split in two. Units are ordered by their first job.
+func units(jobs []Job, workers int) [][]int {
+	var us [][]int
+	for i := range jobs {
+		k := -1
+		if workers < len(jobs) {
+			k = slices.IndexFunc(us, func(u []int) bool {
+				return sim.SameFront(jobs[u[0]].simJob(), jobs[i].simJob())
+			})
+		}
+		if k < 0 {
+			us = append(us, []int{i})
+		} else {
+			us[k] = append(us[k], i)
+		}
+	}
+	for len(us) > 0 && len(us) < workers {
+		k := 0
+		for i, u := range us {
+			if len(u) > len(us[k]) {
+				k = i
+			}
+		}
+		u := us[k]
+		if len(u) < 2 {
+			break
+		}
+		us[k] = u[:len(u)/2]
+		us = append(us, u[len(u)/2:])
+	}
+	slices.SortFunc(us, func(a, b []int) int { return a[0] - b[0] })
+	return us
 }
 
 // RunOn drives one batch of jobs through a backend: jobs are submitted
@@ -280,33 +340,56 @@ func RunOn(ctx context.Context, b Backend, jobs []Job, onProgress func(Progress)
 	// and why submission stopped, so a backend refusing work mid-batch
 	// surfaces as an error instead of unrun jobs posing as completed
 	// zero-valued simulations.
+	//
+	// A LocalBackend receives units: rows of jobs that share a front
+	// half, each run through one executor and front end. Only the
+	// concrete type does: a wrapper embedding it may override Submit,
+	// and must see every job. Rows split only down to the workers that
+	// can run at once: a worker beyond GOMAXPROCS adds no parallelism,
+	// but a split row pays for its front half twice.
 	type submitOutcome struct {
-		n   int
-		err error
+		n       int
+		err     error
+		refused int // the first job of the refused unit
 	}
 	submitted := make(chan submitOutcome, 1)
 	go func() {
 		out := submitOutcome{}
-		for i := range jobs {
+		local, rows := b.(*LocalBackend)
+		workers := len(jobs) // one job per unit
+		if rows {
+			workers = min(local.workers, runtime.GOMAXPROCS(0))
+		}
+		for _, u := range units(jobs, workers) {
 			if ctx.Err() != nil {
 				break
 			}
-			if err := b.Submit(ctx, i, jobs[i]); err != nil {
-				out.err = err
+			var err error
+			if rows {
+				row := make([]Job, len(u))
+				for k, i := range u {
+					row[k] = jobs[i]
+				}
+				err = local.submitRow(ctx, u, row)
+			} else {
+				err = b.Submit(ctx, u[0], jobs[u[0]])
+			}
+			if err != nil {
+				out.err, out.refused = err, u[0]
 				break
 			}
-			out.n++
+			out.n += len(u)
 		}
 		submitted <- out
 	}()
 
-	var done, want int
+	var done, want, refused int
 	var submitErr error
 	want = -1
 	for want < 0 || done < want {
 		select {
 		case out := <-submitted:
-			want, submitErr = out.n, out.err
+			want, submitErr, refused = out.n, out.err, out.refused
 		case r, ok := <-b.Results():
 			if !ok {
 				// The backend closed its stream before every accepted job
@@ -321,7 +404,7 @@ func RunOn(ctx context.Context, b Backend, jobs []Job, onProgress func(Progress)
 				if want < 0 {
 					select {
 					case out := <-submitted:
-						want, submitErr = out.n, out.err
+						want, submitErr, refused = out.n, out.err, out.refused
 					case <-time.After(100 * time.Millisecond):
 					}
 				}
@@ -331,7 +414,7 @@ func RunOn(ctx context.Context, b Backend, jobs []Job, onProgress func(Progress)
 				}
 				err := streamErr
 				if submitErr != nil {
-					err = errors.Join(streamErr, fmt.Errorf("runner: backend refused job %d: %w", want, submitErr))
+					err = errors.Join(streamErr, fmt.Errorf("runner: backend refused job %d: %w", refused, submitErr))
 				}
 				// Jobs without a result carry the failure too: a caller
 				// salvaging per-job results must not mistake a never-run
@@ -379,7 +462,7 @@ func RunOn(ctx context.Context, b Backend, jobs []Job, onProgress func(Progress)
 				results[i].Err = submitErr
 			}
 		}
-		return results, fmt.Errorf("runner: backend refused job %d (%s): %w", want, jobs[want].Label, submitErr)
+		return results, fmt.Errorf("runner: backend refused job %d (%s): %w", refused, jobs[refused].Label, submitErr)
 	}
 	for i := range results {
 		if results[i].Err != nil {

@@ -107,3 +107,36 @@ func TestLiveRunJobAllocsFlat(t *testing.T) {
 		}
 	}
 }
+
+// TestRowAllocsFlat pins a row's allocations the way
+// TestLiveRunJobAllocsFlat pins a job's: a row reuses its front pass's
+// run and access buffers across batches, so a 16x longer measured
+// interval adds at most the few allocations of growing block tables.
+func TestRowAllocsFlat(t *testing.T) {
+	wl := workload.OLTPDB2()
+	prog, err := workload.BuildProgram(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(measure uint64) float64 {
+		cfg := replayConfig()
+		cfg.MeasureInstrs = measure
+		var jobs []Job
+		for _, e := range []string{"none", "nextline", "pif"} {
+			jobs = append(jobs, Job{Config: cfg, Workload: wl, Program: prog, Engine: prefetch.Spec{Name: e}})
+		}
+		return testing.AllocsPerRun(2, func() {
+			_, errs := RunRow(context.Background(), jobs)
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	short, long := allocs(100_000), allocs(1_600_000)
+	if long > short+3*16 {
+		t.Errorf("%.0f allocs measuring 1.6M instructions, %.0f measuring 100K: a row's allocations grow with the interval",
+			long, short)
+	}
+}

@@ -118,7 +118,8 @@ func checkCounterLaws(t *testing.T, cfg Config, engine string, r Result) {
 
 // FuzzSimulatorStep: on arbitrary record streams, RunJob's replay path
 // reports exactly the reference simulator's Result for every engine the
-// oracle covers, and every Result obeys the counter laws. data[0] picks
+// oracle covers, and so does one row of all of them over the shared
+// stream; every Result obeys the counter laws. data[0] picks
 // the configuration (fuzzConfig) and data[1] the stream origin; the rest
 // are stream ops (fuzzStream).
 func FuzzSimulatorStep(f *testing.F) {
@@ -166,23 +167,23 @@ func FuzzSimulatorStep(f *testing.F) {
 		cfg := fuzzConfig(data[0])
 		recs := fuzzStream(fuzzBases[int(data[1])%len(fuzzBases)], ops, fuzzRecords)
 		wl := workload.Profile{Name: "fuzz", Seed: int64(data[0])}
-		for _, e := range referenceEngines {
-			want := refRun(cfg, wl, resolve(t, e), recs)
-			got, err := RunJob(context.Background(), Job{
-				Config:   cfg,
-				Workload: wl,
-				From: openerSource(func() (trace.BatchIterator, error) {
-					return trace.Stream(recs).Iter(), nil
-				}),
-				Engine: prefetch.Spec{Name: e},
-			})
+		src := openerSource(func() (trace.BatchIterator, error) {
+			return trace.Stream(recs).Iter(), nil
+		})
+		jobs := make([]Job, len(referenceEngines))
+		wants := make([]Result, len(referenceEngines))
+		for i, e := range referenceEngines {
+			wants[i] = refRun(cfg, wl, resolve(t, e), recs)
+			jobs[i] = Job{Config: cfg, Workload: wl, From: src, Engine: prefetch.Spec{Name: e}}
+			got, err := RunJob(context.Background(), jobs[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("%s:\n got  %+v\n want %+v", e, got, want)
+			if got != wants[i] {
+				t.Fatalf("%s:\n got  %+v\n want %+v", e, got, wants[i])
 			}
 			checkCounterLaws(t, cfg, e, got)
 		}
+		checkRowAgainst(t, "fuzz", jobs, wants)
 	})
 }

@@ -61,17 +61,27 @@ type Job struct {
 // for concurrent use — it shares no mutable state with other runs beyond
 // the read-only Program.
 func RunJob(ctx context.Context, j Job) (Result, error) {
+	p, err := resolveEngine(j)
+	if err != nil {
+		return Result{}, err
+	}
+	return RunWith(ctx, j, p)
+}
+
+// resolveEngine builds the job's private engine from its spec and hands
+// it to the job's instrument hook.
+func resolveEngine(j Job) (prefetch.Prefetcher, error) {
 	if j.Engine.Name == "" {
-		return Result{}, fmt.Errorf("sim: job for %q names no engine", j.Workload.Name)
+		return nil, fmt.Errorf("sim: job for %q names no engine", j.Workload.Name)
 	}
 	p, err := prefetch.Resolve(j.Engine)
 	if err != nil {
-		return Result{}, fmt.Errorf("sim: job for %q: %w", j.Workload.Name, err)
+		return nil, fmt.Errorf("sim: job for %q: %w", j.Workload.Name, err)
 	}
 	if j.Instrument != nil {
 		j.Instrument(p)
 	}
-	return RunWith(ctx, j, p)
+	return p, nil
 }
 
 // RunWith executes a job with an already-constructed engine instance,
@@ -79,134 +89,54 @@ func RunJob(ctx context.Context, j Job) (Result, error) {
 // points (pif.SimulateSource, parity tests); the instance must be
 // private to this run — engines are stateful.
 func RunWith(ctx context.Context, j Job, p prefetch.Prefetcher) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if j.Config.MeasureInstrs == 0 {
-		return Result{}, fmt.Errorf("sim: zero measurement interval")
-	}
 	if p == nil {
 		return Result{}, fmt.Errorf("sim: job for %q has no prefetch engine", j.Workload.Name)
 	}
-	if j.From != nil {
-		if j.Workload.Name == "" {
-			// Replay sources supply records but not a profile, and the
-			// profile's front-end seed shapes the result: running with
-			// the zero profile would silently diverge from every
-			// workload-named run of the same trace.
-			return Result{}, fmt.Errorf("sim: job with a record source names no workload profile (the profile supplies the front-end seed)")
-		}
-		it, info, err := j.From.Open(ctx)
-		if err != nil {
-			return Result{}, err
-		}
-		res, rerr := runOpened(ctx, j, p, it, info)
-		if c, ok := it.(io.Closer); ok {
-			if cerr := c.Close(); cerr != nil && rerr == nil {
-				rerr = cerr
-			}
-		}
-		return res, rerr
+	rs, err := runRow(ctx, []Job{j}, []prefetch.Prefetcher{p})
+	if err != nil {
+		return Result{}, err
 	}
-	return liveJob(ctx, j, p)
+	return rs[0], nil
 }
 
-// runOpened validates an opened source against the job and replays it.
-func runOpened(ctx context.Context, j Job, p prefetch.Prefetcher, it trace.BatchIterator, info SourceInfo) (Result, error) {
+// replayRow opens the job's source, validates it against the job and
+// replays it through the row: records are decoded in batches into one
+// preallocated buffer, so the replay loop performs no per-record
+// interface calls and no allocation, and peak memory is the source's
+// own buffer (one store chunk, one executor batch), never the trace
+// length.
+func replayRow(ctx context.Context, j Job, r *row) (res []Result, err error) {
+	if j.Workload.Name == "" {
+		// Replay sources supply records but not a profile, and the
+		// profile's front-end seed shapes the result: running with the
+		// zero profile would silently diverge from every workload-named
+		// run of the same trace.
+		return nil, fmt.Errorf("sim: job with a record source names no workload profile (the profile supplies the front-end seed)")
+	}
+	src, info, err := j.From.Open(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if c, ok := src.(io.Closer); ok {
+		defer func() {
+			if cerr := c.Close(); cerr != nil && err == nil {
+				res, err = nil, cerr
+			}
+		}()
+	}
 	if info.Workload != "" && info.Workload != j.Workload.Name {
-		return Result{}, fmt.Errorf("sim: job for %q replays a source recorded from %q (%s)",
+		return nil, fmt.Errorf("sim: job for %q replays a source recorded from %q (%s)",
 			j.Workload.Name, info.Workload, info)
 	}
 	if need := j.Config.WarmupInstrs + j.Config.MeasureOffsetInstrs + j.Config.MeasureInstrs; info.Records > 0 && info.Records < need {
-		return Result{}, fmt.Errorf("sim: %s supplies %d records, need %d (warmup+offset+measure)",
+		return nil, fmt.Errorf("sim: %s supplies %d records, need %d (warmup+offset+measure)",
 			info, info.Records, need)
 	}
-	return replayJob(ctx, j, p, it)
-}
-
-// liveJob executes the job by running the workload program. The
-// executor writes its records straight into one batch buffer, which is
-// stepped (and the context polled) each time it fills and at each phase
-// end.
-func liveJob(ctx context.Context, j Job, p prefetch.Prefetcher) (Result, error) {
-	prog := j.Program
-	if prog == nil {
-		var err error
-		prog, err = workload.ProgramFor(j.Workload)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
-	ex := workload.NewExecutor(prog)
-	s := New(j.Config, p, j.Workload.Seed)
-	buf := make([]trace.Record, 0, stepBatch)
-	var err error
-	step := func(b []trace.Record) []trace.Record {
-		s.StepBatch(b)
-		if err = ctx.Err(); err != nil {
-			ex.Abort()
-		}
-		return b[:0]
-	}
-	// Each phase is one executor run, which starts a fresh transaction:
-	// the phase boundaries are part of the live stream.
-	return drive(j, s, func(n uint64) error {
-		buf = step(ex.RunBatches(n, buf, step))
-		return err
-	})
-}
-
-// stepBatch is the record batch both drive loops step per call: large
-// enough to amortize the batch call and the context poll, small enough
-// that the buffer stays cache-warm across the step loop.
-const stepBatch = 4096
-
-// drive runs a job's warmup → offset → measure sequence on s. feed(n)
-// steps the source's next n records through s in batches, polling the
-// context once per batch; drive resets the statistics at the warmup
-// boundary, snapshots them after the offset and reports the measured
-// interval, so live and replay jobs share every phase rule.
-func drive(j Job, s *Simulator, feed func(n uint64) error) (Result, error) {
-	if j.Config.WarmupInstrs > 0 {
-		if err := feed(j.Config.WarmupInstrs); err != nil {
-			return Result{}, err
-		}
-		s.resetStats()
-	}
-	var snap Result
-	if j.Config.MeasureOffsetInstrs > 0 {
-		// The offset runs with statistics accumulating (no reset): the
-		// measured interval is reported as deltas against this snapshot,
-		// so state and clock evolve exactly as in an offset-free run
-		// (see Config.MeasureOffsetInstrs).
-		if err := feed(j.Config.MeasureOffsetInstrs); err != nil {
-			return Result{}, err
-		}
-		snap = s.result(j.Workload.Name)
-	}
-	if err := feed(j.Config.MeasureInstrs); err != nil {
-		return Result{}, err
-	}
-	res := s.result(j.Workload.Name)
-	if j.Config.MeasureOffsetInstrs > 0 {
-		res = res.deltaFrom(snap)
-	}
-	return res, nil
-}
-
-// replayJob drives a job from a record iterator instead of a live
-// executor: records are decoded in batches into one preallocated buffer,
-// so the replay loop performs no per-record interface calls and no
-// allocation, and peak memory is the source's own buffer (one store
-// chunk, one executor batch), never the trace length.
-func replayJob(ctx context.Context, j Job, p prefetch.Prefetcher, src trace.BatchIterator) (Result, error) {
-	s := New(j.Config, p, j.Workload.Seed)
 	buf := make([]trace.Record, stepBatch)
-	return drive(j, s, func(n uint64) error {
+	return drive(j, r.sims, func(n uint64) error {
 		for done := uint64(0); done < n; {
 			k, err := src.NextBatch(buf[:min(n-done, stepBatch)])
-			s.StepBatch(buf[:k])
+			r.step(buf[:k])
 			done += uint64(k)
 			if err != nil {
 				if errors.Is(err, io.EOF) {
@@ -221,4 +151,82 @@ func replayJob(ctx context.Context, j Job, p prefetch.Prefetcher, src trace.Batc
 		}
 		return nil
 	})
+}
+
+// liveRow executes the job's workload program through the row. The
+// executor writes its records straight into one batch buffer, which is
+// stepped (and the context polled) each time it fills and at each phase
+// end.
+func liveRow(ctx context.Context, j Job, r *row) ([]Result, error) {
+	prog := j.Program
+	if prog == nil {
+		var err error
+		prog, err = workload.ProgramFor(j.Workload)
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	ex := workload.NewExecutor(prog)
+	buf := make([]trace.Record, 0, stepBatch)
+	var err error
+	step := func(b []trace.Record) []trace.Record {
+		r.step(b)
+		if err = ctx.Err(); err != nil {
+			ex.Abort()
+		}
+		return b[:0]
+	}
+	// Each phase is one executor run, which starts a fresh transaction:
+	// the phase boundaries are part of the live stream.
+	return drive(j, r.sims, func(n uint64) error {
+		buf = step(ex.RunBatches(n, buf, step))
+		return err
+	})
+}
+
+// stepBatch is the record batch both feeds step per call: large enough
+// to amortize the batch call and the context poll, small enough that the
+// buffer stays cache-warm across the step loop.
+const stepBatch = 4096
+
+// drive runs a row's warmup → offset → measure sequence on each of its
+// simulators; j supplies the phases and the workload name. feed(n) steps
+// the source's next n records through the row in batches, polling the
+// context once per batch; drive resets the statistics at the warmup
+// boundary, snapshots them after the offset and reports the measured
+// interval, so live and replay rows share every phase rule.
+func drive(j Job, sims []*Simulator, feed func(n uint64) error) ([]Result, error) {
+	if j.Config.WarmupInstrs > 0 {
+		if err := feed(j.Config.WarmupInstrs); err != nil {
+			return nil, err
+		}
+		for _, s := range sims {
+			s.resetStats()
+		}
+	}
+	var snaps []Result
+	if j.Config.MeasureOffsetInstrs > 0 {
+		// The offset runs with statistics accumulating (no reset): the
+		// measured interval is reported as deltas against this snapshot,
+		// so state and clock evolve exactly as in an offset-free run
+		// (see Config.MeasureOffsetInstrs).
+		if err := feed(j.Config.MeasureOffsetInstrs); err != nil {
+			return nil, err
+		}
+		for _, s := range sims {
+			snaps = append(snaps, s.result(j.Workload.Name))
+		}
+	}
+	if err := feed(j.Config.MeasureInstrs); err != nil {
+		return nil, err
+	}
+	res := make([]Result, len(sims))
+	for i, s := range sims {
+		res[i] = s.result(j.Workload.Name)
+		if snaps != nil {
+			res[i] = res[i].deltaFrom(snaps[i])
+		}
+	}
+	return res, nil
 }

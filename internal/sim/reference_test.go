@@ -327,8 +327,8 @@ func TestReferenceRandomStreams(t *testing.T) {
 
 // TestReferenceStandardProfiles: on every standard workload profile,
 // executed live, the optimized Simulator reports exactly the reference
-// simulator's Result for every engine; one profile also runs with a
-// measure offset.
+// simulator's Result for every engine, run alone and as one row of all
+// of them; one profile also runs with a measure offset.
 func TestReferenceStandardProfiles(t *testing.T) {
 	cfg := replayConfig()
 	for i, wl := range workload.StandardSuite() {
@@ -340,7 +340,7 @@ func TestReferenceStandardProfiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The records liveJob's executor emits, phase by phase.
+		// The records liveRow's executor emits, phase by phase.
 		var recs []trace.Record
 		ex := workload.NewExecutor(prog)
 		for _, n := range []uint64{cfg.WarmupInstrs, cfg.MeasureOffsetInstrs, cfg.MeasureInstrs} {
@@ -348,17 +348,34 @@ func TestReferenceStandardProfiles(t *testing.T) {
 				ex.Run(n, func(r trace.Record) { recs = append(recs, r) })
 			}
 		}
-		for _, e := range referenceEngines {
-			want := refRun(cfg, wl, resolve(t, e), recs)
-			got, err := RunJob(context.Background(), Job{
-				Config: cfg, Workload: wl, Program: prog, Engine: prefetch.Spec{Name: e},
-			})
+		jobs := make([]Job, len(referenceEngines))
+		wants := make([]Result, len(referenceEngines))
+		for i, e := range referenceEngines {
+			wants[i] = refRun(cfg, wl, resolve(t, e), recs)
+			jobs[i] = Job{Config: cfg, Workload: wl, Program: prog, Engine: prefetch.Spec{Name: e}}
+			got, err := RunJob(context.Background(), jobs[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Errorf("%s, %s (offset %d):\n got  %+v\n want %+v", wl.Name, e, cfg.MeasureOffsetInstrs, got, want)
+			if got != wants[i] {
+				t.Errorf("%s, %s (offset %d):\n got  %+v\n want %+v", wl.Name, e, cfg.MeasureOffsetInstrs, got, wants[i])
 			}
+		}
+		checkRowAgainst(t, wl.Name, jobs, wants)
+	}
+}
+
+// checkRowAgainst runs jobs as one row and requires the reference
+// simulator's result for each.
+func checkRowAgainst(t *testing.T, name string, jobs []Job, wants []Result) {
+	t.Helper()
+	rows, errs := RunRow(context.Background(), jobs)
+	for i, j := range jobs {
+		if errs[i] != nil {
+			t.Fatalf("%s: row member %s: %v", name, j.Engine.Name, errs[i])
+		}
+		if rows[i] != wants[i] {
+			t.Errorf("%s: row member %s:\n got  %+v\n want %+v", name, j.Engine.Name, rows[i], wants[i])
 		}
 	}
 }

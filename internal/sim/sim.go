@@ -136,13 +136,20 @@ type Simulator struct {
 
 // New builds a simulator; it panics on invalid system configuration.
 func New(cfg Config, pf prefetch.Prefetcher, feSeed int64) *Simulator {
+	return newSimulator(cfg, pf, feSeed, frontend.New(cfg.System.Frontend(feSeed)))
+}
+
+// newSimulator builds a simulator around a front end that a row's
+// simulators share: StepBatch or the row's front pass feeds it, and
+// result reads its stats. It panics on invalid system configuration.
+func newSimulator(cfg Config, pf prefetch.Prefetcher, feSeed int64, fe *frontend.Frontend) *Simulator {
 	if err := cfg.System.Validate(); err != nil {
 		panic(err)
 	}
 	s := &Simulator{
 		cfg:        cfg,
 		l1:         cache.New(cfg.System.L1I()),
-		fe:         frontend.New(cfg.System.Frontend(feSeed)),
+		fe:         fe,
 		pf:         pf,
 		lastTagged: true,
 		polluter: cache.NewPolluter(
@@ -264,6 +271,23 @@ func (s *Simulator) StepBatch(rs []trace.Record) {
 			s.polluter.TickN(s.l1, k)
 		}
 		i++
+	}
+}
+
+// stepRuns is StepBatch's back half: it steps block runs whose front
+// pass a row has made (row.step), in StepBatch's order.
+func (s *Simulator) stepRuns(rs []trace.Record, runs []blockRun, acc []frontend.Access) {
+	for _, run := range runs {
+		for _, a := range acc[run.a0:run.a1] {
+			s.access(a)
+		}
+		s.pf.OnRetire(rs[run.head], s.lastTagged, s.iss)
+		s.instrs++
+		s.polluter.Tick(s.l1)
+		if run.k > 0 {
+			s.instrs += uint64(run.k)
+			s.polluter.TickN(s.l1, int(run.k))
+		}
 	}
 }
 
