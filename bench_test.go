@@ -22,6 +22,16 @@ import (
 
 // benchOptions is a small-but-meaningful scale so each figure bench
 // completes in seconds while exercising the full pipeline.
+// collect runs n instructions of p's shared program image.
+func collect(tb testing.TB, p workload.Profile, n uint64) trace.Stream {
+	tb.Helper()
+	prog, err := workload.ProgramFor(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return workload.Collect(prog, n)
+}
+
 func benchOptions() experiments.Options {
 	opts := experiments.QuickOptions()
 	opts.Workloads = []workload.Profile{workload.OLTPDB2(), workload.WebApache()}
@@ -146,10 +156,7 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 // BenchmarkCompactor measures the recording pipeline in isolation:
 // spatial + temporal compaction of a synthetic retire stream.
 func BenchmarkCompactor(b *testing.B) {
-	stream, err := workload.GenerateStream(workload.DSSQry2(), 200_000)
-	if err != nil {
-		b.Fatal(err)
-	}
+	stream := collect(b, workload.DSSQry2(), 200_000)
 	blocks := stream.Blocks()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -176,10 +183,7 @@ func (nullIssuer) Evictions() uint64  { return 0 }
 
 // BenchmarkPIFOnRetire measures the per-retired-instruction recording cost.
 func BenchmarkPIFOnRetire(b *testing.B) {
-	stream, err := workload.GenerateStream(workload.OLTPDB2(), 200_000)
-	if err != nil {
-		b.Fatal(err)
-	}
+	stream := collect(b, workload.OLTPDB2(), 200_000)
 	p := core.New(core.DefaultConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -190,10 +194,7 @@ func BenchmarkPIFOnRetire(b *testing.B) {
 
 // BenchmarkPIFOnAccess measures the per-fetch replay/trigger cost.
 func BenchmarkPIFOnAccess(b *testing.B) {
-	stream, err := workload.GenerateStream(workload.OLTPDB2(), 200_000)
-	if err != nil {
-		b.Fatal(err)
-	}
+	stream := collect(b, workload.OLTPDB2(), 200_000)
 	p := core.New(core.DefaultConfig())
 	for _, r := range stream {
 		p.OnRetire(r, true, nullIssuer{})
@@ -209,10 +210,7 @@ func BenchmarkPIFOnAccess(b *testing.B) {
 // BenchmarkTraceEncode measures trace store write throughput: one
 // single-chunk store of a recorded stream per iteration.
 func BenchmarkTraceEncode(b *testing.B) {
-	stream, err := workload.GenerateStream(workload.WebZeus(), 100_000)
-	if err != nil {
-		b.Fatal(err)
-	}
+	stream := collect(b, workload.WebZeus(), 100_000)
 	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

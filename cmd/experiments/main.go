@@ -334,7 +334,7 @@ func diffMain(args []string) int {
 		return 2
 	}
 	nameA, nameB := fs.Arg(0), fs.Arg(1)
-	tol := report.Tolerances{Default: report.Tolerance{Abs: *abs, Rel: *rel}}
+	tol := report.Tolerance{Abs: *abs, Rel: *rel}
 
 	var client *expsvc.Client
 	if *svc != "" {

@@ -3,9 +3,10 @@
 // of the evaluation is built from.
 //
 // -workload accepts a comma-separated list (or "all"), and -engine
-// repeats; the cross product fans out as jobs over a worker pool
-// (-parallel) with per-job wall-clock timing. A single job prints the
-// full result detail.
+// repeats; every run is one sweep (internal/sweep) over the cross
+// product, whose jobs fan out over a worker pool (-parallel) or the
+// -backend with per-job wall-clock timing. A single job prints the full
+// result detail.
 //
 // Engines are declarative specs: the repeatable -engine flag takes
 // "name" or "name:param=value,..." (integer params accept K/M suffixes),
@@ -31,9 +32,8 @@
 // length); the replayed range must hold at least warmup+measure records.
 //
 // -shards K splits a full-store replay into K record windows per engine
-// and stitches them back into one result: pifsim runs the store as a
-// sharded sweep with one cell per engine (internal/sweep plans and
-// folds the shard jobs), on the -parallel local pool or the -backend.
+// and stitches them back into one result: each engine's cell of the
+// sweep runs sharded (internal/sweep plans and folds the shard jobs).
 // The default windows warm up on a fixed prefix (approximate results);
 // -exact makes every counter match the unsharded replay bit for bit.
 package main
@@ -177,21 +177,37 @@ func run() int {
 		return 1
 	}
 
-	var jobs []runner.Job
-	if src != "live" {
-		jobs, err = traceJobs(*traceDir, win, cfg, engines)
+	// Every mode is one sweep over workloads × engines; a -trace replay
+	// adds a one-value source axis.
+	var wls []workload.Profile
+	var source sim.Source
+	if src == "live" {
+		wls, err = resolveWorkloads(*wlNames)
 	} else {
-		var workloads []workload.Profile
-		workloads, err = resolveWorkloads(*wlNames)
-		for _, wl := range workloads {
-			for _, eng := range engines {
-				jobs = append(jobs, runner.Job{Label: wl.Name + "/" + eng.String(), Workload: wl, Config: cfg, Engine: eng})
-			}
-		}
+		var wl workload.Profile
+		wl, source, err = traceSource(*traceDir, win, cfg)
+		wls = []workload.Profile{wl}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pifsim:", err)
 		return 1
+	}
+	spec := sweep.Spec{
+		Name:            "pifsim",
+		Base:            cfg,
+		BaseShards:      *shards,
+		BaseShardApprox: !*exact,
+		Axes: []sweep.Axis{
+			sweep.WorkloadAxis("workload", wls),
+			sweep.EngineSpecAxis("engine", engines, nil),
+		},
+	}
+	if source != nil {
+		spec.Axes = append(spec.Axes, sweep.SourceAxis("source", []sweep.SourceChoice{{
+			Key:  sweep.KeyOf(src),
+			Name: src,
+			New:  func(*sweep.Settings) sim.Source { return source },
+		}}))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -205,50 +221,42 @@ func run() int {
 	if backend != nil {
 		defer backend.Close()
 	}
-
-	if *shards > 1 {
-		// Every store job replays the same source under the store's
-		// workload, one job per engine.
-		eng := sweep.PoolEngine{Ctx: ctx, Workers: *parallel, Backend: backend}
-		if err := shardedRun(eng, jobs[0].Workload, jobs[0].Source, cfg, engines, *shards, *exact, *perfect, *verbose); err != nil {
-			fmt.Fprintln(os.Stderr, "pifsim:", err)
-			return 1
-		}
-		return 0
-	}
-
-	if backend == nil {
-		local := runner.NewLocalBackend(*parallel)
-		defer local.Close()
-		backend = local
-	}
-	var onProgress func(runner.Progress)
-	if *verbose && len(jobs) > 1 {
-		onProgress = func(p runner.Progress) {
+	eng := sweep.PoolEngine{Ctx: ctx, Workers: *parallel, Backend: backend}
+	// Progress lines name cells; a sharded run's jobs are shards, and
+	// -v prints their plan instead.
+	if *verbose && len(wls)*len(engines) > 1 && *shards <= 1 {
+		eng.OnProgress = func(p runner.Progress) {
 			fmt.Fprintf(os.Stderr, "  [%3d/%3d] %-32s %8s\n",
 				p.Done, p.Total, p.Label, p.Elapsed.Round(time.Millisecond))
 		}
 	}
 
 	start := time.Now()
-	results, err := runner.RunOn(ctx, backend, jobs, onProgress)
+	g, err := sweep.Run(eng, spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pifsim:", err)
 		return 1
 	}
 
-	if len(results) == 1 {
-		printDetail(results[0], *perfect, *verbose)
+	if *shards > 1 {
+		if err := printSharded(g.Results, cfg, *shards, *exact, *perfect, *verbose); err != nil {
+			fmt.Fprintln(os.Stderr, "pifsim:", err)
+			return 1
+		}
+		return 0
+	}
+	if len(g.Results) == 1 {
+		printDetail(g.Results[0], *perfect, *verbose)
 		return 0
 	}
 	fmt.Printf("%-14s %-14s %8s %8s %8s %10s\n",
 		"workload", "prefetcher", "UIPC", "missrat", "coverage", "time")
-	for _, r := range results {
+	for _, r := range g.Results {
 		fmt.Printf("%-14s %-14s %8.4f %8.4f %7.1f%% %10s\n",
 			r.Sim.Workload, r.Sim.Prefetcher, r.Sim.UIPC, r.Sim.MissRatio(),
 			r.Sim.Coverage()*100, r.Elapsed.Round(time.Millisecond))
 	}
-	fmt.Printf("(%d job(s) in %s wall-clock)\n", len(results), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("(%d job(s) in %s wall-clock)\n", len(g.Results), time.Since(start).Round(time.Millisecond))
 	return 0
 }
 
@@ -258,32 +266,14 @@ type engineFlags []string
 func (e *engineFlags) String() string     { return strings.Join(*e, ",") }
 func (e *engineFlags) Set(v string) error { *e = append(*e, v); return nil }
 
-// shardedRun replays the store source once per engine, split into the
-// requested number of windows, as a one-cell-per-engine sweep: sweep
-// plans each cell into shard jobs (sim.SplitReplay), runs every shard
-// of every engine in one batch on eng, and folds each cell back into
-// one whole-run result (sim.MergeShardResults).
-func shardedRun(eng sweep.PoolEngine, wl workload.Profile, src sim.Source, cfg sim.Config, engines []prefetch.Spec, shards int, exact, perfect, verbose bool) error {
-	g, err := sweep.Run(eng, sweep.Spec{
-		Name:            "pifsim",
-		Base:            cfg,
-		BaseShards:      shards,
-		BaseShardApprox: !exact,
-		Axes: []sweep.Axis{
-			sweep.WorkloadAxis("workload", []workload.Profile{wl}),
-			sweep.EngineSpecAxis("engine", engines, nil),
-			sweep.SourceAxis("source", []sweep.SourceChoice{{
-				Key: "store",
-				New: func(*sweep.Settings) sim.Source { return src },
-			}}),
-		},
-	})
-	if err != nil {
-		return err
-	}
+// printSharded prints one whole-run result per engine of a sharded
+// replay: the sweep planned each cell into shard windows
+// (sim.SplitReplay) and folded them back (sim.MergeShardResults).
+func printSharded(results []runner.Result, cfg sim.Config, shards int, exact, perfect, verbose bool) error {
 	var plans []sim.ShardPlan
 	if verbose {
 		// The windows the sweep planned every cell with.
+		var err error
 		if plans, err = sim.SplitReplay(cfg, shards, exact); err != nil {
 			return err
 		}
@@ -292,7 +282,7 @@ func shardedRun(eng sweep.PoolEngine, wl workload.Profile, src sim.Source, cfg s
 	if exact {
 		mode = "exact"
 	}
-	for i, r := range g.Results {
+	for i, r := range results {
 		if r.Err != nil {
 			return r.Err
 		}
@@ -312,53 +302,44 @@ func shardedRun(eng sweep.PoolEngine, wl workload.Profile, src sim.Source, cfg s
 	return nil
 }
 
-// traceJobs builds one replay job per engine over the sharded store at
-// dir (full-store replay, or one record window when window is non-nil).
-// The store names the workload (its profile supplies the front-end
-// seed); jobs carry a Source factory, so every job opens a private
-// reader and jobs fan out concurrently over the same trace.
-func traceJobs(dir string, window *trace.Window, cfg sim.Config, engines []prefetch.Spec) ([]runner.Job, error) {
+// traceSource checks the sharded store at dir against the run (full-store
+// replay, or one record window when window is non-nil) and returns the
+// workload it names (its profile supplies the front-end seed) and the
+// source replaying it. The source is a factory, so every job opens a
+// private reader and jobs fan out concurrently over the same trace.
+func traceSource(dir string, window *trace.Window, cfg sim.Config) (workload.Profile, sim.Source, error) {
 	ix, err := trace.ReadIndex(dir)
 	if err != nil {
-		return nil, err
+		return workload.Profile{}, nil, err
 	}
 	wl, err := workload.ByName(ix.Workload)
 	if err != nil {
-		return nil, fmt.Errorf("trace store %s: %w", dir, err)
+		return workload.Profile{}, nil, fmt.Errorf("trace store %s: %w", dir, err)
 	}
 	need := cfg.WarmupInstrs + cfg.MeasureInstrs
-	var source sim.Source
-	label := "(trace)"
 	if window != nil {
 		// A slice is its own experiment — the window, not the recorded
 		// phase split, defines what is replayed — so only the window's
 		// record budget is validated here.
 		if err := ix.CheckWindow(*window); err != nil {
-			return nil, err
+			return workload.Profile{}, nil, err
 		}
 		if window.Len < need {
-			return nil, fmt.Errorf("window %s holds %d records, need %d (warmup+measure)",
+			return workload.Profile{}, nil, fmt.Errorf("window %s holds %d records, need %d (warmup+measure)",
 				window, window.Len, need)
 		}
-		source = sim.SliceSource(dir, *window)
-		label = fmt.Sprintf("(slice@%s)", window)
-	} else {
-		if ix.Records() < need {
-			return nil, fmt.Errorf("trace store %s holds %d records, need %d (warmup+measure)",
-				dir, ix.Records(), need)
-		}
-		if !ix.PhaseCompatible(cfg.WarmupInstrs, cfg.MeasureInstrs) {
-			return nil, fmt.Errorf(
-				"trace store %s was recorded with phase split %v; replaying -warmup %d -measure %d would silently diverge from a live run (re-record with tracegen -warmup %d, or match the recorded split)",
-				dir, ix.Phases, cfg.WarmupInstrs, cfg.MeasureInstrs, cfg.WarmupInstrs)
-		}
-		source = sim.StoreSource(dir)
+		return wl, sim.SliceSource(dir, *window), nil
 	}
-	var jobs []runner.Job
-	for _, eng := range engines {
-		jobs = append(jobs, runner.Job{Label: wl.Name + label + "/" + eng.String(), Workload: wl, Config: cfg, Source: source, Engine: eng})
+	if ix.Records() < need {
+		return workload.Profile{}, nil, fmt.Errorf("trace store %s holds %d records, need %d (warmup+measure)",
+			dir, ix.Records(), need)
 	}
-	return jobs, nil
+	if !ix.PhaseCompatible(cfg.WarmupInstrs, cfg.MeasureInstrs) {
+		return workload.Profile{}, nil, fmt.Errorf(
+			"trace store %s was recorded with phase split %v; replaying -warmup %d -measure %d would silently diverge from a live run (re-record with tracegen -warmup %d, or match the recorded split)",
+			dir, ix.Phases, cfg.WarmupInstrs, cfg.MeasureInstrs, cfg.WarmupInstrs)
+	}
+	return wl, sim.StoreSource(dir), nil
 }
 
 // resolveWorkloads expands the -workload flag.

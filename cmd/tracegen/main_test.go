@@ -17,9 +17,9 @@ func readStore(t *testing.T, dir string) trace.Stream {
 		t.Fatalf("OpenStore(%s): %v", dir, err)
 	}
 	defer r.Close()
-	s, err := r.ReadAll()
+	s, err := trace.Collect(r)
 	if err != nil {
-		t.Fatalf("ReadAll(%s): %v", dir, err)
+		t.Fatalf("Collect(%s): %v", dir, err)
 	}
 	return s
 }

@@ -27,32 +27,32 @@ import (
 // RunnerConfig pins the runner-benchmark fixture: the sweep grid whose
 // jobs are timed and the parallel worker count.
 type RunnerConfig struct {
-	// Workload names the profile every grid cell simulates.
-	Workload string `json:"workload"`
-	// WarmupInstrs/MeasureInstrs size each cell's simulation.
+	// Workloads span the grid, one job per workload, and job i runs
+	// Engines[i%len(Engines)]. No two jobs share a front key
+	// (sim.SameFront), so the serial and parallel runs execute the same
+	// single-job units and their ratio measures the pool alone.
+	Workloads []string `json:"workloads"`
+	Engines   []string `json:"engines"`
+	// WarmupInstrs/MeasureInstrs size each job's simulation.
 	WarmupInstrs  uint64 `json:"warmup_instrs"`
 	MeasureInstrs uint64 `json:"measure_instrs"`
-	// Engines and BudgetsKB span the grid: len(Engines)*len(BudgetsKB)
-	// jobs per benchmark operation.
-	Engines   []string `json:"engines"`
-	BudgetsKB []int    `json:"budgets_kb"`
 	// Parallel is the parallel backend's worker count.
 	Parallel int `json:"parallel"`
 }
 
-// jobCount is the grid size.
-func (c RunnerConfig) jobCount() int { return len(c.Engines) * len(c.BudgetsKB) }
-
-// DefaultRunnerConfig is the committed artifact's fixture: an
-// engine × budget grid small enough for a bounded CI step but wide
-// enough that the parallel backend has work to overlap.
+// DefaultRunnerConfig is the committed artifact's fixture: one engine
+// per standard workload, a grid small enough for a bounded CI step but
+// wide enough that the parallel backend has work to overlap.
 func DefaultRunnerConfig() RunnerConfig {
+	var names []string
+	for _, p := range workload.StandardSuite() {
+		names = append(names, p.Name)
+	}
 	return RunnerConfig{
-		Workload:      "OLTP DB2",
+		Workloads:     names,
+		Engines:       []string{"pif", "tifs", "nextline", "none"},
 		WarmupInstrs:  100_000,
 		MeasureInstrs: 50_000,
-		Engines:       []string{"pif", "tifs", "nextline", "none"},
-		BudgetsKB:     []int{8, 128},
 		Parallel:      4,
 	}
 }
@@ -146,26 +146,23 @@ func CheckRunnerFresh(committed, fresh RunnerArtifact) error {
 	return nil
 }
 
-// runnerJobs expands the fixture grid over wl into runner jobs, sharing
-// one pre-built program image so the benchmark times execution, not
-// program construction.
-func runnerJobs(cfg RunnerConfig, wl workload.Profile) ([]runner.Job, error) {
-	prog, err := workload.ProgramFor(wl)
-	if err != nil {
-		return nil, err
+// runnerJobs expands the fixture grid into runner jobs, each holding
+// its workload's pre-built program image so the benchmark times
+// execution, not program construction.
+func runnerJobs(cfg RunnerConfig) ([]runner.Job, error) {
+	wls := make([]workload.Profile, len(cfg.Workloads))
+	for i, name := range cfg.Workloads {
+		var err error
+		if wls[i], err = workload.ByName(name); err != nil {
+			return nil, err
+		}
 	}
-	simCfg := baseSimConfig(cfg)
-	spec := sweep.Spec{
-		Name: "bench-runner",
-		Base: simCfg,
-		Axes: []sweep.Axis{
-			sweep.WorkloadAxis("workload", []workload.Profile{wl}),
-			sweep.EngineAxis("engine", cfg.Engines...),
-			sweep.EngineParamAxis("budget", "budget_kb",
-				func(v int) string { return fmt.Sprintf("%dkb", v) }, nil, cfg.BudgetsKB),
-		},
+	ax := sweep.WorkloadAxis("workload", wls)
+	for i := range ax.Values {
+		apply, engine := ax.Values[i].Apply, cfg.Engines[i%len(cfg.Engines)]
+		ax.Values[i].Apply = func(s *sweep.Settings) { apply(s); s.Engine.Name = engine }
 	}
-	grid, err := spec.Expand()
+	grid, err := sweep.Spec{Name: "bench-runner", Base: baseSimConfig(cfg), Axes: []sweep.Axis{ax}}.Expand()
 	if err != nil {
 		return nil, err
 	}
@@ -174,9 +171,20 @@ func runnerJobs(cfg RunnerConfig, wl workload.Profile) ([]runner.Job, error) {
 		return nil, err
 	}
 	for i := range jobs {
-		jobs[i].Program = prog
+		if jobs[i].Program, err = workload.ProgramFor(jobs[i].Workload); err != nil {
+			return nil, err
+		}
 	}
 	return jobs, nil
+}
+
+// runGrid runs jobs once on a fresh local backend of the given width
+// and closes it, so repeated operations leave no workers behind.
+func runGrid(jobs []runner.Job, workers int) error {
+	b := runner.NewLocalBackend(workers)
+	defer b.Close()
+	_, err := runner.RunOn(context.Background(), b, jobs, nil)
+	return err
 }
 
 func baseSimConfig(cfg RunnerConfig) sim.Config {
@@ -192,11 +200,7 @@ func RunRunner(cfg RunnerConfig, logf func(format string, args ...any)) (RunnerA
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	wl, err := workload.ByName(cfg.Workload)
-	if err != nil {
-		return RunnerArtifact{}, err
-	}
-	jobs, err := runnerJobs(cfg, wl)
+	jobs, err := runnerJobs(cfg)
 	if err != nil {
 		return RunnerArtifact{}, err
 	}
@@ -218,24 +222,18 @@ func RunRunner(cfg RunnerConfig, logf func(format string, args ...any)) (RunnerA
 		return m
 	}
 
-	runGrid := func(workers int) func(b *testing.B) {
+	grid := func(workers int) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				results, err := runner.RunOn(context.Background(), runner.NewLocalBackend(workers), jobs, nil)
-				if err != nil {
+				if err := runGrid(jobs, workers); err != nil {
 					b.Fatal(err)
-				}
-				for _, r := range results {
-					if r.Err != nil {
-						b.Fatalf("job %s: %v", r.Label, r.Err)
-					}
 				}
 			}
 		}
 	}
-	serial := run("runner/jobs_serial", n, runGrid(1))
-	parallel := run(fmt.Sprintf("runner/jobs_parallel_%d", cfg.Parallel), n, runGrid(cfg.Parallel))
+	serial := run("runner/jobs_serial", n, grid(1))
+	parallel := run(fmt.Sprintf("runner/jobs_parallel_%d", cfg.Parallel), n, grid(cfg.Parallel))
 
 	// Spec resolution in isolation: validate + derive + construct one
 	// engine instance per grid job, exactly what each backend pays before
@@ -261,7 +259,7 @@ func RunRunner(cfg RunnerConfig, logf func(format string, args ...any)) (RunnerA
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			seed--
-			p := wl
+			p := jobs[0].Workload
 			p.Seed = seed
 			if _, err := workload.ProgramFor(p); err != nil {
 				b.Fatal(err)

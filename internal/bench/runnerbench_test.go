@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // smallRunnerConfig keeps the suite-under-test fast, mirroring
@@ -11,12 +13,36 @@ import (
 // fixture.
 func smallRunnerConfig() RunnerConfig {
 	return RunnerConfig{
-		Workload:      "DSS Qry2",
+		Workloads:     []string{"DSS Qry2", "Web Zeus"},
+		Engines:       []string{"pif", "none"},
 		WarmupInstrs:  20_000,
 		MeasureInstrs: 10_000,
-		Engines:       []string{"pif", "none"},
-		BudgetsKB:     []int{8},
 		Parallel:      2,
+	}
+}
+
+// TestRunGridReleasesWorkers runs a tiny grid several times on a
+// four-worker backend and requires the goroutine count to return to its
+// starting value: every operation closes its backend.
+func TestRunGridReleasesWorkers(t *testing.T) {
+	cfg := smallRunnerConfig()
+	cfg.WarmupInstrs, cfg.MeasureInstrs = 2_000, 1_000
+	jobs, err := runnerJobs(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		if err := runGrid(jobs, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A closed backend's workers exit asynchronously.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after five grid runs, %d before: the runs leak backend workers", n, before)
 	}
 }
 

@@ -38,11 +38,11 @@ func TestEnvKeysByWholeProfile(t *testing.T) {
 	if pp == qp || qp.Profile != q {
 		t.Fatalf("Program(seed %d) returned the image built for seed %d", q.Seed, qp.Profile.Seed)
 	}
-	ps, err := e.Stream(p)
+	ps, err := e.stream(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := e.Stream(q)
+	qs, err := e.stream(q)
 	if err != nil {
 		t.Fatal(err)
 	}

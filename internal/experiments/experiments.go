@@ -234,21 +234,12 @@ func (e *Env) Program(p workload.Profile) (*workload.Program, error) {
 	return prog, nil
 }
 
-// Stream returns the (cached) retire-order stream covering warmup plus
-// measurement for a workload. Streams are immutable after construction
-// and safe for concurrent readers. When the environment spills traces to
-// disk (Options.StoreDir), every call rereads the store rather than
-// pinning the whole stream in memory — streaming consumers should use
-// EachRecord instead.
-func (e *Env) Stream(p workload.Profile) (trace.Stream, error) {
-	if e.opts.StoreDir != "" {
-		r, err := e.openSpilled(p)
-		if err != nil {
-			return nil, err
-		}
-		defer r.Close()
-		return r.ReadAll()
-	}
+// stream returns the (cached) in-memory retire-order stream covering
+// warmup plus measurement for a workload. Streams are immutable after
+// construction and safe for concurrent readers. An environment that
+// spills traces (Options.StoreDir) replays its stores instead, so it
+// never pins a whole stream in memory.
+func (e *Env) stream(p workload.Profile) (trace.Stream, error) {
 	e.mu.Lock()
 	m, ok := e.streams[p]
 	if !ok {
@@ -374,7 +365,7 @@ func (e *Env) buildSpill(p workload.Profile) (string, error) {
 // uses; results are identical either way.
 func (e *Env) EachRecord(p workload.Profile, fn func(trace.Record)) error {
 	if e.opts.StoreDir == "" {
-		s, err := e.Stream(p)
+		s, err := e.stream(p)
 		if err != nil {
 			return err
 		}
@@ -437,7 +428,7 @@ func (e *Env) RunJobs(jobs []runner.Job) ([]runner.Result, error) {
 	for _, j := range jobs {
 		// Replay jobs never touch the program, and a job carrying its own
 		// image needs no other.
-		if j.Program == nil && j.Source == nil {
+		if j.Program == nil && j.From == nil {
 			if _, err := e.Program(j.Workload); err != nil {
 				return nil, err
 			}
@@ -504,7 +495,7 @@ func (s envSource) Open(ctx context.Context) (trace.BatchIterator, sim.SourceInf
 		}
 		return sim.SliceSource(dir, s.w).Open(ctx)
 	}
-	str, err := s.e.Stream(s.p)
+	str, err := s.e.stream(s.p)
 	if err != nil {
 		return nil, sim.SourceInfo{}, err
 	}

@@ -50,7 +50,7 @@ func Fig10(e *Env) (Fig10Result, error) {
 			Name: name,
 			Apply: func(s *sweep.Settings) {
 				s.Engine = spec
-				s.Sim.PerfectL1 = perfect
+				s.Config.PerfectL1 = perfect
 			},
 		}
 	}

@@ -61,7 +61,7 @@ func TestGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("golden fixture unreadable (regenerate with `go test ./internal/experiments -run TestGolden -update`): %v", err)
 			}
-			d := report.DiffArtifacts([]report.Artifact{golden}, []report.Artifact{art}, report.DefaultTolerances())
+			d := report.DiffArtifacts([]report.Artifact{golden}, []report.Artifact{art}, report.Tolerance{Abs: 1e-12, Rel: 1e-9})
 			if d.OutOfTolerance() {
 				t.Errorf("%s drifted from golden fixture:\n%s", id, d.Render())
 			}

@@ -102,14 +102,14 @@ func TestSpillStoreReuse(t *testing.T) {
 	}
 }
 
-// TestSpillStreamAndEachRecordAgree asserts the two access paths see the
-// same records in the same order when spilling.
+// TestSpillStreamAndEachRecordAgree asserts the spilled store replays
+// the in-memory stream's records in the same order.
 func TestSpillStreamAndEachRecordAgree(t *testing.T) {
 	opts := spillScale(t.TempDir())
 	env := NewEnv(opts)
 	wl := workload.WebApache()
 
-	fromStream, err := env.Stream(wl)
+	fromStream, err := env.stream(wl)
 	if err != nil {
 		t.Fatal(err)
 	}

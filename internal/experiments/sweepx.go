@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -67,7 +66,7 @@ func l1Axis(sizesBytes []int) sweep.Axis {
 			Key:  fmt.Sprintf("%dkb", n>>10),
 			Name: fmt.Sprintf("%dKB", n>>10),
 			Apply: func(s *sweep.Settings) {
-				s.Sim.System.L1ISizeBytes = n
+				s.Config.System.L1ISizeBytes = n
 			},
 		})
 	}
@@ -503,11 +502,11 @@ func engineSpecAxis(vals []string, wrapErr func(error) error) (sweep.Axis, error
 // sourceChoice parses one value of the CLI source axis ("live", "store",
 // "slice@off:len", "store@DIR", "slice@off:len@DIR") into a keyed sweep
 // source. Env-backed sources ("store", "slice@off:len") replay the
-// cell's workload from the environment's spilled store and resolve the
-// workload lazily at open time, so the source axis composes with the
-// workload axis in either flag order; explicit-directory sources replay
-// the given store (its recorded workload must match the cell's — the
-// simulator enforces it).
+// cell's workload from the environment (Env.SourceFor, Env.WindowSource);
+// the sweep binds them once the cell's workload is final, so the source
+// axis composes with the workload axis in either flag order.
+// Explicit-directory sources replay the given store (its recorded
+// workload must match the cell's — the simulator enforces it).
 func (e *Env) sourceChoice(v string) (sweep.SourceChoice, error) {
 	key := sweep.KeyOf(v)
 	parts := strings.Split(v, "@")
@@ -528,7 +527,7 @@ func (e *Env) sourceChoice(v string) (sweep.SourceChoice, error) {
 			}}, nil
 		}
 		return sweep.SourceChoice{Key: key, Name: v, New: func(s *sweep.Settings) sim.Source {
-			return e.lazySource(s, trace.Window{}, false)
+			return e.SourceFor(s.Workload)
 		}}, nil
 	case "slice":
 		if len(parts) < 2 || len(parts) > 3 {
@@ -541,63 +540,17 @@ func (e *Env) sourceChoice(v string) (sweep.SourceChoice, error) {
 		// A slice cell measures its whole window from a cold start: the
 		// window, not the run's warmup/measure split, defines the
 		// interval, so any number of windows of one trace fit one grid.
-		coldWindow := func(s *sweep.Settings) {
-			s.Sim.WarmupInstrs = 0
-			s.Sim.MeasureInstrs = w.Len
-		}
-		if len(parts) == 3 {
-			dir := parts[2]
-			return sweep.SourceChoice{Key: key, Name: v, New: func(s *sweep.Settings) sim.Source {
-				coldWindow(s)
-				return sim.SliceSource(dir, w)
-			}}, nil
-		}
 		return sweep.SourceChoice{Key: key, Name: v, New: func(s *sweep.Settings) sim.Source {
-			coldWindow(s)
-			return e.lazySource(s, w, true)
+			s.Config.WarmupInstrs = 0
+			s.Config.MeasureInstrs = w.Len
+			if len(parts) == 3 {
+				return sim.SliceSource(parts[2], w)
+			}
+			return e.WindowSource(s.Workload, w)
 		}}, nil
 	default:
 		return sweep.SourceChoice{}, fmt.Errorf("unknown source %q (have live, store, slice@off:len, each optionally @DIR)", v)
 	}
-}
-
-// lazySource defers a cell's env-backed source to open time, when the
-// cell's settings (in particular the workload, possibly applied by a
-// later axis) are final.
-func (e *Env) lazySource(s *sweep.Settings, w trace.Window, slice bool) sim.Source {
-	return lazyEnvSource{e: e, set: s, w: w, slice: slice}
-}
-
-// lazyEnvSource is an env-backed cell source that resolves the cell's
-// workload from its settings when needed rather than when the axis value
-// is applied — the workload axis may run after the source axis. It
-// implements sim.Slicer so `-shards` works with the CLI's env-backed
-// "store" and "slice@off:len" source values: sweep planning runs after
-// the grid is fully expanded, when the settings are final, so Slice can
-// resolve eagerly.
-type lazyEnvSource struct {
-	e     *Env
-	set   *sweep.Settings
-	w     trace.Window
-	slice bool
-}
-
-// resolve binds the source to the cell's (now final) workload.
-func (ls lazyEnvSource) resolve() envSource {
-	if ls.slice {
-		return ls.e.WindowSource(ls.set.Workload, ls.w).(envSource)
-	}
-	return ls.e.SourceFor(ls.set.Workload).(envSource)
-}
-
-// Open implements sim.Source.
-func (ls lazyEnvSource) Open(ctx context.Context) (trace.BatchIterator, sim.SourceInfo, error) {
-	return ls.resolve().Open(ctx)
-}
-
-// Slice implements sim.Slicer.
-func (ls lazyEnvSource) Slice(w trace.Window) (sim.Source, error) {
-	return ls.resolve().Slice(w)
 }
 
 // splitAxisSpec parses "name=v1,v2" into its parts.

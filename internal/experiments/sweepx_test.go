@@ -256,7 +256,7 @@ func TestBuildSweep(t *testing.T) {
 	if g.Cells[0].Settings.Engine.Name != "pif" {
 		t.Fatalf("default engine = %q", g.Cells[0].Settings.Engine.Name)
 	}
-	if got := g.Cells[0].Settings.Sim.System.L1ISizeBytes; got != 32<<10 {
+	if got := g.Cells[0].Settings.Config.System.L1ISizeBytes; got != 32<<10 {
 		t.Fatalf("l1 axis not applied: %d", got)
 	}
 
@@ -473,11 +473,11 @@ func TestBuildSweepSourceAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if liveCell.Settings.Source != nil {
+	if liveCell.Settings.From != nil {
 		t.Error("live cell carries a source")
 	}
-	if liveCell.Settings.Sim.WarmupInstrs != opts.WarmupInstrs {
-		t.Errorf("live cell warmup = %d", liveCell.Settings.Sim.WarmupInstrs)
+	if liveCell.Settings.Config.WarmupInstrs != opts.WarmupInstrs {
+		t.Errorf("live cell warmup = %d", liveCell.Settings.Config.WarmupInstrs)
 	}
 	// Slice cells measure their whole window cold: warmup 0, the window
 	// length as the interval, so both windows of the one spilled trace
@@ -486,12 +486,12 @@ func TestBuildSweepSourceAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sliceCell.Settings.Source == nil {
+	if sliceCell.Settings.From == nil {
 		t.Error("slice cell has no source")
 	}
-	if sliceCell.Settings.Sim.WarmupInstrs != 0 || sliceCell.Settings.Sim.MeasureInstrs != 45000 {
+	if sliceCell.Settings.Config.WarmupInstrs != 0 || sliceCell.Settings.Config.MeasureInstrs != 45000 {
 		t.Errorf("slice cell interval = %d/%d, want 0/45000",
-			sliceCell.Settings.Sim.WarmupInstrs, sliceCell.Settings.Sim.MeasureInstrs)
+			sliceCell.Settings.Config.WarmupInstrs, sliceCell.Settings.Config.MeasureInstrs)
 	}
 	for i, r := range g.Results {
 		if r.Err != nil {

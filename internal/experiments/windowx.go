@@ -101,9 +101,9 @@ func SweepWindow(e *Env) (SweepWindowResult, error) {
 		lenAxis.Values[i].Apply = func(s *sweep.Settings) {
 			inner(s)
 			w := windowFor(warmup, measure, int(s.Params["win_off_pct"]), int(s.Params["win_len_pct"]))
-			s.Sim.WarmupInstrs = 0
-			s.Sim.MeasureInstrs = w.Len
-			s.Source = e.WindowSource(s.Workload, w)
+			s.Config.WarmupInstrs = 0
+			s.Config.MeasureInstrs = w.Len
+			s.From = e.WindowSource(s.Workload, w)
 		}
 	}
 

@@ -10,6 +10,16 @@ import (
 )
 
 // feed runs a fresh front end over s and returns its access stream.
+// collect runs n instructions of p's shared program image.
+func collect(tb testing.TB, p workload.Profile, n uint64) trace.Stream {
+	tb.Helper()
+	prog, err := workload.ProgramFor(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return workload.Collect(prog, n)
+}
+
 func feed(t *testing.T, s trace.Stream) []Access {
 	t.Helper()
 	fe := New(DefaultConfig())
@@ -138,10 +148,7 @@ func TestWellPredictedBranchNoNoise(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	s, err := workload.GenerateStream(workload.OLTPOracle(), 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := collect(t, workload.OLTPOracle(), 100000)
 	fe := New(DefaultConfig())
 	var wrong, correct int
 	for _, r := range s {
@@ -192,10 +199,7 @@ func TestTransferMarksGroups(t *testing.T) {
 func TestAccessStreamCoversRetireBlocks(t *testing.T) {
 	// Every retired block must appear in the access stream (fetch precedes
 	// retirement).
-	s, err := workload.GenerateStream(workload.DSSQry2(), 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := collect(t, workload.DSSQry2(), 50000)
 	acc := feed(t, s)
 	seen := map[isa.Block]bool{}
 	for _, a := range acc {
@@ -209,10 +213,7 @@ func TestAccessStreamCoversRetireBlocks(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	s, err := workload.GenerateStream(workload.WebZeus(), 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := collect(t, workload.WebZeus(), 20000)
 	a, b := feed(t, s), feed(t, s)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
@@ -231,10 +232,7 @@ func TestDeterminism(t *testing.T) {
 // simulator's block-grain stepping rests on.
 func TestBlockRunEndpointsFeedIdentically(t *testing.T) {
 	for _, wl := range workload.StandardSuite() {
-		s, err := workload.GenerateStream(wl, 200_000)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := collect(t, wl, 200_000)
 		cfg := DefaultConfig()
 		cfg.Seed = wl.Seed
 		every, ends := New(cfg), New(cfg)

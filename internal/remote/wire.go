@@ -87,10 +87,10 @@ func EncodeJob(j runner.Job) (JobSpec, error) {
 		Config:   j.Config,
 		Engine:   j.Engine,
 	}
-	if j.Source != nil {
-		ss, ok := sim.SpecOf(j.Source)
+	if j.From != nil {
+		ss, ok := sim.SpecOf(j.From)
 		if !ok {
-			return JobSpec{}, fmt.Errorf("remote: job %q carries an opaque source (%T); only live/store/slice sources serialize", j.Label, j.Source)
+			return JobSpec{}, fmt.Errorf("remote: job %q carries an opaque source (%T); only live/store/slice sources serialize", j.Label, j.From)
 		}
 		spec.Source = &ss
 	}
@@ -130,7 +130,7 @@ func (s JobSpec) Job() (runner.Job, error) {
 		if err != nil {
 			return runner.Job{}, fmt.Errorf("remote: job %q: %w", s.Label, err)
 		}
-		j.Source = src
+		j.From = src
 	}
 	return j, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -31,31 +32,58 @@ func serializableJob(t *testing.T) runner.Job {
 	}
 }
 
+// processLocal names the sim.Job fields that do not cross the wire, by
+// design: a worker takes the Program image from its own cache (images
+// are pure functions of the workload), and EncodeJob refuses an
+// Instrument hook.
+var processLocal = map[string]bool{"Program": true, "Instrument": true}
+
+// TestEncodeJobRoundTrip walks every sim.Job field: each must survive
+// EncodeJob → JSON → JobSpec.Job, or be listed in processLocal. The
+// fixture sets every other field, so a new field with no wire decision
+// fails here.
 func TestEncodeJobRoundTrip(t *testing.T) {
-	j := serializableJob(t)
-	j.Source = sim.SliceSource("/tmp/store", trace.Window{Off: 10, Len: 20})
-	spec, err := EncodeJob(j)
+	prog, err := workload.ProgramFor(workload.OLTPDB2())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back JobSpec
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	got, err := back.Job()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Label != j.Label || got.Workload != j.Workload || got.Config != j.Config || got.Engine.Name != j.Engine.Name {
-		t.Errorf("round trip changed job:\n%+v\n%+v", j, got)
-	}
-	ss, ok := sim.SpecOf(got.Source)
-	if !ok || ss.Kind != "slice" || ss.Path != "/tmp/store" || (ss.Window != trace.Window{Off: 10, Len: 20}) {
-		t.Errorf("source not round-tripped: %+v ok=%v", ss, ok)
+	for _, src := range []sim.Source{
+		sim.SliceSource("/tmp/store", trace.Window{Off: 10, Len: 20}),
+		sim.StoreSource("/tmp/store"),
+	} {
+		j := serializableJob(t)
+		j.Program = prog
+		j.From = src
+		spec, err := EncodeJob(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back JobSpec
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatal(err)
+		}
+		got, err := back.Job()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, have := reflect.ValueOf(j), reflect.ValueOf(got)
+		for i := 0; i < want.NumField(); i++ {
+			name := want.Type().Field(i).Name
+			switch {
+			case processLocal[name]:
+				if !have.Field(i).IsZero() {
+					t.Errorf("%s: process-local field crossed the wire", name)
+				}
+			case want.Field(i).IsZero():
+				t.Errorf("%s: the fixture leaves it zero; set it and decide whether it travels", name)
+			case !reflect.DeepEqual(want.Field(i).Interface(), have.Field(i).Interface()):
+				t.Errorf("%s: round trip changed it:\n sent %+v\n got  %+v", name, want.Field(i), have.Field(i))
+			}
+		}
 	}
 }
 
@@ -113,7 +141,7 @@ func TestEncodeJobRejectsProcessLocalState(t *testing.T) {
 		{"unnamed-workload", func(j *runner.Job) { j.Workload = workload.Profile{} }, "unnamed workload"},
 		{"off-registry-workload", func(j *runner.Job) { j.Workload.Seed++ }, "differs from the registry"},
 		{"opaque-source", func(j *runner.Job) {
-			j.Source = opaqueSource{}
+			j.From = opaqueSource{}
 		}, "opaque source"},
 	}
 	for _, tc := range cases {

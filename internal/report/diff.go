@@ -34,35 +34,6 @@ func (t Tolerance) Within(a, b float64) bool {
 	return denom > 0 && abs/denom <= t.Rel
 }
 
-// Tolerances selects a tolerance per metric path. PerMetric keys are path
-// prefixes ("fig10", "fig10.pif_speedup", ...); the longest matching
-// prefix wins, falling back to Default.
-type Tolerances struct {
-	Default   Tolerance
-	PerMetric map[string]Tolerance
-}
-
-// Exact accepts only bit-identical metrics.
-func Exact() Tolerances { return Tolerances{} }
-
-// DefaultTolerances absorbs float formatting/accumulation noise while
-// failing on any behavioral shift: one part in 10^9 relative, 1e-12
-// absolute.
-func DefaultTolerances() Tolerances {
-	return Tolerances{Default: Tolerance{Abs: 1e-12, Rel: 1e-9}}
-}
-
-// For returns the tolerance governing a metric path.
-func (ts Tolerances) For(path string) Tolerance {
-	best, bestLen := ts.Default, -1
-	for prefix, tol := range ts.PerMetric {
-		if len(prefix) > bestLen && strings.HasPrefix(path, prefix) {
-			best, bestLen = tol, len(prefix)
-		}
-	}
-	return best
-}
-
 // MetricDiff is one numeric leaf that differs between two runs. The JSON
 // field names are part of the machine-readable diff contract of
 // `experiments diff -json`.
@@ -76,7 +47,7 @@ type MetricDiff struct {
 	// zero).
 	AbsDelta float64 `json:"abs_delta"`
 	RelDelta float64 `json:"rel_delta"`
-	// Within reports whether the governing tolerance accepts the pair.
+	// Within reports whether the tolerance accepts the pair.
 	Within bool `json:"within"`
 }
 
@@ -197,7 +168,7 @@ func (d Diff) Render() string {
 // DiffArtifacts compares two artifact sets metric by metric. Artifacts are
 // matched by ID; each matched pair's Data is flattened into numeric and
 // non-numeric leaves rooted at the artifact ID.
-func DiffArtifacts(a, b []Artifact, tol Tolerances) Diff {
+func DiffArtifacts(a, b []Artifact, tol Tolerance) Diff {
 	var d Diff
 	byID := func(arts []Artifact) map[string]Artifact {
 		m := make(map[string]Artifact, len(arts))
@@ -237,7 +208,7 @@ func DiffArtifacts(a, b []Artifact, tol Tolerances) Diff {
 }
 
 // diffLeaves merges one artifact's flattened leaves into the diff.
-func diffLeaves(d *Diff, an, bn map[string]float64, ar, br map[string]string, tol Tolerances) {
+func diffLeaves(d *Diff, an, bn map[string]float64, ar, br map[string]string, tol Tolerance) {
 	paths := make(map[string]struct{}, len(an)+len(bn)+len(ar)+len(br))
 	for p := range an {
 		paths[p] = struct{}{}
@@ -275,7 +246,7 @@ func diffLeaves(d *Diff, an, bn map[string]float64, ar, br map[string]string, to
 			d.Metrics = append(d.Metrics, MetricDiff{
 				Path: p, A: av, B: bv,
 				AbsDelta: abs, RelDelta: rel,
-				Within: tol.For(p).Within(av, bv),
+				Within: tol.Within(av, bv),
 			})
 		case aRaw && bRaw:
 			if as != bs {

@@ -55,7 +55,7 @@ func FuzzArtifactRoundTrip(f *testing.F) {
 			t.Fatalf("data not round-tripped:\nsaved:  %s\nloaded: %s", art.Data, got.Data)
 		}
 		// A round-tripped artifact must also be diff-clean against itself.
-		if d := DiffArtifacts([]Artifact{art}, []Artifact{got}, Exact()); !d.Clean() {
+		if d := DiffArtifacts([]Artifact{art}, []Artifact{got}, Tolerance{}); !d.Clean() {
 			t.Fatalf("round-tripped artifact diffs against itself:\n%s", d.Render())
 		}
 		// ReadArtifact on the stored file must agree with Load.

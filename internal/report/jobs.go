@@ -202,11 +202,8 @@ func LoadJobResults(runDir string) ([]JobResult, error) {
 // DiffJobResults compares two per-job result sets at per-job granularity:
 // jobs are matched by key, each matched pair's raw simulation data is
 // flattened into metric paths rooted at "jobs/<key>", and jobs present on
-// one side only are reported like missing artifacts. Tolerance prefixes
-// compose the same way ("jobs/sweep-history" governs a whole sweep,
-// "jobs/sweep-history.workload-oltp-xl_engine-pif_budget-512kb.uipc" one
-// metric of one grid cell).
-func DiffJobResults(a, b []JobResult, tol Tolerances) Diff {
+// one side only are reported like missing artifacts.
+func DiffJobResults(a, b []JobResult, tol Tolerance) Diff {
 	conv := func(jobs []JobResult) []Artifact {
 		arts := make([]Artifact, 0, len(jobs))
 		for _, j := range jobs {

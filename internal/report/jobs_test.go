@@ -1,7 +1,6 @@
 package report
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -168,7 +167,7 @@ func TestDiffJobResultsPerJob(t *testing.T) {
 		mkJob(t, "s.workload-a_engine-pif", 1.30, point), // drifted
 		mkJob(t, "s.workload-b_engine-none", 1.0, nil),   // different cell
 	}
-	d := DiffJobResults(a, b, DefaultTolerances())
+	d := DiffJobResults(a, b, noise)
 	if !d.HasMissing() || !d.HasDrift() {
 		t.Fatalf("HasMissing=%v HasDrift=%v", d.HasMissing(), d.HasDrift())
 	}
@@ -192,7 +191,7 @@ func TestDiffJobResultsPerJob(t *testing.T) {
 	}
 
 	// Identical sets are clean and carry no drift.
-	d = DiffJobResults(a, a, Exact())
+	d = DiffJobResults(a, a, Tolerance{})
 	if !d.Clean() {
 		t.Fatalf("self-diff not clean: %+v", d)
 	}
@@ -220,82 +219,22 @@ func gridArtifact(t *testing.T, id string, bump float64) Artifact {
 	return a
 }
 
-// TestTolerancePrefixOnGridPaths locks the longest-prefix tolerance
-// override semantics on sweep-grid metric paths (nested axis indices):
-// a broad artifact prefix, a metric-family prefix, and a single-cell
-// override compose with the most specific prefix winning.
-func TestTolerancePrefixOnGridPaths(t *testing.T) {
+// TestDiffGridPaths locks diffing on sweep-grid metric paths (nested
+// axis indices): a moved cell is reported at its exact path and fails a
+// tight tolerance, and a looser one absorbs it.
+func TestDiffGridPaths(t *testing.T) {
 	a := []Artifact{gridArtifact(t, "sweep-history", 0)}
 	b := []Artifact{gridArtifact(t, "sweep-history", 0.04)} // one cell moved 4%
 
-	// Default tolerances: the moved cell fails.
-	d := DiffArtifacts(a, b, DefaultTolerances())
+	d := DiffArtifacts(a, b, noise)
 	if !d.HasDrift() {
-		t.Fatal("4% cell drift passed default tolerances")
+		t.Fatal("4% cell drift passed the noise tolerance")
 	}
 	if len(d.Metrics) != 1 || d.Metrics[0].Path != "sweep-history.pif_cov[1][2]" {
 		t.Fatalf("metrics = %+v", d.Metrics)
 	}
-
-	// A family-wide override (metric prefix without indices) absorbs it.
-	tol := DefaultTolerances()
-	tol.PerMetric = map[string]Tolerance{"sweep-history.pif_cov": {Abs: 0.1}}
-	if d := DiffArtifacts(a, b, tol); d.HasDrift() {
-		t.Fatalf("family prefix override not applied: %+v", d.Metrics)
-	}
-
-	// The longest matching prefix wins: a tighter single-cell override
-	// under a loose family prefix re-fails exactly that cell.
-	tol.PerMetric = map[string]Tolerance{
-		"sweep-history.pif_cov":       {Abs: 0.1},
-		"sweep-history.pif_cov[1][2]": {Abs: 1e-6},
-	}
-	d = DiffArtifacts(a, b, tol)
-	if !d.HasDrift() {
-		t.Fatal("single-cell override lost to shorter prefix")
-	}
-
-	// And the converse: relax only one grid cell, leave the family tight.
-	b2 := []Artifact{gridArtifact(t, "sweep-history", 0.04)}
-	tol.PerMetric = map[string]Tolerance{"sweep-history.pif_cov[1][2]": {Abs: 0.1}}
-	if d := DiffArtifacts(a, b2, tol); d.HasDrift() {
-		t.Fatalf("single-cell relaxation not applied: %+v", d.Metrics)
-	}
-	// A different cell moving under the same tolerances still fails.
-	b3 := []Artifact{gridArtifact(t, "sweep-history", 0)}
-	var v any
-	if err := json.Unmarshal(b3[0].Data, &v); err != nil {
-		t.Fatal(err)
-	}
-	v.(map[string]any)["tifs_cov"].([]any)[0].([]any)[1] = 0.70
-	b3[0], _ = NewArtifact("sweep-history", "grid", "", v)
-	if d := DiffArtifacts(a, b3, tol); !d.HasDrift() {
-		t.Fatal("drift outside the relaxed cell passed")
-	}
-
-	// Artifact-level prefix governs every leaf under the artifact.
-	tol.PerMetric = map[string]Tolerance{"sweep-history": {Abs: 1.0}}
-	if d := DiffArtifacts(a, b3, tol); d.HasDrift() {
-		t.Fatalf("artifact-wide prefix not applied: %+v", d.Metrics)
-	}
-
-	// Per-job paths compose with the same machinery: a prefix scoped to
-	// one sweep's jobs relaxes only those jobs.
-	ja := []JobResult{mkJob(t, "sweep-history.workload-a_engine-pif", 1.25, nil), mkJob(t, "other.workload-a", 2.0, nil)}
-	jb := []JobResult{mkJob(t, "sweep-history.workload-a_engine-pif", 1.29, nil), mkJob(t, "other.workload-a", 2.1, nil)}
-	jtol := DefaultTolerances()
-	jtol.PerMetric = map[string]Tolerance{"jobs/sweep-history": {Abs: 0.1}}
-	d = DiffJobResults(ja, jb, jtol)
-	if !d.HasDrift() {
-		t.Fatal("drift in unrelaxed job sweep passed")
-	}
-	for _, m := range d.Metrics {
-		if strings.HasPrefix(m.Path, "jobs/sweep-history") && !m.Within {
-			t.Errorf("relaxed sweep job failed: %+v", m)
-		}
-		if strings.HasPrefix(m.Path, "jobs/other") && m.Path == "jobs/other.workload-a.uipc" && m.Within {
-			t.Errorf("unrelaxed job passed: %+v", m)
-		}
+	if d := DiffArtifacts(a, b, Tolerance{Abs: 0.1}); d.HasDrift() {
+		t.Fatalf("0.1 absolute tolerance not applied: %+v", d.Metrics)
 	}
 }
 

@@ -149,9 +149,9 @@ func TestJobSourceCompat(t *testing.T) {
 	jobs := []Job{
 		{Label: "live", Workload: wl, Config: cfg, Engine: prefetch.Spec{Name: "tifs"}},
 		{Label: "store-source", Workload: wl, Config: cfg, Engine: prefetch.Spec{Name: "tifs"},
-			Source: sim.StoreSource(dir)},
+			From: sim.StoreSource(dir)},
 		{Label: "opener-source", Workload: wl, Config: cfg, Engine: prefetch.Spec{Name: "tifs"},
-			Source: openerSource(func() (trace.BatchIterator, error) { return trace.OpenStore(dir) })},
+			From: openerSource(func() (trace.BatchIterator, error) { return trace.OpenStore(dir) })},
 	}
 	results, err := runLocal(context.Background(), jobs, 3, nil)
 	if err != nil {

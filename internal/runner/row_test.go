@@ -28,7 +28,7 @@ func TestUnits(t *testing.T) {
 	job := func(wl workload.Profile, engine string) Job {
 		return Job{Workload: wl, Config: cfg, Engine: prefetch.Spec{Name: engine}}
 	}
-	src := func(j Job, s sim.Source) Job { j.Source = s; return j }
+	src := func(j Job, s sim.Source) Job { j.From = s; return j }
 	small := job(db2, "pif")
 	small.Config.System.L1ISizeBytes /= 2
 	offset := job(db2, "pif")
@@ -93,7 +93,7 @@ func TestRunOnRows(t *testing.T) {
 			}
 			continue
 		}
-		want, err := sim.RunJob(context.Background(), jobs[i].simJob())
+		want, err := sim.RunJob(context.Background(), jobs[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,9 @@
 // Package runner is the job-execution layer of the evaluation harness.
-// A Job names one simulation (workload profile, sim.Config, prefetcher
-// factory, optional record source); a Backend executes submitted jobs —
-// LocalBackend over an in-process bounded worker pool today, a
-// multi-node service tomorrow — and RunOn drives any backend with the
-// harness's contract: context cancellation, serialized progress
+// A Job (an alias of sim.Job) names one simulation (workload profile,
+// sim.Config, engine spec, optional record source); a Backend executes
+// submitted jobs — LocalBackend over an in-process bounded worker pool,
+// remote.Backend over a worker fleet — and RunOn drives any backend with
+// the harness's contract: context cancellation, serialized progress
 // callbacks, and results in submission order, so tables rendered from a
 // parallel run are byte-identical to a serial run of the same jobs.
 //
@@ -28,41 +28,12 @@ import (
 	// internal/core's init; the execution engine must be able to resolve
 	// every engine name, so it links the registration in.
 	_ "repro/internal/core"
-	"repro/internal/prefetch"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
-// Job names one simulation to execute.
-type Job struct {
-	// Label identifies the job in progress output and result tables
-	// (e.g. "fig10/OLTP DB2/PIF").
-	Label string
-	// Workload is the simulated workload profile.
-	Workload workload.Profile
-	// Config parameterizes the simulation.
-	Config sim.Config
-	// Engine is the declarative spec of the job's prefetch engine: a
-	// registry name plus parameters ("pif" at its defaults, or a tuned
-	// variant). Engines are stateful, so jobs carry specs, never
-	// instances; the spec is resolved on whichever backend runs the job,
-	// which is how tuned engines travel over the remote wire.
-	Engine prefetch.Spec
-	// Instrument, when non-nil, receives the job's freshly constructed
-	// engine before the run (e.g. to attach a stream-end hook). It is
-	// process-local: remote backends refuse jobs carrying it.
-	Instrument func(prefetch.Prefetcher)
-	// Program optionally supplies a pre-built (immutable) program image.
-	// When nil, a live job takes it from workload.ProgramFor, which
-	// already shares one image across jobs of the same workload.
-	Program *workload.Program
-	// Source, when non-nil, supplies the job's record stream (a
-	// sim.StoreSource replaying a sharded store, a sim.SliceSource
-	// replaying one window of it, ...) instead of live execution.
-	// Sources are factories, not open iterators, so every job — and
-	// every retry on another backend node — opens its own.
-	Source sim.Source
-}
+// Job names one simulation to execute. It is sim.Job itself: the
+// backends, the sweep layer and the remote wire all carry the one type.
+type Job = sim.Job
 
 // Result is the outcome of one job.
 type Result struct {
@@ -105,9 +76,9 @@ func Workers(n int) int {
 
 // Backend executes submitted simulation jobs. It is the *where to run*
 // axis of the pipeline API, orthogonal to what is simulated (the job's
-// Source) and with which engine (the job's Engine spec):
+// From source) and with which engine (the job's Engine spec):
 // LocalBackend fans jobs out over an in-process worker pool, and a
-// multi-node backend shipping runner.Job/Result as its wire unit drops
+// multi-node backend shipping Job/Result as its wire unit drops
 // in without touching any driver.
 //
 // The protocol: Submit enqueues jobs tagged with caller-chosen indices,
@@ -141,18 +112,6 @@ type Backend interface {
 // bare) from Submit after Close.
 var ErrBackendClosed = errors.New("runner: backend closed")
 
-// simJob is the job as the simulator sees it.
-func (j Job) simJob() sim.Job {
-	return sim.Job{
-		Config:     j.Config,
-		Workload:   j.Workload,
-		Program:    j.Program,
-		From:       j.Source,
-		Engine:     j.Engine,
-		Instrument: j.Instrument,
-	}
-}
-
 // localJob is one submitted unit inside a LocalBackend: a single job,
 // or a row of jobs sharing a front half (idx[k] tags jobs[k]).
 type localJob struct {
@@ -162,9 +121,8 @@ type localJob struct {
 }
 
 // LocalBackend is the in-process Backend: a bounded pool of worker
-// goroutines executing jobs on the machine's cores. It is the only
-// backend implementation today and the reference for the Backend
-// contract.
+// goroutines executing jobs on the machine's cores. It is the reference
+// for the Backend contract.
 type LocalBackend struct {
 	jobs    chan localJob
 	results chan Result
@@ -264,11 +222,7 @@ func (b *LocalBackend) Close() error {
 // its size, so a run's Elapsed values still sum to its wall time.
 func runRow(ctx context.Context, idx []int, jobs []Job) []Result {
 	start := time.Now()
-	sj := make([]sim.Job, len(jobs))
-	for k, j := range jobs {
-		sj[k] = j.simJob()
-	}
-	sims, errs := sim.RunRow(ctx, sj)
+	sims, errs := sim.RunRow(ctx, jobs)
 	each := time.Since(start) / time.Duration(len(jobs))
 	out := make([]Result, len(jobs))
 	for k, j := range jobs {
@@ -287,7 +241,7 @@ func units(jobs []Job, workers int) [][]int {
 		k := -1
 		if workers < len(jobs) {
 			k = slices.IndexFunc(us, func(u []int) bool {
-				return sim.SameFront(jobs[u[0]].simJob(), jobs[i].simJob())
+				return sim.SameFront(jobs[u[0]], jobs[i])
 			})
 		}
 		if k < 0 {

@@ -48,9 +48,9 @@ func TestPoolReplayFromStore(t *testing.T) {
 	jobs := []Job{
 		{Label: "live", Workload: wl, Config: cfg, Engine: prefetch.Spec{Name: "tifs"}},
 		{Label: "replay", Workload: wl, Config: cfg, Engine: prefetch.Spec{Name: "tifs"},
-			Source: sim.StoreSource(dir)},
+			From: sim.StoreSource(dir)},
 		{Label: "replay2", Workload: wl, Config: cfg, Engine: prefetch.Spec{Name: "tifs"},
-			Source: sim.StoreSource(dir)},
+			From: sim.StoreSource(dir)},
 	}
 	results, err := runLocal(context.Background(), jobs, 3, nil)
 	if err != nil {
@@ -78,7 +78,7 @@ func TestPoolSourceOpenFailure(t *testing.T) {
 	cfg := sim.Config{System: config.Default(), MeasureInstrs: 1000}
 	jobs := []Job{{
 		Label: "bad-source", Workload: wl, Config: cfg, Engine: prefetch.Spec{Name: "none"},
-		Source: openerSource(func() (trace.BatchIterator, error) { return trace.OpenStore("/nonexistent/store") }),
+		From: openerSource(func() (trace.BatchIterator, error) { return trace.OpenStore("/nonexistent/store") }),
 	}}
 	results, err := runLocal(context.Background(), jobs, 0, nil)
 	if err == nil {

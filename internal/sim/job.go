@@ -13,16 +13,21 @@ import (
 
 // Job names one simulation: a record source (live workload execution by
 // default), a configuration, and a declarative spec for the prefetch
-// engine. Jobs are the unit of work of the execution backends
-// (internal/runner): because every engine is stateful, a job carries a
-// spec rather than an instance, and RunJob constructs every piece of
-// mutable state it touches, so any number of jobs can run concurrently —
-// goroutine safety by construction. The one package-level state on the
-// simulation path is workload.ProgramFor's cache, which holds only
-// immutable program images, each a pure function of its profile, so no
-// result can depend on it. The spec is plain data, so the same job runs
-// identically on a local worker or across the remote wire.
+// engine. It is the one description of a simulation from a sweep cell
+// (sweep.Settings embeds it) through the execution backends (runner.Job
+// is an alias) to a remote worker (remote.EncodeJob). Because every
+// engine is stateful, a job carries a spec rather than an instance, and
+// RunJob constructs every piece of mutable state it touches, so any
+// number of jobs can run concurrently — goroutine safety by
+// construction. The one package-level state on the simulation path is
+// workload.ProgramFor's cache, which holds only immutable program
+// images, each a pure function of its profile, so no result can depend
+// on it. The spec is plain data, so the same job runs identically on a
+// local worker or across the remote wire.
 type Job struct {
+	// Label identifies the job in progress output and result tables
+	// (e.g. "fig10/OLTP DB2/PIF"). The simulation never reads it.
+	Label string
 	// Config parameterizes the run (system, warmup, measured interval).
 	Config Config
 	// Workload is the simulated workload profile. It supplies the
@@ -40,11 +45,14 @@ type Job struct {
 	// run. Store and slice sources replay recorded traces instead of
 	// executing the workload; a nil From executes it live. A source that
 	// cannot supply WarmupInstrs+MeasureInstrs records is a hard error —
-	// never a silently short run.
+	// never a silently short run. Sources are factories, not open
+	// iterators, so every job — and every retry on another backend node —
+	// opens its own.
 	From Source
 	// Engine is the declarative spec of the job's prefetch engine: a
 	// registry name plus parameters, resolved into a fresh private
-	// instance through the prefetch registry when the job runs.
+	// instance through the prefetch registry on whichever backend runs
+	// the job, which is how tuned engines travel over the remote wire.
 	Engine prefetch.Spec
 	// Instrument, when non-nil, is invoked once with the job's freshly
 	// constructed engine before the run starts (e.g. to attach a

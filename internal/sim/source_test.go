@@ -88,7 +88,7 @@ func TestSliceSourceSubRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := r.ReadAll()
+	full, err := trace.Collect(r)
 	r.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -46,12 +46,12 @@ func (g *Grid) plan() (*runPlan, error) {
 			p.jobs = append(p.jobs, base)
 			continue
 		}
-		slicer, ok := c.Settings.Source.(sim.Slicer)
+		slicer, ok := c.Settings.From.(sim.Slicer)
 		if !ok {
 			return nil, fmt.Errorf("sweep %s: cell %s requests %d shards but its source (%T) is not sliceable; sharded cells need a store or slice source",
-				g.Spec.Name, c.Key, c.Settings.Shards, c.Settings.Source)
+				g.Spec.Name, c.Key, c.Settings.Shards, c.Settings.From)
 		}
-		plans, err := sim.SplitReplay(c.Settings.Sim, c.Settings.Shards, !c.Settings.ShardApprox)
+		plans, err := sim.SplitReplay(c.Settings.Config, c.Settings.Shards, !c.Settings.ShardApprox)
 		if err != nil {
 			return nil, fmt.Errorf("sweep %s: cell %s: %w", g.Spec.Name, c.Key, err)
 		}
@@ -63,8 +63,8 @@ func (g *Grid) plan() (*runPlan, error) {
 			}
 			j := base
 			j.Label = fmt.Sprintf("%s [shard %d/%d]", base.Label, k+1, len(plans))
-			j.Config = sp.Config(c.Settings.Sim)
-			j.Source = src
+			j.Config = sp.Config(c.Settings.Config)
+			j.From = src
 			slots[k] = len(p.jobs)
 			p.jobs = append(p.jobs, j)
 		}

@@ -16,9 +16,9 @@ import (
 
 // TestSourceAxis locks the source axis kind: a (workload × source) grid
 // whose source axis mixes live execution and trace-store replay must
-// wire each cell's source into its job, resolve lazily against the
-// cell's final settings regardless of axis order, and produce identical
-// results on the live and replay cells.
+// wire each cell's source into its job, bind it against the cell's final
+// settings regardless of axis order, and produce identical results on
+// the live and replay cells.
 func TestSourceAxis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test skipped in -short mode")
@@ -36,9 +36,9 @@ func TestSourceAxis(t *testing.T) {
 	}
 	it.Close()
 
-	// The source axis precedes the workload axis on purpose: the store
-	// choice defers reading the settings until open time, so axis order
-	// must not matter.
+	// The source axis precedes the workload axis on purpose: Expand binds
+	// the store choice once every axis has applied, so axis order must
+	// not matter.
 	spec := Spec{
 		Name:       "src",
 		Base:       cfg,
@@ -47,7 +47,10 @@ func TestSourceAxis(t *testing.T) {
 			SourceAxis("source", []SourceChoice{
 				{Key: "live"},
 				{Key: "store", New: func(s *Settings) sim.Source {
-					return settingsSource{s: s, want: wl.Name, dir: dir, t: t}
+					if s.Workload.Name != wl.Name {
+						t.Errorf("source bound before the workload applied: %q", s.Workload.Name)
+					}
+					return sim.StoreSource(dir)
 				}},
 			}),
 			WorkloadAxis("workload", []workload.Profile{wl}),
@@ -61,14 +64,14 @@ func TestSourceAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if liveCell.Settings.Source != nil {
+	if liveCell.Settings.From != nil {
 		t.Error("live cell carries a source")
 	}
 	storeCell, err := g.At("source", "store", "workload", KeyOf(wl.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if storeCell.Settings.Source == nil {
+	if storeCell.Settings.From == nil {
 		t.Fatal("store cell has no source")
 	}
 	live, err := json.Marshal(g.Results[liveCell.Index].Sim)
@@ -123,22 +126,4 @@ func TestEngineBackendOption(t *testing.T) {
 			t.Errorf("cell %d: custom-backend result differs from default run", i)
 		}
 	}
-}
-
-// settingsSource replays the store at dir and checks, when opened, that
-// the cell's settings already name the workload want: an opaque source
-// that reads its cell's settings at open time.
-type settingsSource struct {
-	s    *Settings
-	want string
-	dir  string
-	t    *testing.T
-}
-
-// Open implements sim.Source.
-func (ss settingsSource) Open(ctx context.Context) (trace.BatchIterator, sim.SourceInfo, error) {
-	if ss.s.Workload.Name != ss.want {
-		ss.t.Errorf("source resolved before workload applied: %q", ss.s.Workload.Name)
-	}
-	return sim.StoreSource(ss.dir).Open(ctx)
 }

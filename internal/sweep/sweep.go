@@ -2,12 +2,13 @@
 // evaluation harness. A Spec names parameter axes — workloads, prefetch
 // engine specs and their parameters, config.System mutations, sim
 // options — and Expand crosses them into a Grid of keyed cells, one per
-// point of the design space. Run turns every cell into a runner.Job and
-// fans the grid out through the existing worker pool; Each runs an
-// arbitrary per-cell analysis the same way (for trace-based measurements
-// that are not simulations). Results come back addressable by axis
-// values, in row-major submission order, so tables projected from a grid
-// are byte-identical to the hand-rolled serial loops they replace.
+// point of the design space. Every cell holds the sim.Job it runs, and
+// Run fans those jobs out through a runner backend (a sharded cell as
+// several); Each runs an arbitrary per-cell analysis the same way (for
+// trace-based measurements that are not simulations). Results come back
+// addressable by axis values, in row-major submission order, so tables
+// projected from a grid are byte-identical to the hand-rolled serial
+// loops they replace.
 //
 // The experiment drivers in internal/experiments define their variant
 // tables as Specs (fig9, fig10, table1, fig8 right, and the MANA-style
@@ -35,36 +36,28 @@ import (
 // engine and system axes: a cell may execute its workload live, replay a
 // recorded trace store, or replay one window of it (sim.SliceSource on
 // StoreReader.Seek), so a design-space sweep can fan out over trace
-// slices without re-executing the workload per cell. See DESIGN.md §9.
+// slices without re-executing the workload per cell. A source binds once
+// its cell is final. See DESIGN.md §9.
 
 // Settings is the accumulated configuration of one cell: every axis value
 // along the cell's point applies its mutation in axis order, building up
-// the engine spec, workload, and simulation config the cell runs with.
+// the job the cell runs plus the sweep's own execution settings.
 type Settings struct {
-	// Workload is the simulated workload profile (required for Run).
-	Workload workload.Profile
-	// Sim is the simulation configuration, including the config.System
-	// machine description; axis values mutate it freely (PerfectL1, L1-I
-	// geometry, latencies, ...).
-	Sim sim.Config
+	// Job is the cell's simulation, seeded from Spec.Base and
+	// Spec.BaseEngine; axis values mutate its fields freely. Workload is
+	// required for Run. Config includes the config.System machine
+	// description (PerfectL1, L1-I geometry, latencies, ...). An engine
+	// axis sets Engine's name, engine-parameter axes (budget, history)
+	// merge into its params, and Expand validates the assembled spec
+	// against the engine's schema; a non-empty name is required by the
+	// time a cell becomes a job. From is bound by a source axis once the
+	// cell is final (SourceChoice.New). The cell's label becomes the
+	// job's Label.
+	sim.Job
 	// Params carries named scalar axis values (window positions, region
 	// sizes, ...) for non-engine consumers — a source axis or an Each
 	// analysis. Engine parameters go through Engine instead.
 	Params map[string]float64
-	// Engine is the cell's declarative prefetch-engine spec: an engine
-	// axis sets its name, engine-parameter axes (budget, history) merge
-	// into its params, and Expand validates the assembled spec against
-	// the engine's schema. Required (non-empty name) by the time a cell
-	// becomes a job.
-	Engine prefetch.Spec
-	// Instrument, when non-nil, receives the cell job's freshly
-	// constructed engine before the run. Process-local: incompatible
-	// with remote backends.
-	Instrument func(prefetch.Prefetcher)
-	// Source, when non-nil, supplies the cell's record stream (a trace
-	// store or a window of one) instead of live workload execution; set
-	// by a source axis.
-	Source sim.Source
 	// Shards, when > 1, makes the cell execute as that many window-shard
 	// jobs planned by sim.SplitReplay — each replaying a slice of the
 	// cell's source — and stitched back into one result with
@@ -81,6 +74,10 @@ type Settings struct {
 	// bit-identical to the unsharded cell (diffs stay clean), at the
 	// cost of each shard re-replaying its prefix.
 	ShardApprox bool
+
+	// source is the source axis's choice; Expand binds it into From once
+	// every axis of the cell has applied.
+	source func(*Settings) sim.Source
 }
 
 // MergeEngine overlays an engine spec onto the cell: the engine name is
@@ -198,16 +195,15 @@ type SourceChoice struct {
 	// Key is the cell-key coordinate; Name the display label (defaults
 	// to Key).
 	Key, Name string
-	// New, when non-nil, constructs the cell's source. It receives a
-	// pointer to the cell's settings that stays valid for the grid's
-	// lifetime, so a returned source may defer reading them (workload,
-	// params) until it is opened — axis order does not matter. New may
+	// New, when non-nil, constructs the cell's source. Expand calls it
+	// once every axis of the cell has applied, so it reads the cell's
+	// final settings (workload, params) whatever the axis order. New may
 	// also adjust the settings it is handed (e.g. fit the measured
 	// interval to a trace window).
 	New func(s *Settings) sim.Source
 }
 
-// SourceAxis builds a record-source axis: each value installs a source
+// SourceAxis builds a record-source axis: each value records its source
 // factory on the cell (the *what to simulate* dimension), so one grid
 // can compare live execution against trace-store or trace-slice replay,
 // or sweep a trace window across positions.
@@ -216,15 +212,9 @@ func SourceAxis(name string, choices []SourceChoice) Axis {
 	for _, c := range choices {
 		c := c
 		ax.Values = append(ax.Values, Value{
-			Key:  c.Key,
-			Name: c.Name,
-			Apply: func(s *Settings) {
-				if c.New != nil {
-					s.Source = c.New(s)
-				} else {
-					s.Source = nil
-				}
-			},
+			Key:   c.Key,
+			Name:  c.Name,
+			Apply: func(s *Settings) { s.From, s.source = nil, c.New },
 		})
 	}
 	return ax
@@ -288,9 +278,6 @@ type Spec struct {
 	// Axes are the swept dimensions, crossed in order: the last axis
 	// varies fastest (row-major expansion).
 	Axes []Axis
-	// Label, when non-nil, overrides the default job label
-	// ("<name>/<value name>/<value name>...").
-	Label func(c *Cell) string
 }
 
 // Point locates one cell: axis name -> value key.
@@ -306,7 +293,8 @@ type Cell struct {
 	// "<spec>.<axis>-<key>_<axis>-<key>...". It names the persisted
 	// per-job result (results/<run-id>/jobs/<key>.json).
 	Key string
-	// Label is the human-readable job label.
+	// Label is the human-readable job label
+	// ("<spec>/<value name>/<value name>...").
 	Label string
 	// Settings is the cell's resolved configuration.
 	Settings Settings
@@ -396,9 +384,8 @@ func (s Spec) Expand() (*Grid, error) {
 		c.Index = idx
 		c.Point = make(Point, len(s.Axes))
 		c.Settings = Settings{
-			Sim:         s.Base,
+			Job:         sim.Job{Config: s.Base, Engine: s.BaseEngine},
 			Params:      map[string]float64{},
-			Engine:      s.BaseEngine,
 			Shards:      s.BaseShards,
 			ShardApprox: s.BaseShardApprox,
 		}
@@ -419,6 +406,9 @@ func (s Spec) Expand() (*Grid, error) {
 				v.Apply(&c.Settings)
 			}
 		}
+		if bind := c.Settings.source; bind != nil {
+			c.Settings.From, c.Settings.source = bind(&c.Settings), nil
+		}
 		if c.Settings.Engine.Name != "" {
 			if err := prefetch.Validate(c.Settings.Engine); err != nil {
 				return nil, fmt.Errorf("sweep %s: cell %s: %w", s.Name, key.String(), err)
@@ -426,9 +416,6 @@ func (s Spec) Expand() (*Grid, error) {
 		}
 		c.Key = key.String()
 		c.Label = label.String()
-		if s.Label != nil {
-			c.Label = s.Label(c)
-		}
 		if !report.ValidJobKey(c.Key) {
 			return nil, fmt.Errorf("sweep %s: cell key %q is not a valid job key", s.Name, c.Key)
 		}
@@ -444,8 +431,8 @@ func (s Spec) Expand() (*Grid, error) {
 	return g, nil
 }
 
-// cellJob validates a cell and converts it into its single (unsharded)
-// runner.Job.
+// cellJob validates a cell and returns its single (unsharded) job: the
+// cell's settings' job under the cell's label.
 func (g *Grid) cellJob(c *Cell) (runner.Job, error) {
 	if c.Settings.Workload.Name == "" {
 		return runner.Job{}, fmt.Errorf("sweep %s: cell %s names no workload (add a WorkloadAxis)", g.Spec.Name, c.Key)
@@ -453,14 +440,9 @@ func (g *Grid) cellJob(c *Cell) (runner.Job, error) {
 	if c.Settings.Engine.Name == "" {
 		return runner.Job{}, fmt.Errorf("sweep %s: cell %s names no engine (add an engine axis or BaseEngine)", g.Spec.Name, c.Key)
 	}
-	return runner.Job{
-		Label:      c.Label,
-		Workload:   c.Settings.Workload,
-		Config:     c.Settings.Sim,
-		Engine:     c.Settings.Engine,
-		Instrument: c.Settings.Instrument,
-		Source:     c.Settings.Source,
-	}, nil
+	j := c.Settings.Job
+	j.Label = c.Label
+	return j, nil
 }
 
 // Jobs converts every cell into a runner.Job in row-major order, one job

@@ -131,11 +131,11 @@ func TestBatchParityStore(t *testing.T) {
 	for _, batch := range batchSizes {
 		checkParity(t, "StoreReader", openStore(), openStore(), batch)
 		for i := range ix.Chunks {
-			a, err := OpenChunk(dir, ix, i)
+			a, err := OpenChunkFrom(readFileSource{dir}, ix, i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := OpenChunk(dir, ix, i)
+			b, err := OpenChunkFrom(readFileSource{dir}, ix, i)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,7 +25,7 @@ func recordsFromBytes(data []byte) Stream {
 
 // FuzzTraceRoundTrip drives arbitrary record streams through the sharded
 // trace store, with a fuzzer-chosen chunk size so shard boundaries land
-// everywhere, and asserts exact reconstruction: ReadAll(Write(s)) == s.
+// everywhere, and asserts exact reconstruction: Collect(Write(s)) == s.
 func FuzzTraceRoundTrip(f *testing.F) {
 	// Seeds around shard boundaries: with chunkRecords forced into
 	// [1, 16], 4*k-byte inputs put k records at, just below, and just
@@ -61,9 +61,9 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if sr.Header().Records != uint64(len(s)) {
 			t.Fatalf("store Records = %d, want %d", sr.Header().Records, len(s))
 		}
-		got, err := sr.ReadAll()
+		got, err := Collect(sr)
 		if err != nil {
-			t.Fatalf("store ReadAll: %v", err)
+			t.Fatalf("store Collect: %v", err)
 		}
 		assertSameStream(t, "store", s, got)
 	})

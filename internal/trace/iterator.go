@@ -90,20 +90,14 @@ type Counted interface {
 // that know their record count up front (Counted) have the stream
 // preallocated; everything is decoded in batches directly into the
 // stream's tail, so collection costs no per-record call and no re-copy.
+// When capacity runs out, a small stack probe distinguishes "the count
+// was exact, the stream is done" from "grow and keep going", so an exact
+// count yields exactly one allocation of exactly the record count.
 func Collect(it BatchIterator) (Stream, error) {
-	var hint uint64
+	var sizeHint uint64
 	if c, ok := it.(Counted); ok {
-		hint = c.Records()
+		sizeHint = c.Records()
 	}
-	return collect(it, hint)
-}
-
-// collect is Collect with an explicit capacity hint. Batches decode
-// directly into the stream's tail capacity; when capacity runs out, a
-// small stack probe distinguishes "hint was exact, stream is done" from
-// "hint was short, grow and keep going" — so an exact hint yields exactly
-// one allocation of exactly the record count.
-func collect(it BatchIterator, sizeHint uint64) (Stream, error) {
 	s := make(Stream, 0, sizeHint)
 	for {
 		if len(s) == cap(s) {

@@ -32,9 +32,9 @@ func TestMmapStoreParity(t *testing.T) {
 		if got := r.ChunkSourceKind(); got != wantKind {
 			t.Errorf("mode %d: ChunkSourceKind = %q, want %q", mode, got, wantKind)
 		}
-		got, err := r.ReadAll()
+		got, err := Collect(r)
 		if err != nil {
-			t.Fatalf("mode %d: ReadAll: %v", mode, err)
+			t.Fatalf("mode %d: Collect: %v", mode, err)
 		}
 		if len(got) != len(s) {
 			t.Fatalf("mode %d: len = %d, want %d", mode, len(got), len(s))
@@ -165,9 +165,9 @@ func TestMmapTruncatedChunkParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s mode %d: OpenStoreMode: %v", d.name, mode, err)
 			}
-			_, err = r.ReadAll()
+			_, err = Collect(r)
 			if err == nil {
-				t.Fatalf("%s mode %d: ReadAll succeeded on damaged store", d.name, mode)
+				t.Fatalf("%s mode %d: Collect succeeded on damaged store", d.name, mode)
 			}
 			errs[fmt.Sprint(mode)] = err.Error()
 			r.Close()
@@ -205,8 +205,8 @@ func TestMmapForcedFallback(t *testing.T) {
 	if got := r.ChunkSourceKind(); got != "readfile" {
 		t.Errorf("ChunkSourceKind under denial = %q, want readfile", got)
 	}
-	if _, err := r.ReadAll(); err != nil {
-		t.Errorf("ReadAll on fallback: %v", err)
+	if _, err := Collect(r); err != nil {
+		t.Errorf("Collect on fallback: %v", err)
 	}
 	r.Close()
 	if _, err := OpenStoreMode(dir, ChunkSourceMmap); err == nil {
@@ -232,9 +232,9 @@ func TestMmapForcedFallback(t *testing.T) {
 	if got := r.ChunkSourceKind(); got != "mmap" {
 		t.Errorf("ChunkSourceKind = %q, want mmap", got)
 	}
-	got, err := r.ReadAll()
+	got, err := Collect(r)
 	if err != nil {
-		t.Fatalf("ReadAll with degraded chunks: %v", err)
+		t.Fatalf("Collect with degraded chunks: %v", err)
 	}
 	if len(got) != len(s) {
 		t.Fatalf("len = %d, want %d", len(got), len(s))

@@ -440,14 +440,6 @@ type ChunkReader struct {
 	release   func() // returns the image to its source; nil after Close
 }
 
-// OpenChunk opens chunk i of the store described by ix at dir, validating
-// the chunk header against the index. The chunk file is read into memory
-// in full (the ReadFile source); use OpenChunkFrom to decode through a
-// specific ChunkSource.
-func OpenChunk(dir string, ix Index, i int) (*ChunkReader, error) {
-	return OpenChunkFrom(readFileSource{dir}, ix, i)
-}
-
 // OpenChunkFrom opens chunk i of the store described by ix through src,
 // validating the chunk header against the index.
 func OpenChunkFrom(src ChunkSource, ix Index, i int) (*ChunkReader, error) {
@@ -848,11 +840,6 @@ func (r *StoreReader) Seek(n uint64) error {
 		return nil
 	}
 	return fmt.Errorf("trace: seek to record %d past end of store (%d records)", n, cum)
-}
-
-// ReadAll drains the remaining records into an in-memory Stream.
-func (r *StoreReader) ReadAll() (Stream, error) {
-	return collect(r, r.Records())
 }
 
 // Close releases any open chunk (on the mmap path, unmapping it) and

@@ -47,7 +47,7 @@ func writeStore(t *testing.T, dir string, name string, perChunk uint64, s Stream
 	}
 }
 
-// TestStoreRoundTrip asserts ReadAll(Write(s)) == s across shard
+// TestStoreRoundTrip asserts Collect(Write(s)) == s across shard
 // boundaries: record counts straddling exact chunk multiples all
 // reconstruct the identical stream.
 func TestStoreRoundTrip(t *testing.T) {
@@ -71,9 +71,9 @@ func TestStoreRoundTrip(t *testing.T) {
 		if got := len(r.Index().Chunks); got != wantChunks {
 			t.Errorf("n=%d: chunks = %d, want %d", n, got, wantChunks)
 		}
-		got, err := r.ReadAll()
+		got, err := Collect(r)
 		if err != nil {
-			t.Fatalf("n=%d: ReadAll: %v", n, err)
+			t.Fatalf("n=%d: Collect: %v", n, err)
 		}
 		if len(got) != len(s) {
 			t.Fatalf("n=%d: len = %d", n, len(got))
@@ -110,9 +110,9 @@ func TestStoreChunkBasePC(t *testing.T) {
 		if info.BasePC != s[off].PC {
 			t.Errorf("chunk %d BasePC = %v, want %v", i, info.BasePC, s[off].PC)
 		}
-		c, err := OpenChunk(dir, ix, i)
+		c, err := OpenChunkFrom(readFileSource{dir}, ix, i)
 		if err != nil {
-			t.Fatalf("OpenChunk(%d): %v", i, err)
+			t.Fatalf("OpenChunkFrom(%d): %v", i, err)
 		}
 		for k := 0; k < int(info.Records); k++ {
 			rec, err := c.Next()
@@ -187,7 +187,7 @@ func TestStoreTruncatedChunk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: OpenStore: %v", cut, err)
 		}
-		_, err = r.ReadAll()
+		_, err = Collect(r)
 		if err == nil || errors.Is(err, io.EOF) {
 			t.Errorf("cut=%d: truncated chunk read cleanly (err=%v)", cut, err)
 		}
@@ -205,7 +205,7 @@ func TestStoreTruncatedChunk(t *testing.T) {
 	}
 	// Re-encode the first perChunk/2 records of chunk 1 to find the byte
 	// boundary: header is 3*4+8 bytes, then records.
-	c, err := OpenChunk(dir, ix, 1)
+	c, err := OpenChunkFrom(readFileSource{dir}, ix, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestStoreTruncatedChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := r.ReadAll(); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := Collect(r); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("record-aligned truncation: got %v, want ErrUnexpectedEOF", err)
 	}
 }
@@ -265,7 +265,7 @@ func TestStoreExtraRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := r.ReadAll(); err == nil {
+	if _, err := Collect(r); err == nil {
 		t.Error("chunk with extra records should fail")
 	}
 }
@@ -283,7 +283,7 @@ func TestStoreMissingChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := r.ReadAll(); err == nil {
+	if _, err := Collect(r); err == nil {
 		t.Error("store with a missing chunk should fail")
 	}
 }
@@ -462,7 +462,7 @@ func TestCreateStoreTruncatesPrevious(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	got, err := r.ReadAll()
+	got, err := Collect(r)
 	if err != nil || len(got) != 10 {
 		t.Errorf("rewritten store: %d records, err=%v", len(got), err)
 	}
@@ -681,9 +681,9 @@ func BenchmarkStoreReadAll(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		got, err := r.ReadAll()
+		got, err := Collect(r)
 		if err != nil || len(got) != len(s) {
-			b.Fatalf("ReadAll: %v (%d records)", err, len(got))
+			b.Fatalf("Collect: %v (%d records)", err, len(got))
 		}
 		r.Close()
 	}

@@ -108,9 +108,9 @@ func roundTrip(t *testing.T, name string, s Stream) Stream {
 	if h := r.Header(); h.Workload != name || h.Records != uint64(len(s)) {
 		t.Fatalf("Header = %+v, want workload %q with %d records", h, name, len(s))
 	}
-	got, err := r.ReadAll()
+	got, err := Collect(r)
 	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+		t.Fatalf("Collect: %v", err)
 	}
 	return got
 }
@@ -163,7 +163,7 @@ func TestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		defer r.Close()
-		got, err := r.ReadAll()
+		got, err := Collect(r)
 		if err != nil || len(got) != len(s) {
 			return false
 		}
@@ -197,7 +197,7 @@ func TestReaderBadMagic(t *testing.T) {
 		for _, mode := range chunkSourceModes() {
 			r, err := OpenStoreMode(dir, mode)
 			if err == nil {
-				_, err = r.ReadAll()
+				_, err = Collect(r)
 				r.Close()
 			}
 			if err == nil || !strings.Contains(err.Error(), "bad") || !strings.Contains(err.Error(), "magic 0xdeadbeef") {
@@ -251,7 +251,7 @@ func TestReaderTruncated(t *testing.T) {
 // include multi-byte deltas, at every byte offset. No cut may read as a
 // clean short stream: every cut, in the header, mid-varint or on a record
 // boundary, wraps io.ErrUnexpectedEOF after a strict prefix of the
-// stream, and the batch path (ReadAll) and the per-record path (Next)
+// stream, and the batch path (Collect) and the per-record path (Next)
 // must report the same error on both chunk sources.
 func TestReaderTruncatedEveryByte(t *testing.T) {
 	// Large deltas force multi-byte varints so cuts land mid-varint.
@@ -291,7 +291,7 @@ func TestReaderTruncatedEveryByte(t *testing.T) {
 	}
 }
 
-// drainEveryPath drains the store at dir through ReadAll (the batch
+// drainEveryPath drains the store at dir through Collect (the batch
 // path) and through per-record Next, on every chunk source. Every path
 // must decode the same records and end with the same error text (nil
 // for a clean end); it returns those records and the last path's error.
@@ -311,7 +311,7 @@ func drainEveryPath(t *testing.T, dir string) (Stream, error) {
 					err = nil
 				}
 			} else {
-				got, err = r.ReadAll()
+				got, err = Collect(r)
 			}
 			r.Close()
 			if i == 0 && !perRecord {
@@ -408,8 +408,8 @@ func TestReaderEOF(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := r.ReadAll(); err != nil || len(got) != n {
-			t.Fatalf("n=%d: ReadAll = %d records, %v", n, len(got), err)
+		if got, err := Collect(r); err != nil || len(got) != n {
+			t.Fatalf("n=%d: Collect = %d records, %v", n, len(got), err)
 		}
 		for i := 0; i < 2; i++ {
 			if _, err := r.Next(); err != io.EOF {

@@ -293,17 +293,6 @@ func (e *Executor) call(f *Func, cursor int, o *op, depth, childDepth int) {
 	e.pending |= trace.FlagReturnTarget
 }
 
-// GenerateStream builds the program for p, runs n instructions, and
-// returns the retire-order stream in memory. Only tests call it; the
-// simulator and the experiments drive an Executor directly.
-func GenerateStream(p Profile, n uint64) (trace.Stream, error) {
-	prog, err := ProgramFor(p)
-	if err != nil {
-		return nil, err
-	}
-	return Collect(prog, n), nil
-}
-
 // Collect runs a fresh executor over prog for n instructions and returns
 // the stream in memory. The stream itself is the executor's batch, so
 // records are written once, straight into it.

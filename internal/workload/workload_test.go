@@ -9,6 +9,16 @@ import (
 	"repro/internal/trace"
 )
 
+// collect runs n instructions of p's shared program image.
+func collect(tb testing.TB, p Profile, n uint64) trace.Stream {
+	tb.Helper()
+	prog, err := ProgramFor(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Collect(prog, n)
+}
+
 func TestProfileValidation(t *testing.T) {
 	for _, p := range StandardSuite() {
 		if err := p.Validate(); err != nil {
@@ -268,14 +278,8 @@ func TestFunctionsDoNotOverlap(t *testing.T) {
 }
 
 func TestExecutorDeterministic(t *testing.T) {
-	s1, err := GenerateStream(DSSQry2(), 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := GenerateStream(DSSQry2(), 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := collect(t, DSSQry2(), 20000)
+	s2 := collect(t, DSSQry2(), 20000)
 	if len(s1) != len(s2) {
 		t.Fatalf("lengths differ: %d vs %d", len(s1), len(s2))
 	}
@@ -287,10 +291,7 @@ func TestExecutorDeterministic(t *testing.T) {
 }
 
 func TestExecutorMeetsBudget(t *testing.T) {
-	s, err := GenerateStream(OLTPDB2(), 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := collect(t, OLTPDB2(), 50000)
 	if uint64(len(s)) < 50000 {
 		t.Errorf("stream has %d records, want >= 50000", len(s))
 	}
@@ -301,10 +302,7 @@ func TestExecutorMeetsBudget(t *testing.T) {
 }
 
 func TestStreamPCsAreInstructionAligned(t *testing.T) {
-	s, err := GenerateStream(WebZeus(), 30000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := collect(t, WebZeus(), 30000)
 	for i, r := range s {
 		if r.PC%isa.InstrBytes != 0 {
 			t.Fatalf("record %d PC %v not aligned", i, r.PC)
@@ -313,10 +311,7 @@ func TestStreamPCsAreInstructionAligned(t *testing.T) {
 }
 
 func TestStreamHasInterrupts(t *testing.T) {
-	s, err := GenerateStream(OLTPOracle(), 200000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := collect(t, OLTPOracle(), 200000)
 	var tl1, entries, returns int
 	for _, r := range s {
 		if r.TL == isa.TL1 {
@@ -343,10 +338,7 @@ func TestStreamHasInterrupts(t *testing.T) {
 }
 
 func TestTrapEntryOnlyAtTL1(t *testing.T) {
-	s, err := GenerateStream(OLTPDB2(), 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := collect(t, OLTPDB2(), 100000)
 	for i, r := range s {
 		if r.Flags.Has(trace.FlagTrapEntry) && r.TL != isa.TL1 {
 			t.Fatalf("record %d has TrapEntry at TL0", i)
@@ -358,10 +350,7 @@ func TestTrapEntryOnlyAtTL1(t *testing.T) {
 }
 
 func TestStreamHasBranchesAndCalls(t *testing.T) {
-	s, err := GenerateStream(OLTPDB2(), 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := collect(t, OLTPDB2(), 100000)
 	var cond, taken, calls int
 	for _, r := range s {
 		if r.Flags.Has(trace.FlagCondBranch) {
@@ -385,10 +374,7 @@ func TestStreamHasBranchesAndCalls(t *testing.T) {
 func TestControlFlowConsistency(t *testing.T) {
 	// A non-taken conditional branch must fall through to PC+4 unless an
 	// interrupt intervened; a taken one must not.
-	s, err := GenerateStream(DSSQry17(), 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := collect(t, DSSQry17(), 100000)
 	for i := 0; i+1 < len(s); i++ {
 		r, next := s[i], s[i+1]
 		if !r.Flags.Has(trace.FlagCondBranch) || r.TL != next.TL {
@@ -407,10 +393,7 @@ func TestControlFlowConsistency(t *testing.T) {
 func TestStreamIsRepetitive(t *testing.T) {
 	// The core premise: the retire-order block stream revisits the same
 	// blocks heavily (working set << dynamic stream length).
-	s, err := GenerateStream(OLTPDB2(), 500000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := collect(t, OLTPDB2(), 500000)
 	blocks := s.Blocks()
 	uniq := map[isa.Block]struct{}{}
 	for _, b := range blocks {
@@ -474,14 +457,8 @@ func TestOpLen(t *testing.T) {
 }
 
 func TestWorkloadsDiffer(t *testing.T) {
-	a, err := GenerateStream(OLTPDB2(), 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateStream(WebApache(), 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := collect(t, OLTPDB2(), 10000)
+	b := collect(t, WebApache(), 10000)
 	same := 0
 	n := minInt(len(a), len(b))
 	for i := 0; i < n; i++ {
