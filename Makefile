@@ -30,7 +30,8 @@ bench:
 # bench-check is the CI gate: re-measures both suites, verifies the
 # committed artifacts are structurally fresh, and enforces the
 # performance invariants (replay: batch decode >= 2x per-record, a row
-# of three engines >= 1.1x their separate jobs, ~0 allocs/record;
+# of three engines >= 1.1x their separate jobs, a pipelined PIF replay
+# >= 1.2x the same replay on one CPU at 2+ CPUs, ~0 allocs/record;
 # runner: engine-spec resolution a few percent of job
 # runtime at most, and a program build within 128 allocations).
 bench-check:

@@ -94,17 +94,17 @@ func runReplay(out, check string, logf func(string, ...any)) int {
 			fmt.Fprintln(os.Stderr, "benchreplay:", err)
 			return 1
 		}
-		fmt.Printf("benchreplay: %s is fresh; measured batch speedup %.2fx, mmap %.2fx (%s), sweep cell %.2fx, row %.2fx\n",
+		fmt.Printf("benchreplay: %s is fresh; measured batch speedup %.2fx, mmap %.2fx (%s), sweep cell %.2fx, row %.2fx, pipeline %.2fx\n",
 			check, fresh.Derived.BatchSpeedup, fresh.Derived.MmapSpeedup, fresh.Config.ChunkSource,
-			fresh.Derived.SweepCellSpeedup, fresh.Derived.RowSpeedup)
+			fresh.Derived.SweepCellSpeedup, fresh.Derived.RowSpeedup, fresh.Derived.PipelineSpeedup)
 		return 0
 	}
 	if !writeArtifact(out, fresh) {
 		return 1
 	}
-	fmt.Printf("benchreplay: wrote %s (batch speedup %.2fx, mmap %.2fx (%s), sweep cell %.2fx, row %.2fx)\n",
+	fmt.Printf("benchreplay: wrote %s (batch speedup %.2fx, mmap %.2fx (%s), sweep cell %.2fx, row %.2fx, pipeline %.2fx)\n",
 		out, fresh.Derived.BatchSpeedup, fresh.Derived.MmapSpeedup, fresh.Config.ChunkSource,
-		fresh.Derived.SweepCellSpeedup, fresh.Derived.RowSpeedup)
+		fresh.Derived.SweepCellSpeedup, fresh.Derived.RowSpeedup, fresh.Derived.PipelineSpeedup)
 	return 0
 }
 

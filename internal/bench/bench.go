@@ -90,11 +90,13 @@ type Measurement struct {
 	// per-record is the number the hot-path invariants bound.
 	AllocsPerOp     float64 `json:"allocs_per_op"`
 	AllocsPerRecord float64 `json:"allocs_per_record,omitempty"`
-	// Parallelism is the worker parallelism the operation actually ran
-	// at (min of the requested workers and GOMAXPROCS); 1 labels a
-	// serial row. Rows without a worker pool omit it. A sharded row's
-	// speedup is only meaningful read against this number — a
-	// Parallelism-1 sharded row can only lose.
+	// Parallelism is the parallelism the operation actually ran at: the
+	// CPUs it asks for, capped by GOMAXPROCS. A simulation row asks for
+	// two per sim.RunRow row it runs at once (each row pipelines its
+	// front half on a goroutine of its own); 1 labels a serial row.
+	// Rows that run no simulation omit it. A sharded row's speedup is
+	// only meaningful read against this number — a Parallelism-1
+	// sharded row can only lose.
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
@@ -117,6 +119,14 @@ type Derived struct {
 	// RowSpeedup is three separate live jobs' time (none, nextline,
 	// tifs) over the time of one row of them (sim.RunRow).
 	RowSpeedup float64 `json:"row_speedup"`
+	// PipelineSpeedup is sim_replay/pif's time under GOMAXPROCS(1) over
+	// its time at the process's GOMAXPROCS: what running a row's front
+	// half on a second goroutine buys where a second CPU exists.
+	// Enforced (>= MinPipelineSpeedup) only at PipelineFloorCPUs or
+	// more; below that both sides run on one CPU, PipelineSkipped is
+	// set and the ratio measures nothing.
+	PipelineSpeedup float64 `json:"pipeline_speedup"`
+	PipelineSkipped bool    `json:"pipeline_speedup_skipped,omitempty"`
 }
 
 // Artifact is the serialized benchmark run (BENCH_replay.json).
@@ -165,11 +175,15 @@ func (a Artifact) find(name string) (Measurement, bool) {
 // is to catch real regressions — a fault per record, an accidental
 // second copy — which land far below 0.95x. The row floor sits under
 // the 1.3x a 2-vCPU VM measures; a row that stopped sharing its front
-// half reads about 1.0x. The decode and row ratios alternate their
-// sides (ratioRounds runs each, median), so host noise hits both.
+// half reads about 1.0x. The pipeline floor sits under the ratio a
+// 2-vCPU VM measures (BENCH_replay.json); a row whose halves stopped
+// overlapping reads about 1.0x. The decode, row and pipeline ratios
+// alternate their sides (ratioRounds runs each, median), so host noise
+// hits both.
 const (
 	MinBatchSpeedup     = 2.0
 	MinRowSpeedup       = 1.1
+	MinPipelineSpeedup  = 1.2
 	ratioRounds         = 5
 	MaxAllocsPerRecord  = 0.05
 	MinMmapSpeedup      = 0.95
@@ -178,6 +192,9 @@ const (
 	// CPUs the shard jobs serialize and the ratio measures scheduling
 	// overhead, not the claim.
 	SweepCellFloorCPUs = 4
+	// PipelineFloorCPUs gates the pipeline floor: a row's two halves
+	// need two CPUs to overlap.
+	PipelineFloorCPUs = 2
 )
 
 // CheckInvariants validates the performance claims against a (freshly
@@ -188,6 +205,10 @@ func CheckInvariants(a Artifact) error {
 	}
 	if a.Derived.RowSpeedup < MinRowSpeedup {
 		return fmt.Errorf("bench: row speedup %.2fx below the %.1fx floor", a.Derived.RowSpeedup, MinRowSpeedup)
+	}
+	if a.GOMAXPROCS >= PipelineFloorCPUs && a.Derived.PipelineSpeedup < MinPipelineSpeedup {
+		return fmt.Errorf("bench: pipeline speedup %.2fx below the %.1fx floor at %d CPUs",
+			a.Derived.PipelineSpeedup, MinPipelineSpeedup, a.GOMAXPROCS)
 	}
 	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store", "sim_replay/pif", "sim_live/none", "sim_live/row", "workload/exec", "engine/pif", "engine/tifs"} {
 		m, ok := a.find(name)
@@ -325,8 +346,6 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 	run := func(name string, perOpRecords uint64, perOpBytes int64, parallelism int, body func(b *testing.B)) Measurement {
 		return measure(1, side{name, perOpRecords, perOpBytes, parallelism, body})[0]
 	}
-	// The parallelism a pool of the fixture's shard width actually gets.
-	shardPar := min(cfg.Shards, runtime.GOMAXPROCS(0))
 
 	// The per-record and batch rows pin the copying ReadFile path so
 	// BatchSpeedup isolates batching and the mmap row has a stable
@@ -364,9 +383,10 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 	)
 
 	// The replay rows: the store-replay baseline with next-line
-	// prefetching, and the paper's engine over the same store.
-	replay := func(name string, engine prefetch.Spec) Measurement {
-		return run(name, records, storeBytes, 1, func(b *testing.B) {
+	// prefetching, and the paper's engine over the same store, at the
+	// process's GOMAXPROCS and pinned to one CPU in alternation.
+	replay := func(engine prefetch.Spec) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := sim.RunJob(context.Background(), sim.Job{
@@ -378,12 +398,19 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 					b.Fatal(err)
 				}
 			}
-		})
+		}
 	}
 	engine := prefetch.Spec{Name: "nextline", Params: map[string]float64{"degree": 4}}
-	replay("sim_replay/store", engine)
+	run("sim_replay/store", records, storeBytes, pipelined(1), replay(engine))
 	pifSpec := prefetch.Spec{Name: "pif"}
-	replay("sim_replay/pif", pifSpec)
+	pif := replay(pifSpec)
+	pipe := measure(ratioRounds,
+		side{"sim_replay/pif", records, storeBytes, pipelined(1), pif},
+		side{"sim_replay/pif_gomaxprocs_1", records, storeBytes, 1, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			pif(b)
+		}},
+	)
 
 	// The live path: the executor alone, writing the fixture's stream
 	// (the store's phases) into one reused batch, and a live job over
@@ -398,7 +425,7 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 			buf = ex.RunBatches(cfg.MeasureRecords, buf, drop)[:0]
 		}
 	})
-	run("sim_live/none", records, 0, 1, func(b *testing.B) {
+	run("sim_live/none", records, 0, pipelined(1), func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.RunJob(context.Background(), sim.Job{
@@ -419,7 +446,7 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 	}
 	rowRecords := uint64(len(rowJobs)) * records
 	rows := measure(ratioRounds,
-		side{"sim_live/separate", rowRecords, 0, 1, func(b *testing.B) {
+		side{"sim_live/separate", rowRecords, 0, pipelined(1), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, j := range rowJobs {
@@ -429,7 +456,7 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 				}
 			}
 		}},
-		side{"sim_live/row", rowRecords, 0, 1, func(b *testing.B) {
+		side{"sim_live/row", rowRecords, 0, pipelined(1), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, errs := sim.RunRow(context.Background(), rowJobs); errors.Join(errs...) != nil {
@@ -498,8 +525,8 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 			}
 		})
 	}
-	cellSerial := runCell("sweep_cell/serial", 0, 1)
-	cellSharded := runCell(fmt.Sprintf("sweep_cell/sharded_%d", cfg.Shards), cfg.Shards, shardPar)
+	cellSerial := runCell("sweep_cell/serial", 0, pipelined(1))
+	cellSharded := runCell(fmt.Sprintf("sweep_cell/sharded_%d", cfg.Shards), cfg.Shards, pipelined(cfg.Shards))
 
 	spec := sweep.Spec{
 		Name: "bench",
@@ -528,9 +555,16 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 		MmapSpeedup:      decode[1].NsPerOp / decode[2].NsPerOp,
 		SweepCellSpeedup: cellSerial.NsPerOp / cellSharded.NsPerOp,
 		RowSpeedup:       rows[0].NsPerOp / rows[1].NsPerOp,
+		PipelineSpeedup:  pipe[1].NsPerOp / pipe[0].NsPerOp,
+		PipelineSkipped:  a.GOMAXPROCS < PipelineFloorCPUs,
 	}
 	return a, nil
 }
+
+// pipelined is the parallelism of n rows run at once: a row runs its
+// front half on a goroutine of its own (sim.RunRow), so each asks for
+// two CPUs.
+func pipelined(rows int) int { return min(2*rows, runtime.GOMAXPROCS(0)) }
 
 // side is one benchmark row: its body, and the records, trace bytes and
 // worker parallelism of one operation.

@@ -33,7 +33,8 @@ func TestRunArtifactStructure(t *testing.T) {
 		t.Errorf("schema = %d, want %d", a.Schema, SchemaVersion)
 	}
 	want := []string{
-		"engine/pif", "engine/tifs", "sim_live/none", "sim_live/row", "sim_live/separate", "sim_replay/pif", "sim_replay/store",
+		"engine/pif", "engine/tifs", "sim_live/none", "sim_live/row", "sim_live/separate", "sim_replay/pif",
+		"sim_replay/pif_gomaxprocs_1", "sim_replay/store",
 		"store_decode/batch", "store_decode/mmap", "store_decode/per_record",
 		"sweep_cell/serial", "sweep_cell/sharded_2", "sweep_expand/cell", "workload/exec",
 	}
@@ -67,8 +68,21 @@ func TestRunArtifactStructure(t *testing.T) {
 	if m, ok := a.find("sweep_expand/cell"); !ok || m.MBPerSec != 0 {
 		t.Errorf("sweep_expand/cell MB/s = %f, want 0", m.MBPerSec)
 	}
-	if a.Derived.BatchSpeedup <= 0 || a.Derived.MmapSpeedup <= 0 || a.Derived.SweepCellSpeedup <= 0 || a.Derived.RowSpeedup <= 0 {
+	if a.Derived.BatchSpeedup <= 0 || a.Derived.MmapSpeedup <= 0 || a.Derived.SweepCellSpeedup <= 0 || a.Derived.RowSpeedup <= 0 || a.Derived.PipelineSpeedup <= 0 {
 		t.Errorf("derived ratios = %+v, want > 0", a.Derived)
+	}
+	if a.Derived.PipelineSkipped != (a.GOMAXPROCS < PipelineFloorCPUs) {
+		t.Errorf("pipeline ratio skipped = %v at GOMAXPROCS %d", a.Derived.PipelineSkipped, a.GOMAXPROCS)
+	}
+	// A simulation row runs its front half on a second goroutine; the
+	// pinned pipeline row runs on one CPU.
+	for name, want := range map[string]int{
+		"sim_replay/pif": pipelined(1), "sim_replay/pif_gomaxprocs_1": 1, "sim_live/row": pipelined(1),
+		"sweep_cell/sharded_2": pipelined(2), "engine/pif": 1, "store_decode/batch": 0,
+	} {
+		if m, _ := a.find(name); m.Parallelism != want {
+			t.Errorf("%s parallelism = %d, want %d", name, m.Parallelism, want)
+		}
 	}
 	if a.Config.ChunkSource != "mmap" && a.Config.ChunkSource != "readfile" {
 		t.Errorf("chunk source = %q, want mmap or readfile", a.Config.ChunkSource)
@@ -118,7 +132,7 @@ func TestCheckInvariants(t *testing.T) {
 			{Name: "engine/pif", AllocsPerRecord: 0.001},
 			{Name: "engine/tifs", AllocsPerRecord: 0.001},
 		},
-		Derived: Derived{BatchSpeedup: 2.5, MmapSpeedup: 1.2, SweepCellSpeedup: 2.0, RowSpeedup: 1.4},
+		Derived: Derived{BatchSpeedup: 2.5, MmapSpeedup: 1.2, SweepCellSpeedup: 2.0, RowSpeedup: 1.4, PipelineSpeedup: 1.4},
 	}
 	if err := CheckInvariants(good); err != nil {
 		t.Errorf("good artifact rejected: %v", err)
@@ -132,6 +146,16 @@ func TestCheckInvariants(t *testing.T) {
 	slowRow.Derived.RowSpeedup = 1.0
 	if err := CheckInvariants(slowRow); err == nil {
 		t.Error("a row no faster than its separate jobs accepted")
+	}
+	// The pipeline floor binds only where a row's halves can overlap.
+	slowPipe := good
+	slowPipe.Derived.PipelineSpeedup = 1.05
+	if err := CheckInvariants(slowPipe); err == nil {
+		t.Error("sub-1.2x pipeline speedup accepted at 4 CPUs")
+	}
+	slowPipe.GOMAXPROCS, slowPipe.Derived.PipelineSkipped = 1, true
+	if err := CheckInvariants(slowPipe); err != nil {
+		t.Errorf("pipeline floor enforced on one CPU: %v", err)
 	}
 	// Every row under the allocation ceiling fails when it allocates.
 	for _, name := range []string{"store_decode/batch", "store_decode/mmap", "sim_replay/store", "sim_replay/pif", "sim_live/none", "sim_live/row", "workload/exec", "engine/pif", "engine/tifs"} {

@@ -207,13 +207,14 @@ func RunRunner(cfg RunnerConfig, logf func(format string, args ...any)) (RunnerA
 	n := uint64(len(jobs))
 
 	a := RunnerArtifact{Schema: SchemaVersion, Config: cfg, GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	run := func(name string, perOpJobs uint64, body func(b *testing.B)) Measurement {
+	run := func(name string, perOpJobs uint64, parallelism int, body func(b *testing.B)) Measurement {
 		logf("benchmark %s...", name)
 		r := testing.Benchmark(body)
 		m := Measurement{
 			Name:        name,
 			NsPerOp:     float64(r.NsPerOp()),
 			AllocsPerOp: float64(r.MemAllocs) / float64(max(r.N, 1)),
+			Parallelism: parallelism,
 		}
 		if perOpJobs > 0 {
 			m.JobsPerSec = float64(perOpJobs) * float64(r.N) / r.T.Seconds()
@@ -232,13 +233,13 @@ func RunRunner(cfg RunnerConfig, logf func(format string, args ...any)) (RunnerA
 			}
 		}
 	}
-	serial := run("runner/jobs_serial", n, grid(1))
-	parallel := run(fmt.Sprintf("runner/jobs_parallel_%d", cfg.Parallel), n, grid(cfg.Parallel))
+	serial := run("runner/jobs_serial", n, pipelined(1), grid(1))
+	parallel := run(fmt.Sprintf("runner/jobs_parallel_%d", cfg.Parallel), n, pipelined(cfg.Parallel), grid(cfg.Parallel))
 
 	// Spec resolution in isolation: validate + derive + construct one
 	// engine instance per grid job, exactly what each backend pays before
 	// a job runs.
-	resolve := run("runner/spec_resolve", n, func(b *testing.B) {
+	resolve := run("runner/spec_resolve", n, 0, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, j := range jobs {
@@ -255,7 +256,7 @@ func RunRunner(cfg RunnerConfig, logf func(format string, args ...any)) (RunnerA
 	// holder keeps alive. Seeds count down from -1, below every seed a
 	// built-in or perturbed profile uses.
 	var seed int64
-	run("workload/build", 0, func(b *testing.B) {
+	run("workload/build", 0, 0, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			seed--

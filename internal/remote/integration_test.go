@@ -3,6 +3,7 @@ package remote
 import (
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -117,6 +118,68 @@ func TestRemoteMatchesLocal(t *testing.T) {
 			t.Errorf("job %d (%s): remote sim result differs from local:\nremote %+v\nlocal  %+v",
 				i, jobs[i].Label, got[i].Sim, want[i].Sim)
 		}
+	}
+}
+
+// TestWorkerStartsBeforeCoordinator: a worker started while nothing
+// listens at its coordinator's address keeps retrying registration
+// instead of exiting, and once a coordinator serves that address, a
+// submitted job completes on it. A closed coordinator still refuses a
+// starting worker at once.
+func TestWorkerStartsBeforeCoordinator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test runs a real simulation")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	exited := make(chan error, 1)
+	w := &Worker{Coord: addr, Name: "early", Parallel: 1}
+	go func() { exited <- w.Run(ctx) }()
+	// Three registration attempts fail while nothing listens.
+	select {
+	case err := <-exited:
+		t.Fatalf("worker exited before its coordinator came up: %v", err)
+	case <-time.After(3 * retryBackoff):
+	}
+
+	if ln, err = net.Listen("tcp", addr); err != nil {
+		t.Fatal(err)
+	}
+	core := NewCore(CoreOptions{})
+	srv := httptest.NewUnstartedServer(NewServer(core))
+	srv.Listener.Close()
+	srv.Listener = ln
+	srv.Start()
+	defer srv.Close()
+	b, err := DialAuth(srv.URL, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	runCtx, runCancel := context.WithTimeout(ctx, time.Minute)
+	defer runCancel()
+	res, err := runner.RunOn(runCtx, b, runnertest.Jobs(t, 1), nil)
+	if err != nil || res[0].Err != nil {
+		t.Fatalf("job on the late coordinator: %v, %v", err, res)
+	}
+	cancel()
+	if err := <-exited; !errors.Is(err, context.Canceled) {
+		t.Errorf("worker Run = %v, want context.Canceled", err)
+	}
+
+	core.Close()
+	late := &Worker{Coord: srv.URL, Name: "late", Parallel: 1}
+	refuseCtx, refuseCancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer refuseCancel()
+	if err := late.Run(refuseCtx); !errors.Is(err, runner.ErrBackendClosed) {
+		t.Errorf("worker Run on a closed coordinator = %v, want runner.ErrBackendClosed", err)
 	}
 }
 

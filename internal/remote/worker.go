@@ -46,10 +46,11 @@ type Worker struct {
 }
 
 // Run executes the worker loop until ctx is canceled or the coordinator
-// refuses it (registration on a closed coordinator). In-flight tasks at
-// cancellation are abandoned unposted: the coordinator's heartbeat
-// deadline re-queues them, which is exactly the kill-a-worker failure
-// path.
+// refuses it (registration on a closed coordinator, or with a bad
+// token); a coordinator that is not up yet is retried (registerFirst).
+// In-flight tasks at cancellation are abandoned unposted: the
+// coordinator's heartbeat deadline re-queues them, which is exactly the
+// kill-a-worker failure path.
 func (w *Worker) Run(ctx context.Context) error {
 	w.base = w.Coord
 	if !strings.Contains(w.base, "://") {
@@ -61,7 +62,7 @@ func (w *Worker) Run(ctx context.Context) error {
 
 	slots := runner.Workers(w.Parallel)
 
-	reg, err := w.register(ctx)
+	reg, err := w.registerFirst(ctx)
 	if err != nil {
 		return err
 	}
@@ -123,7 +124,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			// Coordinator unreachable or refusing: back off and retry.
 			select {
-			case <-time.After(500 * time.Millisecond):
+			case <-time.After(retryBackoff):
 			case <-ctx.Done():
 				return ctx.Err()
 			}
@@ -144,6 +145,30 @@ func (w *Worker) Run(ctx context.Context) error {
 			defer func() { <-sem }()
 			w.runTask(jobCtx, workerID, lease)
 		}()
+	}
+}
+
+// retryBackoff is the pause before a worker retries a coordinator it
+// could not reach.
+const retryBackoff = 500 * time.Millisecond
+
+// registerFirst registers a starting worker. A worker may start before
+// its coordinator listens, or while it restarts, so a transport error
+// or a 5xx answer is retried every retryBackoff until ctx ends. A 4xx
+// answer is final: 409 (a closed coordinator, runner.ErrBackendClosed)
+// and 401 (a bad token) will not change on retry.
+func (w *Worker) registerFirst(ctx context.Context) (registerWorkerResponse, error) {
+	for {
+		reg, err := w.register(ctx)
+		var se *httpapi.StatusError
+		if err == nil || errors.Is(err, runner.ErrBackendClosed) || errors.As(err, &se) && se.Status < 500 {
+			return reg, err
+		}
+		select {
+		case <-time.After(retryBackoff):
+		case <-ctx.Done():
+			return reg, ctx.Err()
+		}
 	}
 }
 

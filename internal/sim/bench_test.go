@@ -38,9 +38,12 @@ func BenchmarkReplayJob(b *testing.B) {
 	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
-// TestStepSteadyStateAllocs pins the alloc-free hot loop: once the
-// simulator's working structures are warm, StepBatch must not allocate —
-// no issuer boxing, no access-callback closure, no per-record buffers.
+// TestStepSteadyStateAllocs pins the alloc-free hot loop: once a row's
+// working structures are warm, a feed batch through the front pass
+// (row.pass), the hand-off and the back half (row.phase, stepRuns) must
+// not allocate — no issuer boxing, no access-callback closure, no
+// per-record buffers, no growth of a reused handoff. Both halves run on
+// the test's goroutine, which the ring's buffered channels allow.
 // Engines that intentionally grow unbounded metadata (TIFS's miss
 // history) are excluded; the baselines here cover the frontend, cache,
 // polluter, and prefetch per-access paths, and PIF covers its recording
@@ -64,14 +67,29 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		prefetch.NewNextLine(4),
 		core.New(core.DefaultConfig()),
 	} {
-		s := New(cfg, pf, wl.Seed)
-		s.StepBatch(stream) // warm caches, maps, predictor state
+		r := newRow(context.Background(), []Job{{Config: cfg, Workload: wl}}, []prefetch.Prefetcher{pf})
+		// step front-passes one feed batch, hands it over as a phase of
+		// its own and steps it.
+		step := func(rs []trace.Record) {
+			if err := r.pass(rs); err != nil {
+				t.Fatal(err)
+			}
+			r.hand(true, nil)
+			if err := r.phase(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Warm caches, maps, predictor state and every handoff of the
+		// ring.
 		const chunk = stepBatch
+		for i := 0; i+chunk <= len(stream); i += chunk {
+			step(stream[i : i+chunk])
+		}
 		batch := stream[:chunk]
-		perRun := testing.AllocsPerRun(20, func() { s.StepBatch(batch) })
+		perRun := testing.AllocsPerRun(20, func() { step(batch) })
 		if perRecord := perRun / chunk; perRecord > 0.01 {
 			t.Errorf("%s: %.4f allocs/record in steady state (%.1f per %d-record run), want ~0",
-				s.pf.Name(), perRecord, perRun, chunk)
+				pf.Name(), perRecord, perRun, chunk)
 		}
 	}
 }

@@ -19,11 +19,12 @@ import (
 // engine is stateful, a job carries a spec rather than an instance, and
 // RunJob constructs every piece of mutable state it touches, so any
 // number of jobs can run concurrently — goroutine safety by
-// construction. The one package-level state on the simulation path is
+// construction. The package-level state on the simulation path is
 // workload.ProgramFor's cache, which holds only immutable program
-// images, each a pure function of its profile, so no result can depend
-// on it. The spec is plain data, so the same job runs identically on a
-// local worker or across the remote wire.
+// images, each a pure function of its profile, and the pool of row
+// hand-off buffers, which a row clears before each use; no result can
+// depend on either. The spec is plain data, so the same job runs
+// identically on a local worker or across the remote wire.
 type Job struct {
 	// Label identifies the job in progress output and result tables
 	// (e.g. "fig10/OLTP DB2/PIF"). The simulation never reads it.
@@ -108,12 +109,12 @@ func RunWith(ctx context.Context, j Job, p prefetch.Prefetcher) (Result, error) 
 }
 
 // replayRow opens the job's source, validates it against the job and
-// replays it through the row: records are decoded in batches into one
-// preallocated buffer, so the replay loop performs no per-record
-// interface calls and no allocation, and peak memory is the source's
-// own buffer (one store chunk, one executor batch), never the trace
-// length.
-func replayRow(ctx context.Context, j Job, r *row) (res []Result, err error) {
+// replays it through the row: the front half decodes records in batches
+// into one preallocated buffer, so the replay loop performs no
+// per-record interface calls and no allocation, and peak memory is the
+// source's own buffer (one store chunk) plus the row's ring, never the
+// trace length.
+func replayRow(j Job, r *row) (res []Result, err error) {
 	if j.Workload.Name == "" {
 		// Replay sources supply records but not a profile, and the
 		// profile's front-end seed shapes the result: running with the
@@ -121,7 +122,7 @@ func replayRow(ctx context.Context, j Job, r *row) (res []Result, err error) {
 		// run of the same trace.
 		return nil, fmt.Errorf("sim: job with a record source names no workload profile (the profile supplies the front-end seed)")
 	}
-	src, info, err := j.From.Open(ctx)
+	src, info, err := j.From.Open(r.ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -141,10 +142,10 @@ func replayRow(ctx context.Context, j Job, r *row) (res []Result, err error) {
 			info, info.Records, need)
 	}
 	buf := make([]trace.Record, stepBatch)
-	return drive(j, r.sims, func(n uint64) error {
+	return r.run(j, func(n uint64) error {
 		for done := uint64(0); done < n; {
 			k, err := src.NextBatch(buf[:min(n-done, stepBatch)])
-			r.step(buf[:k])
+			perr := r.pass(buf[:k])
 			done += uint64(k)
 			if err != nil {
 				if errors.Is(err, io.EOF) {
@@ -153,8 +154,8 @@ func replayRow(ctx context.Context, j Job, r *row) (res []Result, err error) {
 				}
 				return fmt.Errorf("sim: trace source for %q: %w", j.Workload.Name, err)
 			}
-			if err := ctx.Err(); err != nil {
-				return err
+			if perr != nil {
+				return perr
 			}
 		}
 		return nil
@@ -162,10 +163,10 @@ func replayRow(ctx context.Context, j Job, r *row) (res []Result, err error) {
 }
 
 // liveRow executes the job's workload program through the row. The
-// executor writes its records straight into one batch buffer, which is
-// stepped (and the context polled) each time it fills and at each phase
-// end.
-func liveRow(ctx context.Context, j Job, r *row) ([]Result, error) {
+// executor writes its records straight into one batch buffer, which the
+// front half passes (polling the context) each time it fills and at
+// each phase end.
+func liveRow(j Job, r *row) ([]Result, error) {
 	prog := j.Program
 	if prog == nil {
 		var err error
@@ -178,35 +179,35 @@ func liveRow(ctx context.Context, j Job, r *row) ([]Result, error) {
 	ex := workload.NewExecutor(prog)
 	buf := make([]trace.Record, 0, stepBatch)
 	var err error
-	step := func(b []trace.Record) []trace.Record {
-		r.step(b)
-		if err = ctx.Err(); err != nil {
+	flush := func(b []trace.Record) []trace.Record {
+		if err = r.pass(b); err != nil {
 			ex.Abort()
 		}
 		return b[:0]
 	}
 	// Each phase is one executor run, which starts a fresh transaction:
 	// the phase boundaries are part of the live stream.
-	return drive(j, r.sims, func(n uint64) error {
-		buf = step(ex.RunBatches(n, buf, step))
+	return r.run(j, func(n uint64) error {
+		buf = flush(ex.RunBatches(n, buf, flush))
 		return err
 	})
 }
 
-// stepBatch is the record batch both feeds step per call: large enough
-// to amortize the batch call and the context poll, small enough that the
-// buffer stays cache-warm across the step loop.
+// stepBatch is the record batch a feed fills per call: large enough to
+// amortize the batch call and the context poll, small enough that the
+// buffer stays cache-warm between the feed's write and the front pass.
 const stepBatch = 4096
 
 // drive runs a row's warmup → offset → measure sequence on each of its
-// simulators; j supplies the phases and the workload name. feed(n) steps
-// the source's next n records through the row in batches, polling the
-// context once per batch; drive resets the statistics at the warmup
+// back halves; j supplies the phases and the workload name. phase()
+// steps the back halves through the next phase's records, which the
+// row's front half cuts at the phase boundaries (row.produce), and
+// returns the feed's error. drive resets the statistics at the warmup
 // boundary, snapshots them after the offset and reports the measured
 // interval, so live and replay rows share every phase rule.
-func drive(j Job, sims []*Simulator, feed func(n uint64) error) ([]Result, error) {
+func drive(j Job, sims []*Simulator, phase func() error) ([]Result, error) {
 	if j.Config.WarmupInstrs > 0 {
-		if err := feed(j.Config.WarmupInstrs); err != nil {
+		if err := phase(); err != nil {
 			return nil, err
 		}
 		for _, s := range sims {
@@ -219,14 +220,14 @@ func drive(j Job, sims []*Simulator, feed func(n uint64) error) ([]Result, error
 		// measured interval is reported as deltas against this snapshot,
 		// so state and clock evolve exactly as in an offset-free run
 		// (see Config.MeasureOffsetInstrs).
-		if err := feed(j.Config.MeasureOffsetInstrs); err != nil {
+		if err := phase(); err != nil {
 			return nil, err
 		}
 		for _, s := range sims {
 			snaps = append(snaps, s.result(j.Workload.Name))
 		}
 	}
-	if err := feed(j.Config.MeasureInstrs); err != nil {
+	if err := phase(); err != nil {
 		return nil, err
 	}
 	res := make([]Result, len(sims))

@@ -21,7 +21,6 @@ import (
 	"repro/internal/frontend"
 	"repro/internal/isa"
 	"repro/internal/prefetch"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -105,11 +104,11 @@ func (r Result) MissRatio() float64 {
 	return float64(r.CorrectMisses) / float64(r.CorrectAccesses)
 }
 
-// Simulator couples the models for one run.
+// Simulator is one job's back half: the models that read the front
+// end's output (runRow hands it over) and never the front end itself.
 type Simulator struct {
 	cfg Config
 	l1  *cache.Cache
-	fe  *frontend.Frontend
 	pf  prefetch.Prefetcher
 
 	instrs     uint64
@@ -125,38 +124,30 @@ type Simulator struct {
 
 	lastTagged bool
 
-	// iss and accessFn are the issuer interface value and the access
-	// callback, boxed once at construction: handing issuer{s} or s.access
-	// to an interface/func parameter at every event would allocate on the
-	// hot path (two escapes per retired instruction), which the
-	// steady-state alloc benchmarks in bench_test.go pin at zero.
-	iss      prefetch.Issuer
-	accessFn func(frontend.Access)
+	// iss is the issuer interface value, boxed once at construction:
+	// handing issuer{s} to an interface parameter at every event would
+	// allocate on the hot path, which the steady-state alloc benchmarks
+	// in bench_test.go pin at zero.
+	iss prefetch.Issuer
 }
 
-// New builds a simulator; it panics on invalid system configuration.
+// New builds a simulator's back half: the L1-I, the polluter (seeded
+// from feSeed, the workload seed that also seeds the front end), the
+// timing model and the engine pf. The front end belongs to the row that
+// feeds it (runRow). New panics on invalid system configuration.
 func New(cfg Config, pf prefetch.Prefetcher, feSeed int64) *Simulator {
-	return newSimulator(cfg, pf, feSeed, frontend.New(cfg.System.Frontend(feSeed)))
-}
-
-// newSimulator builds a simulator around a front end that a row's
-// simulators share: StepBatch or the row's front pass feeds it, and
-// result reads its stats. It panics on invalid system configuration.
-func newSimulator(cfg Config, pf prefetch.Prefetcher, feSeed int64, fe *frontend.Frontend) *Simulator {
 	if err := cfg.System.Validate(); err != nil {
 		panic(err)
 	}
 	s := &Simulator{
 		cfg:        cfg,
 		l1:         cache.New(cfg.System.L1I()),
-		fe:         fe,
 		pf:         pf,
 		lastTagged: true,
 		polluter: cache.NewPolluter(
 			cfg.System.CtxSwitchEveryInstrs, cfg.System.CtxSwitchBlocks, feSeed^0x706f6c),
 	}
 	s.iss = issuer{s}
-	s.accessFn = s.access
 	return s
 }
 
@@ -251,37 +242,21 @@ func (s *Simulator) access(a frontend.Access) {
 	}, s.iss)
 }
 
-// StepBatch consumes a batch of retired instructions in retire order, one
-// same-block run at a time (trace.BlockRun). A run's first record takes
-// the full step. Its continuations emit no L1-I access and resolve no
-// branch, and every engine ignores them (prefetch.Prefetcher.OnRetire),
-// so the whole tail costs one front-end Feed of its last record — which
-// leaves the predecessor where one Feed per record would — plus the
-// instruction count and the polluter's ticks. The Result is identical to
-// stepping every record; a run cut by the batch boundary only costs
-// speed.
-func (s *Simulator) StepBatch(rs []trace.Record) {
-	for i := 0; i < len(rs); {
-		s.step(rs[i])
-		k := trace.BlockRun(rs[i:])
-		if k > 0 {
-			i += k
-			s.fe.Feed(rs[i], s.accessFn)
-			s.instrs += uint64(k)
-			s.polluter.TickN(s.l1, k)
-		}
-		i++
-	}
-}
-
-// stepRuns is StepBatch's back half: it steps block runs whose front
-// pass a row has made (row.step), in StepBatch's order.
-func (s *Simulator) stepRuns(rs []trace.Record, runs []blockRun, acc []frontend.Access) {
+// stepRuns steps block runs whose front pass the row's front half has
+// made (row.pass), in retire order. A run's head takes the full step:
+// its accesses, OnRetire, the instruction count and a polluter tick. Its
+// k continuations emit no L1-I access and resolve no branch, and every
+// engine ignores them (prefetch.Prefetcher.OnRetire), so they cost only
+// the instruction count and the polluter's ticks. Run i's accesses are
+// acc[runs[i-1].a1:runs[i].a1].
+func (s *Simulator) stepRuns(runs []blockRun, acc []frontend.Access) {
+	a0 := int32(0)
 	for _, run := range runs {
-		for _, a := range acc[run.a0:run.a1] {
+		for _, a := range acc[a0:run.a1] {
 			s.access(a)
 		}
-		s.pf.OnRetire(rs[run.head], s.lastTagged, s.iss)
+		a0 = run.a1
+		s.pf.OnRetire(run.head, s.lastTagged, s.iss)
 		s.instrs++
 		s.polluter.Tick(s.l1)
 		if run.k > 0 {
@@ -289,14 +264,6 @@ func (s *Simulator) stepRuns(rs []trace.Record, runs []blockRun, acc []frontend.
 			s.polluter.TickN(s.l1, int(run.k))
 		}
 	}
-}
-
-// step consumes one retired instruction.
-func (s *Simulator) step(r trace.Record) {
-	s.fe.Feed(r, s.accessFn)
-	s.pf.OnRetire(r, s.lastTagged, s.iss)
-	s.instrs++
-	s.polluter.Tick(s.l1)
 }
 
 // resetStats clears measurement state after warmup. The prefetch
@@ -313,7 +280,9 @@ func (s *Simulator) resetStats() {
 	s.prefIssued = 0
 }
 
-// result snapshots the measured interval.
+// result snapshots the measured interval. It leaves FE zero: the front
+// end's statistics are whole-feed, so the row fills them in once the
+// feed has ended (row.run).
 func (s *Simulator) result(workload string) Result {
 	r := Result{
 		Workload:         workload,
@@ -321,7 +290,6 @@ func (s *Simulator) result(workload string) Result {
 		Instructions:     s.instrs,
 		Cycles:           s.now(),
 		L1:               s.l1.Stats(),
-		FE:               s.fe.Stats(),
 		CorrectAccesses:  s.correctAccesses,
 		CorrectMisses:    s.correctMisses,
 		CoveredMisses:    s.coveredMisses,
