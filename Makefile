@@ -33,7 +33,9 @@ bench:
 # of three engines >= 1.1x their separate jobs, a pipelined PIF replay
 # >= 1.2x the same replay on one CPU at 2+ CPUs, ~0 allocs/record;
 # runner: engine-spec resolution a few percent of job
-# runtime at most, and a program build within 128 allocations).
+# runtime at most, a program build within 128 allocations, and a row
+# through a loopback coordinator and worker within 2x the same row run
+# locally).
 bench-check:
 	go run ./cmd/benchreplay -check BENCH_replay.json
 	go run ./cmd/benchreplay -suite runner -check BENCH_runner.json

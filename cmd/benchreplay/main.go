@@ -9,8 +9,10 @@
 //     served the run.
 //   - BENCH_runner.json (-suite runner): job-execution throughput —
 //     grid jobs/sec through runner.RunOn serially and in parallel, the
-//     per-job engine-spec resolution overhead, and the cost of one
-//     program-cache miss (a fresh program build).
+//     per-job engine-spec resolution overhead, the cost of one
+//     program-cache miss (a fresh program build), and one row through
+//     a loopback coordinator and worker against the same row run
+//     locally.
 //
 // Usage:
 //
@@ -26,8 +28,9 @@
 // measurements (replay: batch decode >= 2x per-record, ~0 allocs/record,
 // mmap decode no slower than read-file batch where mmap is active, and a
 // >= 1.5x sharded sweep-cell speedup on 4+ CPUs; runner: spec resolution
-// a few percent of job runtime at most, and a program build within
-// bench.MaxBuildAllocs allocations).
+// a few percent of job runtime at most, a program build within
+// bench.MaxBuildAllocs allocations, and a remote row within
+// bench.MaxRemoteOverhead times the local row).
 package main
 
 import (
@@ -128,15 +131,15 @@ func runRunner(out, check string, logf func(string, ...any)) int {
 			fmt.Fprintln(os.Stderr, "benchreplay:", err)
 			return 1
 		}
-		fmt.Printf("benchreplay: %s is fresh; measured parallel speedup %.2fx, resolve overhead %.5f\n",
-			check, fresh.Derived.ParallelSpeedup, fresh.Derived.ResolveOverhead)
+		fmt.Printf("benchreplay: %s is fresh; measured parallel speedup %.2fx, resolve overhead %.5f, remote overhead %.2fx\n",
+			check, fresh.Derived.ParallelSpeedup, fresh.Derived.ResolveOverhead, fresh.Derived.RemoteOverhead)
 		return 0
 	}
 	if !writeArtifact(out, fresh) {
 		return 1
 	}
-	fmt.Printf("benchreplay: wrote %s (parallel speedup %.2fx, resolve overhead %.5f)\n",
-		out, fresh.Derived.ParallelSpeedup, fresh.Derived.ResolveOverhead)
+	fmt.Printf("benchreplay: wrote %s (parallel speedup %.2fx, resolve overhead %.5f, remote overhead %.2fx)\n",
+		out, fresh.Derived.ParallelSpeedup, fresh.Derived.ResolveOverhead, fresh.Derived.RemoteOverhead)
 	return 0
 }
 

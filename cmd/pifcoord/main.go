@@ -22,9 +22,10 @@
 // be salvageable as one); they are appended to DIR/<run-id>/failed.jsonl.
 //
 // The lease TTL is the failure detector: a worker that has not heartbeat
-// for a full TTL forfeits its leases and the tasks are re-queued, up to
-// -max-attempts leases per task before the task completes with a hard
-// error result (never a silent zero-valued one).
+// for a full TTL forfeits its leases and the tasks (each a row of jobs,
+// or one job) are re-queued whole, up to -max-attempts leases per task
+// before every job of the task completes with a hard error result (never
+// a silent zero-valued one).
 package main
 
 import (

@@ -1,7 +1,9 @@
 // Command pifworker runs simulation jobs leased from a pifcoord
-// coordinator. It registers, pulls up to -parallel tasks at a time,
-// heartbeats while they run, and posts each result keyed by its task ID
-// so retried posts deduplicate.
+// coordinator. It registers with its -parallel slot count, pulls up to
+// -parallel tasks at a time, heartbeats while they run, and posts each
+// task's results keyed by its task ID so retried posts deduplicate. A
+// task is a unit: a row of jobs that share a front half, run through one
+// program image, executor and front end, or a single job.
 //
 // Usage:
 //

@@ -311,36 +311,9 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 	probe.Close()
 
 	a := Artifact{Schema: SchemaVersion, Config: cfg, GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	// measure runs the sides in alternation, rounds runs each, and
-	// records each side's median run.
 	measure := func(rounds int, sides ...side) []Measurement {
-		runs := make([][]testing.BenchmarkResult, len(sides))
-		for round := 1; round <= rounds; round++ {
-			for i, sd := range sides {
-				logf("benchmark %s (run %d of %d)...", sd.name, round, rounds)
-				runs[i] = append(runs[i], testing.Benchmark(sd.body))
-			}
-		}
-		out := make([]Measurement, len(sides))
-		for i, sd := range sides {
-			slices.SortFunc(runs[i], func(x, y testing.BenchmarkResult) int { return cmp.Compare(x.NsPerOp(), y.NsPerOp()) })
-			r := runs[i][rounds/2]
-			m := Measurement{
-				Name:        sd.name,
-				NsPerOp:     float64(r.NsPerOp()),
-				AllocsPerOp: float64(r.MemAllocs) / float64(max(r.N, 1)),
-				Parallelism: sd.parallelism,
-			}
-			if sd.records > 0 {
-				m.RecordsPerSec = float64(sd.records) * float64(r.N) / r.T.Seconds()
-				m.AllocsPerRecord = m.AllocsPerOp / float64(sd.records)
-			}
-			if sd.bytes > 0 {
-				m.MBPerSec = float64(sd.bytes) * float64(r.N) / r.T.Seconds() / (1 << 20)
-			}
-			a.Benchmarks = append(a.Benchmarks, m)
-			out[i] = m
-		}
+		out := measureSides(rounds, logf, sides...)
+		a.Benchmarks = append(a.Benchmarks, out...)
 		return out
 	}
 	run := func(name string, perOpRecords uint64, perOpBytes int64, parallelism int, body func(b *testing.B)) Measurement {
@@ -565,6 +538,38 @@ func Run(cfg Config, logf func(format string, args ...any)) (Artifact, error) {
 // front half on a goroutine of its own (sim.RunRow), so each asks for
 // two CPUs.
 func pipelined(rows int) int { return min(2*rows, runtime.GOMAXPROCS(0)) }
+
+// measureSides runs the sides in alternation, rounds runs each, and
+// returns each side's median run.
+func measureSides(rounds int, logf func(format string, args ...any), sides ...side) []Measurement {
+	runs := make([][]testing.BenchmarkResult, len(sides))
+	for round := 1; round <= rounds; round++ {
+		for i, sd := range sides {
+			logf("benchmark %s (run %d of %d)...", sd.name, round, rounds)
+			runs[i] = append(runs[i], testing.Benchmark(sd.body))
+		}
+	}
+	out := make([]Measurement, len(sides))
+	for i, sd := range sides {
+		slices.SortFunc(runs[i], func(x, y testing.BenchmarkResult) int { return cmp.Compare(x.NsPerOp(), y.NsPerOp()) })
+		r := runs[i][rounds/2]
+		m := Measurement{
+			Name:        sd.name,
+			NsPerOp:     float64(r.NsPerOp()),
+			AllocsPerOp: float64(r.MemAllocs) / float64(max(r.N, 1)),
+			Parallelism: sd.parallelism,
+		}
+		if sd.records > 0 {
+			m.RecordsPerSec = float64(sd.records) * float64(r.N) / r.T.Seconds()
+			m.AllocsPerRecord = m.AllocsPerOp / float64(sd.records)
+		}
+		if sd.bytes > 0 {
+			m.MBPerSec = float64(sd.bytes) * float64(r.N) / r.T.Seconds() / (1 << 20)
+		}
+		out[i] = m
+	}
+	return out
+}
 
 // side is one benchmark row: its body, and the records, trace bytes and
 // worker parallelism of one operation.

@@ -5,19 +5,24 @@ package bench
 // this artifact measures the job-execution layer on top of them —
 // grid jobs/sec through runner.RunOn serially and in parallel, the
 // spec-resolution overhead the declarative engine layer adds per job,
-// and the program build a worker pays when a job's image is not cached.
+// the program build a worker pays when a job's image is not cached, and
+// one row through the remote stack against the same row run locally.
 // Freshness is checked structurally like the replay artifact; the
 // enforced invariants are that engine-spec resolution stays negligible
-// against job runtime (the claim that let closure factories be deleted)
-// and that a program build stays a handful of allocations.
+// against job runtime (the claim that let closure factories be deleted),
+// that a program build stays a handful of allocations, and that a remote
+// row costs at most a bounded multiple of the local one.
 
 import (
 	"context"
 	"fmt"
+	"net"
+	"net/http"
 	"runtime"
 	"testing"
 
 	"repro/internal/prefetch"
+	"repro/internal/remote"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -66,6 +71,11 @@ type RunnerDerived struct {
 	// the per-job cost of the declarative engine layer (enforced
 	// ceiling: MaxResolveOverhead).
 	ResolveOverhead float64 `json:"resolve_overhead"`
+	// RemoteOverhead is remote/row time over runner/row_local time: one
+	// row opened, leased, run and completed through a coordinator on
+	// loopback and a one-slot worker, against the same row on a
+	// one-worker local backend (enforced ceiling: MaxRemoteOverhead).
+	RemoteOverhead float64 `json:"remote_overhead"`
 }
 
 // RunnerArtifact is the serialized runner-benchmark run
@@ -100,12 +110,23 @@ const MaxResolveOverhead = 0.05
 // allocations) and adds its cache entry.
 const MaxBuildAllocs = 128
 
+// MaxRemoteOverhead bounds a remote row against the same row run
+// locally. Opening the run, submitting, leasing and completing the unit
+// and fetching its results are a few HTTP round trips on loopback: on a
+// 2-vCPU VM the ratio read 1.30x–1.55x over eight measurements, and
+// 2.11x where each job of the row was leased and run on its own.
+const MaxRemoteOverhead = 2.0
+
 // CheckRunnerInvariants validates the runner suite's claims against a
 // freshly measured artifact.
 func CheckRunnerInvariants(a RunnerArtifact) error {
 	if a.Derived.ResolveOverhead > MaxResolveOverhead {
 		return fmt.Errorf("bench: engine-spec resolution is %.4f of mean job time, above the %.2f ceiling",
 			a.Derived.ResolveOverhead, MaxResolveOverhead)
+	}
+	if a.Derived.RemoteOverhead <= 0 || a.Derived.RemoteOverhead > MaxRemoteOverhead {
+		return fmt.Errorf("bench: a remote row takes %.2fx the local row, outside (0, %.2f]",
+			a.Derived.RemoteOverhead, MaxRemoteOverhead)
 	}
 	if a.Derived.ParallelSpeedup <= 0 {
 		return fmt.Errorf("bench: parallel speedup %.2f is not positive", a.Derived.ParallelSpeedup)
@@ -176,6 +197,73 @@ func runnerJobs(cfg RunnerConfig) ([]runner.Job, error) {
 		}
 	}
 	return jobs, nil
+}
+
+// rowJobs is the first fixture job's workload, program and scale under
+// engines none and pif (perfbench svc-small's grid): one row.
+func rowJobs(first runner.Job) []runner.Job {
+	jobs := make([]runner.Job, 2)
+	for k, e := range []string{"none", "pif"} {
+		jobs[k] = first
+		jobs[k].Label, jobs[k].Engine = e, prefetch.Spec{Name: e}
+	}
+	return jobs
+}
+
+// loopbackFleet is a coordinator served on a loopback port with one
+// single-slot worker, all in this process.
+type loopbackFleet struct {
+	addr   string
+	core   *remote.Core
+	srv    *http.Server
+	served chan struct{} // closed once Serve returns
+	stop   context.CancelFunc
+	done   chan struct{} // closed once the worker returns
+}
+
+func startFleet() (*loopbackFleet, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	f := &loopbackFleet{
+		addr:   ln.Addr().String(),
+		core:   remote.NewCore(remote.CoreOptions{}),
+		served: make(chan struct{}),
+		done:   make(chan struct{}),
+	}
+	f.srv = &http.Server{Handler: remote.NewServer(f.core)}
+	go func() {
+		defer close(f.served)
+		_ = f.srv.Serve(ln) // http.ErrServerClosed after Close
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	f.stop = cancel
+	go func() {
+		defer close(f.done)
+		_ = (&remote.Worker{Coord: f.addr, Name: "bench", Parallel: 1}).Run(ctx)
+	}()
+	return f, nil
+}
+
+// runGrid opens a run, as a client does per grid, runs jobs on it and
+// closes it.
+func (f *loopbackFleet) runGrid(jobs []runner.Job) error {
+	b, err := remote.DialAuth(f.addr, "")
+	if err != nil {
+		return err
+	}
+	defer b.Close()
+	_, err = runner.RunOn(context.Background(), b, jobs, nil)
+	return err
+}
+
+func (f *loopbackFleet) close() {
+	f.stop()
+	<-f.done
+	f.core.Close()
+	f.srv.Close()
+	<-f.served
 }
 
 // runGrid runs jobs once on a fresh local backend of the given width
@@ -268,9 +356,37 @@ func RunRunner(cfg RunnerConfig, logf func(format string, args ...any)) (RunnerA
 		}
 	})
 
+	// One row of the first workload, through the remote stack and on a
+	// one-worker local backend, in alternation.
+	row := rowJobs(jobs[0])
+	fleet, err := startFleet()
+	if err != nil {
+		return RunnerArtifact{}, err
+	}
+	defer fleet.close()
+	rowSide := func(name string, runRow func([]runner.Job) error) side {
+		return side{name: name, parallelism: pipelined(1), body: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := runRow(row); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}}
+	}
+	rows := measureSides(ratioRounds, logf,
+		rowSide("remote/row", fleet.runGrid),
+		rowSide("runner/row_local", func(jobs []runner.Job) error { return runGrid(jobs, 1) }),
+	)
+	for i := range rows {
+		rows[i].JobsPerSec = float64(len(row)) * 1e9 / rows[i].NsPerOp
+	}
+	a.Benchmarks = append(a.Benchmarks, rows...)
+
 	a.Derived = RunnerDerived{
 		ParallelSpeedup: serial.NsPerOp / parallel.NsPerOp,
 		ResolveOverhead: resolve.NsPerOp / serial.NsPerOp,
+		RemoteOverhead:  rows[0].NsPerOp / rows[1].NsPerOp,
 	}
 	return a, nil
 }

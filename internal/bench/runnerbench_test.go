@@ -46,6 +46,36 @@ func TestRunGridReleasesWorkers(t *testing.T) {
 	}
 }
 
+// TestLoopbackFleetReleases runs the remote row twice on a loopback
+// fleet and requires the goroutine count to return to its starting
+// value once the fleet is closed: no worker, server or poller outlives
+// the suite.
+func TestLoopbackFleetReleases(t *testing.T) {
+	cfg := smallRunnerConfig()
+	cfg.WarmupInstrs, cfg.MeasureInstrs = 2_000, 1_000
+	jobs, err := runnerJobs(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	f, err := startFleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := f.runGrid(rowJobs(jobs[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the fleet closed, %d before", n, before)
+	}
+}
+
 func TestRunRunnerArtifactStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real benchmark suite")
@@ -57,7 +87,7 @@ func TestRunRunnerArtifactStructure(t *testing.T) {
 	if a.Schema != SchemaVersion {
 		t.Errorf("schema = %d, want %d", a.Schema, SchemaVersion)
 	}
-	want := []string{"runner/jobs_parallel_2", "runner/jobs_serial", "runner/spec_resolve", "workload/build"}
+	want := []string{"remote/row", "runner/jobs_parallel_2", "runner/jobs_serial", "runner/row_local", "runner/spec_resolve", "workload/build"}
 	got := a.Names()
 	if len(got) != len(want) {
 		t.Fatalf("benchmarks = %v, want %v", got, want)
@@ -71,11 +101,11 @@ func TestRunRunnerArtifactStructure(t *testing.T) {
 		if m.NsPerOp <= 0 {
 			t.Errorf("%s: ns/op = %f", m.Name, m.NsPerOp)
 		}
-		if strings.HasPrefix(m.Name, "runner/") && m.JobsPerSec <= 0 {
+		if (strings.HasPrefix(m.Name, "runner/") || strings.HasPrefix(m.Name, "remote/")) && m.JobsPerSec <= 0 {
 			t.Errorf("%s: jobs/s = %f, want > 0", m.Name, m.JobsPerSec)
 		}
 	}
-	if a.Derived.ParallelSpeedup <= 0 || a.Derived.ResolveOverhead <= 0 {
+	if a.Derived.ParallelSpeedup <= 0 || a.Derived.ResolveOverhead <= 0 || a.Derived.RemoteOverhead <= 0 {
 		t.Errorf("derived ratios = %+v, want > 0", a.Derived)
 	}
 	if build, _ := a.find("workload/build"); build.AllocsPerOp > MaxBuildAllocs {
@@ -107,7 +137,7 @@ func TestCheckRunnerInvariants(t *testing.T) {
 	good := RunnerArtifact{
 		Schema:     SchemaVersion,
 		Benchmarks: []Measurement{{Name: "workload/build", NsPerOp: 4e6, AllocsPerOp: 25}},
-		Derived:    RunnerDerived{ParallelSpeedup: 1.5, ResolveOverhead: 0.005},
+		Derived:    RunnerDerived{ParallelSpeedup: 1.5, ResolveOverhead: 0.005, RemoteOverhead: 1.3},
 	}
 	if err := CheckRunnerInvariants(good); err != nil {
 		t.Errorf("good artifact rejected: %v", err)
@@ -121,6 +151,13 @@ func TestCheckRunnerInvariants(t *testing.T) {
 	broken.Derived.ParallelSpeedup = 0
 	if err := CheckRunnerInvariants(broken); err == nil {
 		t.Error("non-positive parallel speedup accepted")
+	}
+	for _, overhead := range []float64{0, MaxRemoteOverhead * 1.01} {
+		slow := good
+		slow.Derived.RemoteOverhead = overhead
+		if err := CheckRunnerInvariants(slow); err == nil {
+			t.Errorf("a remote row at %.2fx the local row accepted", overhead)
+		}
 	}
 	allocating := good
 	allocating.Benchmarks = []Measurement{{Name: "workload/build", NsPerOp: 4e6, AllocsPerOp: 27753}}

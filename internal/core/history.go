@@ -10,22 +10,24 @@ import (
 // HistoryBuffer is the circular FIFO of spatial region records
 // (Section 4.2). Positions are absolute (monotonically increasing), so a
 // stale index entry whose record has been overwritten is detectable.
+// The records grow by append up to the capacity and wrap from then on,
+// so a run that records fewer regions than the capacity allocates only
+// what it records.
 type HistoryBuffer struct {
-	buf  []Region
-	tail uint64 // absolute position of the next append
+	buf      []Region
+	capacity int
+	tail     uint64 // absolute position of the next append
 }
 
 // NewHistoryBuffer builds a buffer holding capacity regions. A capacity of
-// 0 is normalized to 1.
+// 0 is normalized to 1. No record storage is allocated before the first
+// Append.
 func NewHistoryBuffer(capacity int) *HistoryBuffer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &HistoryBuffer{buf: make([]Region, capacity)}
+	return &HistoryBuffer{capacity: max(capacity, 1)}
 }
 
 // Cap returns the buffer capacity in regions.
-func (h *HistoryBuffer) Cap() int { return len(h.buf) }
+func (h *HistoryBuffer) Cap() int { return h.capacity }
 
 // Tail returns the absolute position of the next append.
 func (h *HistoryBuffer) Tail() uint64 { return h.tail }
@@ -33,7 +35,18 @@ func (h *HistoryBuffer) Tail() uint64 { return h.tail }
 // Append stores a region and returns its absolute position.
 func (h *HistoryBuffer) Append(r Region) uint64 {
 	pos := h.tail
-	h.buf[pos%uint64(len(h.buf))] = r
+	if n := len(h.buf); n < h.capacity {
+		// Not yet full, so pos == n. Double the storage, up to the
+		// capacity: append's own growth could overshoot it.
+		if n == cap(h.buf) {
+			grown := make([]Region, n, min(max(2*n, 256), h.capacity))
+			copy(grown, h.buf)
+			h.buf = grown
+		}
+		h.buf = append(h.buf, r)
+	} else {
+		h.buf[pos%uint64(h.capacity)] = r
+	}
 	h.tail++
 	return pos
 }
@@ -41,10 +54,10 @@ func (h *HistoryBuffer) Append(r Region) uint64 {
 // At returns the region at absolute position pos; ok is false when the
 // position has been overwritten (older than capacity) or not yet written.
 func (h *HistoryBuffer) At(pos uint64) (Region, bool) {
-	if pos >= h.tail || h.tail-pos > uint64(len(h.buf)) {
+	if pos >= h.tail || h.tail-pos > uint64(h.capacity) {
 		return Region{}, false
 	}
-	return h.buf[pos%uint64(len(h.buf))], true
+	return h.buf[pos%uint64(h.capacity)], true
 }
 
 // indexEntry is one index-table mapping, linked into the LRU list by

@@ -78,6 +78,44 @@ func TestHistoryRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestHistoryBufferGrowsOnDemand: a fresh buffer holds no record
+// storage, never holds more than its capacity, and a seeded sequence of
+// appends and lookups matches a preallocated ring across the wrap.
+func TestHistoryBufferGrowsOnDemand(t *testing.T) {
+	if h := NewHistoryBuffer(1 << 15); cap(h.buf) != 0 {
+		t.Fatalf("fresh buffer holds %d records of storage, want 0", cap(h.buf))
+	}
+	g := DefaultGeometry()
+	rng := rand.New(rand.NewSource(7))
+	for _, capacity := range []int{1, 3, 256, 1000} {
+		h := NewHistoryBuffer(capacity)
+		ref := make([]Region, capacity) // the preallocated ring
+		var tail uint64
+		for step := 0; step < 5*capacity+50; step++ {
+			r := NewRegion(g, isa.Block(rng.Intn(1<<20)), isa.TrapLevel(rng.Intn(2)), rng.Intn(2) == 0)
+			r.Bits |= rng.Uint64()
+			if pos := h.Append(r); pos != tail {
+				t.Fatalf("cap %d: Append returned %d, want %d", capacity, pos, tail)
+			}
+			ref[tail%uint64(capacity)] = r
+			tail++
+			if cap(h.buf) > capacity {
+				t.Fatalf("cap %d: storage grew to %d records", capacity, cap(h.buf))
+			}
+			for k := 0; k < 3; k++ {
+				pos := uint64(rng.Int63n(int64(tail) + 2))
+				want, wantOK := ref[pos%uint64(capacity)], pos < tail && tail-pos <= uint64(capacity)
+				if !wantOK {
+					want = Region{}
+				}
+				if got, ok := h.At(pos); ok != wantOK || got != want {
+					t.Fatalf("cap %d, tail %d: At(%d) = %v, %v; want %v, %v", capacity, tail, pos, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
 func TestIndexTablePutGet(t *testing.T) {
 	idx := NewIndexTable(8)
 	idx.Put(100, 5)

@@ -27,6 +27,7 @@ type Backend struct {
 	base  string
 	hc    *http.Client
 	runID string
+	width int // worker slots registered when the run opened
 
 	results chan runner.Result
 	stop    chan struct{} // closed by Close: poller exits after drain
@@ -58,7 +59,7 @@ func DialAuth(addr, token string) (*Backend, error) {
 	}{WireVersion}, &resp); err != nil {
 		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
 	}
-	b.runID = resp.RunID
+	b.runID, b.width = resp.RunID, max(resp.Slots, 1)
 	go b.poll()
 	return b, nil
 }
@@ -106,10 +107,10 @@ func httpJSON(ctx context.Context, hc *http.Client, method, url string, req, res
 	return err
 }
 
-// Submit implements runner.Backend: encode the job, ship it. A closed
-// backend (local Close or coordinator refusal) returns
-// runner.ErrBackendClosed.
-func (b *Backend) Submit(ctx context.Context, idx int, j runner.Job) error {
+// Submit implements runner.Backend: encode the unit's jobs, ship them as
+// one task. A closed backend (local Close or coordinator refusal)
+// returns runner.ErrBackendClosed.
+func (b *Backend) Submit(ctx context.Context, idx []int, jobs []runner.Job) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -119,12 +120,19 @@ func (b *Backend) Submit(ctx context.Context, idx int, j runner.Job) error {
 	if closed {
 		return runner.ErrBackendClosed
 	}
-	spec, err := EncodeJob(j)
-	if err != nil {
-		return err
+	specs := make([]JobSpec, len(jobs))
+	for k, j := range jobs {
+		var err error
+		if specs[k], err = EncodeJob(j); err != nil {
+			return err
+		}
 	}
-	return b.post(ctx, "/v1/runs/"+b.runID+"/jobs", submitJobRequest{V: WireVersion, Index: idx, Spec: spec}, nil)
+	return b.post(ctx, "/v1/runs/"+b.runID+"/jobs", submitUnitRequest{V: WireVersion, Indices: idx, Specs: specs}, nil)
 }
+
+// Width implements runner.Backend: the worker slots registered at the
+// coordinator when the run opened (at least 1).
+func (b *Backend) Width() int { return b.width }
 
 // Results implements runner.Backend.
 func (b *Backend) Results() <-chan runner.Result { return b.results }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -30,12 +31,13 @@ var (
 const DefaultLeaseTTL = 15 * time.Second
 
 // DefaultMaxAttempts bounds lease retries per task: after this many
-// leases all end in a lost worker, the task completes with a hard error
-// result — never a silent zero-valued sim.Result.
+// leases all end in a lost worker, every job of the task completes with
+// a hard error result — never a silent zero-valued sim.Result.
 const DefaultMaxAttempts = 3
 
-// taskState is the lease state machine: pending -> leased -> done, with
-// leased -> pending again on heartbeat expiry while attempts remain.
+// taskState is the lease state machine of a task (one unit): pending ->
+// leased -> done, with leased -> pending again on heartbeat expiry while
+// attempts remain. A unit moves through it whole.
 type taskState int
 
 const (
@@ -44,12 +46,13 @@ const (
 	taskDone
 )
 
-// task is one submitted job inside the coordinator.
+// task is one submitted unit inside the coordinator: a row of jobs
+// sharing a front half, or a single job, leased and completed together.
 type task struct {
 	id       int // coordinator-wide monotonic task ID (the idempotency key)
 	runID    string
-	index    int // caller's submission index, echoed in the result
-	spec     JobSpec
+	indices  []int // callers' submission indices, echoed in the results
+	specs    []JobSpec
 	state    taskState
 	att      int // leases handed out so far
 	worker   string
@@ -62,13 +65,14 @@ type run struct {
 	id      string
 	closed  bool // no further submissions; done once all tasks complete
 	tasks   map[int]*task
+	jobs    int // jobs over all tasks
 	results []WireResult
 	fetched int // high-water mark of results served to the client
 }
 
-// done reports whether every submitted task has completed and the run
+// done reports whether every submitted job has completed and the run
 // is closed to new submissions.
-func (r *run) done() bool { return r.closed && len(r.results) == len(r.tasks) }
+func (r *run) done() bool { return r.closed && len(r.results) == r.jobs }
 
 // workerState is one registered worker.
 type workerState struct {
@@ -76,10 +80,11 @@ type workerState struct {
 	name string
 }
 
-// Lease is one task handed to a worker.
+// Lease is one task (a unit of jobs) handed to a worker. The worker
+// posts one result per spec, in order.
 type Lease struct {
-	TaskID int     `json:"task_id"`
-	Spec   JobSpec `json:"spec"`
+	TaskID int       `json:"task_id"`
+	Specs  []JobSpec `json:"specs"`
 }
 
 // taskHeap is a min-heap of tasks ordered by ID (IDs are monotonic, so
@@ -115,8 +120,10 @@ type Core struct {
 
 	runs                          map[string]*run
 	workers                       map[string]*workerState
-	pending                       taskHeap // tasks awaiting a lease, oldest ID first
-	incarnation                   string   // unique per Core; stamped into run IDs
+	slots                         int           // worker slots registered so far
+	pending                       taskHeap      // tasks awaiting a lease, oldest ID first
+	leased                        map[int]*task // tasks under lease, by ID: all expire looks at
+	incarnation                   string        // unique per Core; stamped into run IDs
 	nextRun, nextWorker, nextTask int
 	closed                        bool
 
@@ -150,6 +157,7 @@ func NewCore(opts CoreOptions) *Core {
 		maxAttempts: opts.MaxAttempts,
 		runs:        make(map[string]*run),
 		workers:     make(map[string]*workerState),
+		leased:      make(map[int]*task),
 		onResult:    opts.OnResult,
 		gen:         make(chan struct{}),
 	}
@@ -197,62 +205,75 @@ func (c *Core) Changed() <-chan struct{} {
 }
 
 // expire re-queues tasks whose lease deadline has passed: the worker
-// missed its heartbeat, so the task goes back to pending for another
-// worker — unless its lease budget is spent, in which case it completes
-// with a hard error result. Callers hold c.mu.
+// missed its heartbeat, so the whole unit goes back to pending for
+// another worker — unless its lease budget is spent, in which case every
+// job of the unit completes with a hard error result. It looks only at
+// leased tasks, so it costs nothing per queued task. A re-queue wakes the
+// long-polls, so a waiting worker leases the unit at once. Callers hold
+// c.mu.
 func (c *Core) expire() {
 	now := c.now()
-	for _, r := range c.runs {
-		for _, t := range r.tasks {
-			if t.state != taskLeased || now.Before(t.deadline) {
-				continue
-			}
-			if t.att >= c.maxAttempts {
-				c.finish(r, t, WireResult{
-					V:     WireVersion,
-					Index: t.index,
-					Label: t.spec.Label,
-					Err: fmt.Sprintf("remote: task %d (%s) lost its worker %d times (lease ttl %s); giving up",
-						t.id, t.spec.Label, t.att, c.leaseTTL),
-				})
-				continue
-			}
-			t.state = taskPending
-			t.worker = ""
-			t.deadline = time.Time{}
-			heap.Push(&c.pending, t)
+	requeued := false
+	for _, t := range c.leased {
+		if now.Before(t.deadline) {
+			continue
 		}
+		if t.att >= c.maxAttempts {
+			res := WireResult{V: WireVersion, Err: fmt.Sprintf("remote: task %d (%d jobs) lost its worker %d times (lease ttl %s); giving up",
+				t.id, len(t.specs), t.att, c.leaseTTL)}
+			c.finish(t, slices.Repeat([]WireResult{res}, len(t.specs)))
+			continue
+		}
+		delete(c.leased, t.id)
+		t.state = taskPending
+		heap.Push(&c.pending, t)
+		requeued = true
+	}
+	if requeued {
+		c.bump()
 	}
 }
 
-// finish records a task's completion and streams the result. Callers
-// hold c.mu; the task must not already be done.
-func (c *Core) finish(r *run, t *task, res WireResult) {
+// finish records a task's completion and streams its results, one per
+// job, under the jobs' own indices (and labels, where a result names
+// none). Callers hold c.mu; the task must not already be done.
+func (c *Core) finish(t *task, results []WireResult) {
 	t.state = taskDone
-	r.results = append(r.results, res)
-	if c.onResult != nil {
-		c.onResult(r.id, res)
+	delete(c.leased, t.id)
+	r := c.runs[t.runID]
+	for k, res := range results {
+		res.Index = t.indices[k]
+		if res.Label == "" {
+			res.Label = t.specs[k].Label
+		}
+		r.results = append(r.results, res)
+		if c.onResult != nil {
+			c.onResult(r.id, res)
+		}
 	}
 	c.bump()
 }
 
-// OpenRun starts a new run (one client batch) and returns its ID.
-func (c *Core) OpenRun() (string, error) {
+// OpenRun starts a new run (one client batch) and returns its ID and
+// the worker slots registered so far (at least 1), the width the run's
+// client splits its grid for.
+func (c *Core) OpenRun() (string, int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return "", ErrClosed
+		return "", 0, ErrClosed
 	}
 	c.nextRun++
 	id := fmt.Sprintf("run-%s-%d", c.incarnation, c.nextRun)
 	c.runs[id] = &run{id: id, tasks: make(map[int]*task)}
 	c.bump()
-	return id, nil
+	return id, max(c.slots, 1), nil
 }
 
-// SubmitJob enqueues one job on a run. index is the caller's submission
-// index, echoed in the job's result (runner.Backend contract).
-func (c *Core) SubmitJob(runID string, index int, spec JobSpec) error {
+// SubmitUnit enqueues one unit on a run: a row of jobs sharing a front
+// half, or a single job. indices[k] is the caller's submission index of
+// specs[k], echoed in its result (runner.Backend contract).
+func (c *Core) SubmitUnit(runID string, indices []int, specs []JobSpec) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expire()
@@ -266,12 +287,16 @@ func (c *Core) SubmitJob(runID string, index int, spec JobSpec) error {
 	if r.closed {
 		return fmt.Errorf("%w: run %s", ErrClosed, runID)
 	}
-	if spec.V != WireVersion {
-		return fmt.Errorf("remote: job spec has wire version %d, want %d", spec.V, WireVersion)
+	if len(specs) == 0 || len(indices) != len(specs) {
+		return fmt.Errorf("remote: a unit of %d specs with %d indices", len(specs), len(indices))
+	}
+	if slices.ContainsFunc(specs, func(s JobSpec) bool { return s.V != WireVersion }) {
+		return fmt.Errorf("remote: a job spec of the unit is not wire version %d", WireVersion)
 	}
 	c.nextTask++
-	t := &task{id: c.nextTask, runID: runID, index: index, spec: spec}
+	t := &task{id: c.nextTask, runID: runID, indices: indices, specs: specs}
 	r.tasks[t.id] = t
+	r.jobs += len(specs)
 	heap.Push(&c.pending, t)
 	c.bump()
 	return nil
@@ -324,15 +349,16 @@ func (c *Core) Results(runID string, cursor int) ([]WireResult, bool, error) {
 	return out, done, nil
 }
 
-// RegisterWorker registers a worker and returns its ID. name is
-// diagnostic only.
-func (c *Core) RegisterWorker(name string) (string, error) {
+// RegisterWorker registers a worker that runs slots units at once and
+// returns its ID. name is diagnostic only.
+func (c *Core) RegisterWorker(name string, slots int) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return "", ErrClosed
 	}
 	c.nextWorker++
+	c.slots += max(slots, 1)
 	id := fmt.Sprintf("w-%d", c.nextWorker)
 	c.workers[id] = &workerState{id: id, name: name}
 	c.bump()
@@ -364,7 +390,8 @@ func (c *Core) LeaseTasks(workerID string, max int) ([]Lease, error) {
 		t.att++
 		t.worker = workerID
 		t.deadline = deadline
-		leases = append(leases, Lease{TaskID: t.id, Spec: t.spec})
+		c.leased[t.id] = t
+		leases = append(leases, Lease{TaskID: t.id, Specs: t.specs})
 	}
 	if len(leases) > 0 {
 		c.bump()
@@ -407,36 +434,33 @@ func (c *Core) findTask(id int) *task {
 	return nil
 }
 
-// Complete posts a task's result. The task ID is the idempotency key:
-// the first completion wins and is accepted even if the poster's lease
-// had expired (the work is real; re-leased duplicates are the cheap
-// side to drop), every later completion reports accepted=false and
-// changes nothing. A worker whose completion is rejected simply moves
-// on.
-func (c *Core) Complete(workerID string, taskID int, res WireResult) (bool, error) {
+// Complete posts a task's results, one per job of its unit in order; a
+// post of any other count is refused. The task ID is the idempotency
+// key: the first completion wins and is accepted even if the poster's
+// lease had expired (the work is real; re-leased duplicates are the
+// cheap side to drop), every later completion reports accepted=false and
+// changes nothing. A worker whose completion is rejected moves on.
+func (c *Core) Complete(workerID string, taskID int, results []WireResult) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expire()
 	if _, ok := c.workers[workerID]; !ok {
 		return false, fmt.Errorf("%w: %s", ErrNoWorker, workerID)
 	}
-	if res.V != WireVersion {
-		return false, fmt.Errorf("remote: result has wire version %d, want %d", res.V, WireVersion)
+	if slices.ContainsFunc(results, func(r WireResult) bool { return r.V != WireVersion }) {
+		return false, fmt.Errorf("remote: a result is not wire version %d", WireVersion)
 	}
 	t := c.findTask(taskID)
 	if t == nil {
 		return false, fmt.Errorf("remote: no such task %d", taskID)
 	}
+	if len(results) != len(t.specs) {
+		return false, fmt.Errorf("remote: task %d has %d jobs, the post %d results", taskID, len(t.specs), len(results))
+	}
 	if t.state == taskDone {
 		return false, nil
 	}
-	// Force the caller-visible identity: index and label are the task's,
-	// whatever the poster claimed.
-	res.Index = t.index
-	if res.Label == "" {
-		res.Label = t.spec.Label
-	}
-	c.finish(c.runs[t.runID], t, res)
+	c.finish(t, results)
 	return true, nil
 }
 

@@ -2,6 +2,7 @@ package remote
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -53,12 +54,12 @@ func testWireResult(label string) WireResult {
 // openRunWithJobs opens a run and submits n jobs indexed 0..n-1.
 func openRunWithJobs(t *testing.T, c *Core, n int) string {
 	t.Helper()
-	runID, err := c.OpenRun()
+	runID, _, err := c.OpenRun()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := c.SubmitJob(runID, i, testSpec("job")); err != nil {
+		if err := c.SubmitUnit(runID, []int{i}, []JobSpec{testSpec("job")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,7 +68,7 @@ func openRunWithJobs(t *testing.T, c *Core, n int) string {
 
 func registerWorker(t *testing.T, c *Core, name string) string {
 	t.Helper()
-	id, err := c.RegisterWorker(name)
+	id, err := c.RegisterWorker(name, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestCoreLeaseCompleteFlow(t *testing.T) {
 		t.Fatalf("re-leased %d tasks while all are in flight", len(more))
 	}
 	for _, l := range leases {
-		acc, err := c.Complete(w, l.TaskID, testWireResult("done"))
+		acc, err := c.Complete(w, l.TaskID, []WireResult{testWireResult("done")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,12 +190,12 @@ func TestCoreDuplicateCompleteDeduplicated(t *testing.T) {
 	w := registerWorker(t, c, "w1")
 	leases, _ := c.LeaseTasks(w, 1)
 
-	acc, err := c.Complete(w, leases[0].TaskID, testWireResult("first"))
+	acc, err := c.Complete(w, leases[0].TaskID, []WireResult{testWireResult("first")})
 	if err != nil || !acc {
 		t.Fatalf("first completion: acc=%v err=%v", acc, err)
 	}
 	// A retried POST of the same completion must change nothing.
-	acc, err = c.Complete(w, leases[0].TaskID, testWireResult("retry"))
+	acc, err = c.Complete(w, leases[0].TaskID, []WireResult{testWireResult("retry")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,10 +227,10 @@ func TestCoreLateCompletionAfterRelease(t *testing.T) {
 		t.Fatal("expired task not re-leased")
 	}
 	// The original worker's late post wins.
-	if acc, err := c.Complete(w1, leases[0].TaskID, testWireResult("late-but-first")); err != nil || !acc {
+	if acc, err := c.Complete(w1, leases[0].TaskID, []WireResult{testWireResult("late-but-first")}); err != nil || !acc {
 		t.Fatalf("late completion: acc=%v err=%v", acc, err)
 	}
-	if acc, _ := c.Complete(w2, releases[0].TaskID, testWireResult("duplicate")); acc {
+	if acc, _ := c.Complete(w2, releases[0].TaskID, []WireResult{testWireResult("duplicate")}); acc {
 		t.Fatal("second completion accepted")
 	}
 	results, _, _ := c.Results(runID, 0)
@@ -242,13 +243,13 @@ func TestCoreRefusalsAfterClose(t *testing.T) {
 	c, _ := testCore(t, CoreOptions{})
 	runID := openRunWithJobs(t, c, 0)
 	c.Close()
-	if _, err := c.OpenRun(); !errors.Is(err, ErrClosed) {
+	if _, _, err := c.OpenRun(); !errors.Is(err, ErrClosed) {
 		t.Errorf("OpenRun after Close = %v", err)
 	}
-	if err := c.SubmitJob(runID, 0, testSpec("x")); !errors.Is(err, ErrClosed) {
+	if err := c.SubmitUnit(runID, []int{0}, []JobSpec{testSpec("x")}); !errors.Is(err, ErrClosed) {
 		t.Errorf("SubmitJob after Close = %v", err)
 	}
-	if _, err := c.RegisterWorker("w"); !errors.Is(err, ErrClosed) {
+	if _, err := c.RegisterWorker("w", 1); !errors.Is(err, ErrClosed) {
 		t.Errorf("RegisterWorker after Close = %v", err)
 	}
 }
@@ -259,7 +260,7 @@ func TestCoreClosedRunRefusesJobs(t *testing.T) {
 	if err := c.CloseRun(runID); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SubmitJob(runID, 1, testSpec("late")); !errors.Is(err, ErrClosed) {
+	if err := c.SubmitUnit(runID, []int{1}, []JobSpec{testSpec("late")}); !errors.Is(err, ErrClosed) {
 		t.Errorf("SubmitJob on closed run = %v, want ErrClosed", err)
 	}
 	// CloseRun is idempotent.
@@ -270,7 +271,7 @@ func TestCoreClosedRunRefusesJobs(t *testing.T) {
 
 func TestCoreUnknownIDs(t *testing.T) {
 	c, _ := testCore(t, CoreOptions{})
-	if err := c.SubmitJob("run-404", 0, testSpec("x")); !errors.Is(err, ErrNoRun) {
+	if err := c.SubmitUnit("run-404", []int{0}, []JobSpec{testSpec("x")}); !errors.Is(err, ErrNoRun) {
 		t.Errorf("SubmitJob on unknown run = %v", err)
 	}
 	if _, _, err := c.Results("run-404", 0); !errors.Is(err, ErrNoRun) {
@@ -282,7 +283,7 @@ func TestCoreUnknownIDs(t *testing.T) {
 	if _, err := c.Heartbeat("w-404", nil); !errors.Is(err, ErrNoWorker) {
 		t.Errorf("Heartbeat for unknown worker = %v", err)
 	}
-	if _, err := c.Complete("w-404", 1, testWireResult("x")); !errors.Is(err, ErrNoWorker) {
+	if _, err := c.Complete("w-404", 1, []WireResult{testWireResult("x")}); !errors.Is(err, ErrNoWorker) {
 		t.Errorf("Complete for unknown worker = %v", err)
 	}
 }
@@ -296,7 +297,7 @@ func TestCoreRunEvictedAfterDrain(t *testing.T) {
 	w := registerWorker(t, c, "w")
 	leases, _ := c.LeaseTasks(w, 2)
 	for _, l := range leases {
-		if _, err := c.Complete(w, l.TaskID, testWireResult("r")); err != nil {
+		if _, err := c.Complete(w, l.TaskID, []WireResult{testWireResult("r")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +317,7 @@ func TestCoreRunEvictedAfterDrain(t *testing.T) {
 	if _, _, err := c.Results(runID, 0); !errors.Is(err, ErrNoRun) {
 		t.Errorf("Results after drain = %v, want ErrNoRun", err)
 	}
-	if _, err := c.Complete(w, leases[0].TaskID, testWireResult("late")); err == nil {
+	if _, err := c.Complete(w, leases[0].TaskID, []WireResult{testWireResult("late")}); err == nil {
 		t.Error("Complete against an evicted run's task succeeded")
 	}
 }
@@ -329,11 +330,11 @@ func TestCoreRunEvictedAfterDrain(t *testing.T) {
 func TestCoreRunIDsUniqueAcrossIncarnations(t *testing.T) {
 	c1, _ := testCore(t, CoreOptions{})
 	c2, _ := testCore(t, CoreOptions{})
-	id1, err := c1.OpenRun()
+	id1, _, err := c1.OpenRun()
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, err := c2.OpenRun()
+	id2, _, err := c2.OpenRun()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func TestCoreResultsCursor(t *testing.T) {
 	w := registerWorker(t, c, "w")
 	leases, _ := c.LeaseTasks(w, 3)
 	for i, l := range leases {
-		c.Complete(w, l.TaskID, testWireResult("r"))
+		c.Complete(w, l.TaskID, []WireResult{testWireResult("r")})
 		results, _, err := c.Results(runID, i)
 		if err != nil {
 			t.Fatal(err)
@@ -371,11 +372,11 @@ func TestCoreSequentialBatches(t *testing.T) {
 	w := registerWorker(t, c, "w")
 	leases, _ := c.LeaseTasks(w, 2)
 	for _, l := range leases {
-		c.Complete(w, l.TaskID, testWireResult("batch1"))
+		c.Complete(w, l.TaskID, []WireResult{testWireResult("batch1")})
 	}
 	// Second batch on the same run, same indices.
 	for i := 0; i < 2; i++ {
-		if err := c.SubmitJob(runID, i, testSpec("batch2")); err != nil {
+		if err := c.SubmitUnit(runID, []int{i}, []JobSpec{testSpec("batch2")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -387,10 +388,239 @@ func TestCoreSequentialBatches(t *testing.T) {
 		if l.TaskID == leases[0].TaskID || l.TaskID == leases[1].TaskID {
 			t.Fatalf("task ID %d reused across batches", l.TaskID)
 		}
-		c.Complete(w, l.TaskID, testWireResult("batch2"))
+		c.Complete(w, l.TaskID, []WireResult{testWireResult("batch2")})
 	}
 	results, _, _ := c.Results(runID, 0)
 	if len(results) != 4 {
 		t.Fatalf("results = %d, want 4", len(results))
+	}
+}
+
+// submitUnit opens a run and submits one unit of n jobs under indices
+// 10, 11, ...; job k is labeled "m<k>".
+func submitUnit(t *testing.T, c *Core, n int) (runID string, indices []int) {
+	t.Helper()
+	runID = openRunWithJobs(t, c, 0)
+	specs := make([]JobSpec, n)
+	for k := range specs {
+		indices = append(indices, 10+k)
+		specs[k] = testSpec(fmt.Sprintf("m%d", k))
+	}
+	if err := c.SubmitUnit(runID, indices, specs); err != nil {
+		t.Fatal(err)
+	}
+	return runID, indices
+}
+
+// unitResults posts n empty results, one per member of a unit.
+func unitResults(n int) []WireResult {
+	out := make([]WireResult, n)
+	for k := range out {
+		out[k] = testWireResult("")
+	}
+	return out
+}
+
+// checkUnitResults requires one result per member, under its index and
+// label, each failing with wantErr ("" for success).
+func checkUnitResults(t *testing.T, c *Core, runID string, indices []int, wantErr string) {
+	t.Helper()
+	results, _, err := c.Results(runID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(indices) {
+		t.Fatalf("%d results, want %d: %+v", len(results), len(indices), results)
+	}
+	for k, r := range results {
+		if r.Index != indices[k] || r.Label != fmt.Sprintf("m%d", k) {
+			t.Errorf("result %d: index %d label %q, want %d, m%d", k, r.Index, r.Label, indices[k], k)
+		}
+		if (wantErr == "") != (r.Err == "") || !strings.Contains(r.Err, wantErr) {
+			t.Errorf("result %d: err %q, want one containing %q", k, r.Err, wantErr)
+		}
+	}
+}
+
+// TestCoreUnitLeasedWhole: a unit is one task. One lease hands out all
+// its specs, and one completion posts every member's result under the
+// member's own index.
+func TestCoreUnitLeasedWhole(t *testing.T) {
+	c, _ := testCore(t, CoreOptions{})
+	runID, indices := submitUnit(t, c, 3)
+	if err := c.SubmitUnit(runID, []int{0}, []JobSpec{testSpec("single")}); err != nil {
+		t.Fatal(err)
+	}
+	w := registerWorker(t, c, "w")
+	leases, err := c.LeaseTasks(w, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leases) != 1 || len(leases[0].Specs) != 3 {
+		t.Fatalf("leases = %+v, want one lease of the three-job unit", leases)
+	}
+	if acc, err := c.Complete(w, leases[0].TaskID, unitResults(3)); err != nil || !acc {
+		t.Fatalf("unit completion: acc=%v err=%v", acc, err)
+	}
+	checkUnitResults(t, c, runID, indices, "")
+	if more, _ := c.LeaseTasks(w, 5); len(more) != 1 || len(more[0].Specs) != 1 {
+		t.Fatalf("second lease = %+v, want the single job alone", more)
+	}
+}
+
+// TestCoreUnitExpiryRequeuesWhole: a unit whose worker is lost goes
+// back to the queue as one task, waking long-polls, and a second worker
+// leases all of it.
+func TestCoreUnitExpiryRequeuesWhole(t *testing.T) {
+	c, clk := testCore(t, CoreOptions{LeaseTTL: 10 * time.Second})
+	runID, indices := submitUnit(t, c, 3)
+	w1, w2 := registerWorker(t, c, "w1"), registerWorker(t, c, "w2")
+	first, _ := c.LeaseTasks(w1, 1)
+	clk.Advance(11 * time.Second)
+	waiting := c.Changed()
+	if _, err := c.Heartbeat(w2, nil); err != nil { // expires
+		t.Fatal(err)
+	}
+	select {
+	case <-waiting:
+	default:
+		t.Fatal("the re-queue did not wake long-polls")
+	}
+	again, _ := c.LeaseTasks(w2, 1)
+	if len(again) != 1 || again[0].TaskID != first[0].TaskID || len(again[0].Specs) != 3 {
+		t.Fatalf("re-lease = %+v, want the whole unit (task %d)", again, first[0].TaskID)
+	}
+	if acc, err := c.Complete(w2, again[0].TaskID, unitResults(3)); err != nil || !acc {
+		t.Fatalf("completion after re-lease: acc=%v err=%v", acc, err)
+	}
+	checkUnitResults(t, c, runID, indices, "")
+}
+
+// TestCoreUnitBudgetSpentFailsEveryMember: once a unit has lost its
+// worker MaxAttempts times, every member completes with the error.
+func TestCoreUnitBudgetSpentFailsEveryMember(t *testing.T) {
+	c, clk := testCore(t, CoreOptions{LeaseTTL: 10 * time.Second, MaxAttempts: 2})
+	runID, indices := submitUnit(t, c, 3)
+	w := registerWorker(t, c, "flaky")
+	for i := 0; i < 2; i++ {
+		if leases, _ := c.LeaseTasks(w, 1); len(leases) != 1 {
+			t.Fatalf("attempt %d: leases = %+v", i, leases)
+		}
+		clk.Advance(11 * time.Second)
+	}
+	if leases, _ := c.LeaseTasks(w, 1); len(leases) != 0 {
+		t.Fatalf("unit re-leased after its budget was spent: %+v", leases)
+	}
+	checkUnitResults(t, c, runID, indices, "lost its worker 2 times")
+}
+
+// TestCoreUnitDuplicateComplete: the first post of a unit's results
+// wins; a second post for the same task changes nothing.
+func TestCoreUnitDuplicateComplete(t *testing.T) {
+	c, _ := testCore(t, CoreOptions{})
+	var streamed int
+	c.onResult = func(string, WireResult) { streamed++ }
+	runID, indices := submitUnit(t, c, 2)
+	w := registerWorker(t, c, "w")
+	leases, _ := c.LeaseTasks(w, 1)
+	if acc, err := c.Complete(w, leases[0].TaskID, unitResults(2)); err != nil || !acc {
+		t.Fatalf("first completion: acc=%v err=%v", acc, err)
+	}
+	retry := unitResults(2)
+	retry[0].Err = "a different outcome"
+	if acc, err := c.Complete(w, leases[0].TaskID, retry); err != nil || acc {
+		t.Fatalf("duplicate completion: acc=%v err=%v, want rejected", acc, err)
+	}
+	checkUnitResults(t, c, runID, indices, "")
+	if streamed != 2 {
+		t.Errorf("onResult fired %d times, want 2", streamed)
+	}
+}
+
+// TestCoreUnitShortResultsRefused: a post whose result count differs
+// from the unit's size is refused and leaves the unit leased, so a full
+// post still lands.
+func TestCoreUnitShortResultsRefused(t *testing.T) {
+	c, _ := testCore(t, CoreOptions{})
+	runID, indices := submitUnit(t, c, 3)
+	w := registerWorker(t, c, "w")
+	leases, _ := c.LeaseTasks(w, 1)
+	for _, n := range []int{0, 2, 4} {
+		if acc, err := c.Complete(w, leases[0].TaskID, unitResults(n)); err == nil || acc {
+			t.Errorf("a post of %d results for a unit of 3: acc=%v err=%v, want refused", n, acc, err)
+		}
+	}
+	if results, _, _ := c.Results(runID, 0); len(results) != 0 {
+		t.Fatalf("refused posts left results: %+v", results)
+	}
+	if acc, err := c.Complete(w, leases[0].TaskID, unitResults(3)); err != nil || !acc {
+		t.Fatalf("full post after refusals: acc=%v err=%v", acc, err)
+	}
+	checkUnitResults(t, c, runID, indices, "")
+}
+
+// TestCoreSubmitUnitRejectsMismatch: a unit needs one index per spec and
+// at least one spec.
+func TestCoreSubmitUnitRejectsMismatch(t *testing.T) {
+	c, _ := testCore(t, CoreOptions{})
+	runID := openRunWithJobs(t, c, 0)
+	if err := c.SubmitUnit(runID, []int{0, 1}, []JobSpec{testSpec("x")}); err == nil {
+		t.Error("a unit of one spec with two indices accepted")
+	}
+	if err := c.SubmitUnit(runID, nil, nil); err == nil {
+		t.Error("an empty unit accepted")
+	}
+}
+
+// TestCoreExpiryLooksOnlyAtLeased: with 10,000 tasks pending and two
+// leased, expiry fails the leased task whose budget is spent and
+// re-queues the other; no pending task changes.
+func TestCoreExpiryLooksOnlyAtLeased(t *testing.T) {
+	c, clk := testCore(t, CoreOptions{LeaseTTL: 10 * time.Second, MaxAttempts: 2})
+	runID := openRunWithJobs(t, c, 10_002)
+	w := registerWorker(t, c, "w")
+	first, _ := c.LeaseTasks(w, 1)
+	clk.Advance(11 * time.Second)
+	// The expired task is back at the head of the queue: it and the next
+	// one are leased, on their second and first attempts.
+	two, _ := c.LeaseTasks(w, 2)
+	if len(two) != 2 || two[0].TaskID != first[0].TaskID {
+		t.Fatalf("leases = %+v, want task %d again and one more", two, first[0].TaskID)
+	}
+	if len(c.leased) != 2 {
+		t.Fatalf("%d tasks indexed as leased, want 2", len(c.leased))
+	}
+	clk.Advance(11 * time.Second)
+	results, _, err := c.Results(runID, 0) // expires
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || !strings.Contains(results[0].Err, "lost its worker 2 times") {
+		t.Fatalf("results = %+v, want one lost-worker error", results)
+	}
+	if len(c.leased) != 0 || c.pending.Len() != 10_001 {
+		t.Fatalf("%d leased, %d pending after expiry; want 0 and 10001", len(c.leased), c.pending.Len())
+	}
+	for _, task := range c.runs[runID].tasks {
+		if task.id != two[0].TaskID && task.id != two[1].TaskID && (task.state != taskPending || task.att != 0) {
+			t.Fatalf("task %d changed: state %d, %d attempts", task.id, task.state, task.att)
+		}
+	}
+	if next, _ := c.LeaseTasks(w, 1); len(next) != 1 || next[0].TaskID != two[1].TaskID {
+		t.Fatalf("next lease = %+v, want the re-queued task %d", next, two[1].TaskID)
+	}
+}
+
+// TestCoreOpenRunReportsSlots: a run opens with the worker slots
+// registered so far, and at least 1.
+func TestCoreOpenRunReportsSlots(t *testing.T) {
+	c, _ := testCore(t, CoreOptions{})
+	if _, slots, _ := c.OpenRun(); slots != 1 {
+		t.Errorf("slots with no worker = %d, want 1", slots)
+	}
+	c.RegisterWorker("a", 2)
+	c.RegisterWorker("b", 3)
+	if _, slots, _ := c.OpenRun(); slots != 5 {
+		t.Errorf("slots = %d, want 5", slots)
 	}
 }

@@ -6,13 +6,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/prefetch"
 	"repro/internal/runner"
 	"repro/internal/runner/runnertest"
+	"repro/internal/sim"
 )
 
 // harness is one in-process coordinator with real HTTP listeners and
@@ -53,6 +56,76 @@ func (h *harness) startWorker(name string, parallel int) context.CancelFunc {
 	return cancel
 }
 
+// gridJobs builds workloads × engines conformance jobs, workload-major
+// (at most four engines): the jobs of one workload share a front half,
+// so RunOn runs them as a row.
+func gridJobs(t *testing.T, workloads, engines int) []runner.Job {
+	var jobs []runner.Job
+	for _, j := range runnertest.Jobs(t, workloads) {
+		for _, name := range []string{"none", "nextline", "tifs", "pif"}[:engines] {
+			j.Engine = prefetch.Spec{Name: name}
+			j.Label = j.Workload.Name + "/" + name
+			jobs = append(jobs, j)
+		}
+	}
+	return jobs
+}
+
+// waitSlots waits until workers with n slots in all have registered, so
+// a run opened next has the fleet's full width.
+func (h *harness) waitSlots(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		h.core.mu.Lock()
+		slots := h.core.slots
+		h.core.mu.Unlock()
+		if slots >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d worker slots registered, want %d", slots, n)
+		}
+	}
+}
+
+// runOnce runs jobs on b and requires every job to report exactly once,
+// under its own index and label, with the result the local run got.
+func runOnce(t *testing.T, b runner.Backend, jobs []runner.Job, want []runner.Result) {
+	t.Helper()
+	seen := make([]int, len(jobs))
+	got, err := runner.RunOn(context.Background(), b, jobs, func(p runner.Progress) { seen[p.Index]++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range got {
+		if seen[i] != 1 {
+			t.Errorf("job %d (%s) reported %d times, want once", i, jobs[i].Label, seen[i])
+		}
+		if r.Index != i || r.Label != jobs[i].Label {
+			t.Errorf("result %d: index %d, label %q; want %d, %q", i, r.Index, r.Label, i, jobs[i].Label)
+		}
+		if r.Err != nil {
+			t.Fatalf("remote job %d (%s): %v", i, r.Label, r.Err)
+		}
+		if r.Sim != want[i].Sim {
+			t.Errorf("job %d (%s): remote sim result differs from local:\nremote %+v\nlocal  %+v",
+				i, jobs[i].Label, r.Sim, want[i].Sim)
+		}
+	}
+}
+
+// runLocal runs jobs on a two-worker local backend.
+func runLocal(t *testing.T, jobs []runner.Job) []runner.Result {
+	t.Helper()
+	local := runner.NewLocalBackend(2)
+	defer local.Close()
+	want, err := runner.RunOn(context.Background(), local, jobs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 // TestRemoteBackendConformance runs the shared backend contract against
 // the full stack: HTTP coordinator, two workers, client backend.
 func TestRemoteBackendConformance(t *testing.T) {
@@ -83,40 +156,55 @@ func TestLocalBackendConformance(t *testing.T) {
 }
 
 // TestRemoteMatchesLocal is the distribution-correctness anchor: the
-// same jobs through the remote stack (two workers) and through
-// LocalBackend produce identical simulation results.
+// same grid through the remote stack and through LocalBackend produces
+// identical simulation results. Its two rows of four split into four
+// units of two for the fleet's four slots.
 func TestRemoteMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test runs real simulations")
 	}
-	jobs := runnertest.Jobs(t, 6)
-
-	local := runner.NewLocalBackend(2)
-	want, err := runner.RunOn(context.Background(), local, jobs, nil)
-	local.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := gridJobs(t, 2, 4)
+	want := runLocal(t, jobs)
 
 	h := newHarness(t, CoreOptions{})
 	h.startWorker("w1", 2)
 	h.startWorker("w2", 2)
+	h.waitSlots(t, 4)
 	b, err := DialAuth(h.srv.URL, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	got, err := runner.RunOn(context.Background(), b, jobs, nil)
+	if b.Width() != 4 {
+		t.Errorf("Width() = %d, want the fleet's 4 slots", b.Width())
+	}
+	runOnce(t, b, jobs, want)
+}
+
+// TestWorkerRefusesMixedFrontUnit: a unit whose members do not share a
+// front half (here, two different stores) gets an error for every
+// member; a row would replay the first member's store for both.
+func TestWorkerRefusesMixedFrontUnit(t *testing.T) {
+	h := newHarness(t, CoreOptions{})
+	h.startWorker("w", 1)
+	b, err := DialAuth(h.srv.URL, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range jobs {
-		if got[i].Err != nil {
-			t.Fatalf("remote job %d (%s): %v", i, got[i].Label, got[i].Err)
-		}
-		if got[i].Sim != want[i].Sim {
-			t.Errorf("job %d (%s): remote sim result differs from local:\nremote %+v\nlocal  %+v",
-				i, jobs[i].Label, got[i].Sim, want[i].Sim)
+	defer b.Close()
+	jobs := gridJobs(t, 1, 2)
+	jobs[0].From, jobs[1].From = sim.StoreSource("store-a"), sim.StoreSource("store-b")
+	if err := b.Submit(context.Background(), []int{3, 4}, jobs); err != nil {
+		t.Fatal(err)
+	}
+	for range jobs {
+		select {
+		case r := <-b.Results():
+			if r.Err == nil || !strings.Contains(r.Err.Error(), "front half") {
+				t.Errorf("member %d (%s): err = %v, want a front-half refusal", r.Index, r.Label, r.Err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("no result for the mixed unit")
 		}
 	}
 }
@@ -183,50 +271,47 @@ func TestWorkerStartsBeforeCoordinator(t *testing.T) {
 	}
 }
 
-// TestWorkerKilledMidRun kills one of two workers mid-sweep: its leased
-// tasks must be re-queued after the lease TTL and every job must still
-// complete exactly once with a real result.
+// TestWorkerKilledMidRun kills a one-slot worker as soon as it has
+// leased a row: the row must be re-queued whole after the lease TTL, and
+// every job must still complete exactly once with the local result.
 func TestWorkerKilledMidRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test runs real simulations")
 	}
+	jobs := gridJobs(t, 2, 3)
+	for i := range jobs {
+		// Long enough that the victim dies mid-row.
+		jobs[i].Config.MeasureInstrs = 1_000_000
+	}
+	want := runLocal(t, jobs)
+
 	// Short TTL so the re-lease happens within test time.
 	h := newHarness(t, CoreOptions{LeaseTTL: 500 * time.Millisecond})
 	killVictim := h.startWorker("victim", 1)
-	jobs := runnertest.Jobs(t, 5)
-
+	h.waitSlots(t, 1)
 	b, err := DialAuth(h.srv.URL, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 
-	// Let the victim lease work, then kill it and bring up the survivor.
+	// Kill the victim once it holds a row, then bring up the survivor.
 	go func() {
-		time.Sleep(150 * time.Millisecond)
-		killVictim()
-		h.startWorker("survivor", 2)
+		for h.ctx.Err() == nil {
+			h.core.mu.Lock()
+			leased := len(h.core.leased)
+			h.core.mu.Unlock()
+			if leased > 0 {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if h.ctx.Err() == nil {
+			killVictim()
+			h.startWorker("survivor", 2)
+		}
 	}()
-	results, err := runner.RunOn(context.Background(), b, jobs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(jobs) {
-		t.Fatalf("got %d results, want %d", len(results), len(jobs))
-	}
-	seen := make(map[int]bool)
-	for i, r := range results {
-		if r.Err != nil {
-			t.Errorf("job %d (%s): %v", i, r.Label, r.Err)
-		}
-		if r.Sim.Instructions == 0 {
-			t.Errorf("job %d (%s): zero-valued result after re-lease", i, r.Label)
-		}
-		if seen[r.Index] {
-			t.Errorf("index %d delivered twice", r.Index)
-		}
-		seen[r.Index] = true
-	}
+	runOnce(t, b, jobs, want)
 }
 
 // TestWorkerReregistersAfterCoordinatorRestart: a worker registered
@@ -302,7 +387,7 @@ func TestRemoteSubmitAfterCoordinatorClose(t *testing.T) {
 	}
 	defer b.Close()
 	h.core.Close()
-	err = b.Submit(context.Background(), 0, runnertest.Jobs(t, 1)[0])
+	err = b.Submit(context.Background(), []int{0}, runnertest.Jobs(t, 1))
 	if !errors.Is(err, runner.ErrBackendClosed) {
 		t.Fatalf("Submit after coordinator Close = %v, want runner.ErrBackendClosed", err)
 	}

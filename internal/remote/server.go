@@ -17,12 +17,14 @@ import (
 type openRunResponse struct {
 	V     int    `json:"v"`
 	RunID string `json:"run_id"`
+	Slots int    `json:"slots"`
 }
 
-type submitJobRequest struct {
-	V     int     `json:"v"`
-	Index int     `json:"index"`
-	Spec  JobSpec `json:"spec"`
+// submitUnitRequest carries one unit: Specs[k] under index Indices[k].
+type submitUnitRequest struct {
+	V       int       `json:"v"`
+	Indices []int     `json:"indices"`
+	Specs   []JobSpec `json:"specs"`
 }
 
 type resultsResponse struct {
@@ -32,8 +34,9 @@ type resultsResponse struct {
 }
 
 type registerWorkerRequest struct {
-	V    int    `json:"v"`
-	Name string `json:"name"`
+	V     int    `json:"v"`
+	Name  string `json:"name"`
+	Slots int    `json:"slots"`
 }
 
 type registerWorkerResponse struct {
@@ -66,10 +69,10 @@ type heartbeatResponse struct {
 }
 
 type completeRequest struct {
-	V        int        `json:"v"`
-	WorkerID string     `json:"worker_id"`
-	TaskID   int        `json:"task_id"`
-	Result   WireResult `json:"result"`
+	V        int          `json:"v"`
+	WorkerID string       `json:"worker_id"`
+	TaskID   int          `json:"task_id"`
+	Results  []WireResult `json:"results"`
 }
 
 type completeResponse struct {
@@ -89,7 +92,7 @@ type Server struct {
 func NewServer(core *Core) *Server {
 	s := &Server{core: core, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/runs", s.handleOpenRun)
-	s.mux.HandleFunc("POST /v1/runs/{id}/jobs", s.handleSubmitJob)
+	s.mux.HandleFunc("POST /v1/runs/{id}/jobs", s.handleSubmitUnit)
 	s.mux.HandleFunc("POST /v1/runs/{id}/close", s.handleCloseRun)
 	s.mux.HandleFunc("GET /v1/runs/{id}/results", s.handleResults)
 	s.mux.HandleFunc("POST /v1/workers", s.handleRegisterWorker)
@@ -131,21 +134,21 @@ func decode[T any](r *http.Request, v *T, version func(T) int) error {
 }
 
 func (s *Server) handleOpenRun(w http.ResponseWriter, r *http.Request) {
-	id, err := s.core.OpenRun()
+	id, slots, err := s.core.OpenRun()
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, openRunResponse{V: WireVersion, RunID: id})
+	httpapi.WriteJSON(w, http.StatusOK, openRunResponse{V: WireVersion, RunID: id, Slots: slots})
 }
 
-func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	var req submitJobRequest
-	if err := decode(r, &req, func(q submitJobRequest) int { return q.V }); err != nil {
+func (s *Server) handleSubmitUnit(w http.ResponseWriter, r *http.Request) {
+	var req submitUnitRequest
+	if err := decode(r, &req, func(q submitUnitRequest) int { return q.V }); err != nil {
 		writeErr(w, err)
 		return
 	}
-	if err := s.core.SubmitJob(r.PathValue("id"), req.Index, req.Spec); err != nil {
+	if err := s.core.SubmitUnit(r.PathValue("id"), req.Indices, req.Specs); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -194,7 +197,7 @@ func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	id, err := s.core.RegisterWorker(req.Name)
+	id, err := s.core.RegisterWorker(req.Name, req.Slots)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -253,7 +256,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	accepted, err := s.core.Complete(req.WorkerID, req.TaskID, req.Result)
+	accepted, err := s.core.Complete(req.WorkerID, req.TaskID, req.Results)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -1,9 +1,11 @@
 // Package remote is the first multi-node runner.Backend: a coordinator/
 // worker pair speaking runner.Job/runner.Result over HTTP. The
-// coordinator (see Core, Server) owns a lease-based job queue — workers
-// register, lease tasks, heartbeat while running them, and post results
-// with idempotency keys; a worker that misses its heartbeat deadline has
-// its tasks re-queued (bounded retries, then a hard job error). The
+// coordinator (see Core, Server) owns a lease-based queue of units (a
+// row of jobs sharing a front half, or a single job) — workers register,
+// lease units, heartbeat while running them, and post each unit's
+// results with its task ID as the idempotency key; a worker that misses
+// its heartbeat deadline has its units re-queued whole (bounded retries,
+// then a hard error for every job of the unit). The
 // client side (see Backend) implements runner.Backend, so every existing
 // driver — experiments, pifsim -shards, sweeps — distributes unchanged
 // via -backend remote@ADDR.
@@ -39,7 +41,11 @@ import (
 //	3: sim.Config gained MeasureOffsetInstrs (exact sharded replay): a
 //	   v2 worker would silently drop the offset and measure the wrong
 //	   interval, so shard jobs must not reach one.
-const WireVersion = 3
+//	4: the unit of remote work is a row: a submission carries a unit's
+//	   specs and indices, a lease hands out a whole unit, a completion
+//	   posts all of its results, and workers report their slots at
+//	   registration so a run learns the fleet's width when it opens.
+const WireVersion = 4
 
 // JobSpec is the wire form of a runner.Job: everything a worker needs to
 // rebuild and run the job locally, and nothing that cannot cross a

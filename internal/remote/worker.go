@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/httpapi"
 	"repro/internal/runner"
+	"repro/internal/sim"
 )
 
 // leasePollMS is the long-poll wait a worker requests per lease call.
@@ -18,9 +19,11 @@ const leasePollMS = 2000
 
 // Worker pulls tasks from a coordinator and runs them on the local
 // machine: register, lease up to Parallel tasks, heartbeat while they
-// run, post each result with its task ID as the idempotency key. A
-// worker that loses a lease (the heartbeat response disowns the task)
-// cancels the local job and never posts its result; a worker that dies
+// run, post each task's results with its task ID as the idempotency key.
+// A task is a unit: a row of jobs sharing a front half, run through one
+// program image, executor and front end (runner.RunRow), or a single
+// job. A worker that loses a lease (the heartbeat response disowns the
+// task) cancels the local run and never posts its results; a worker that dies
 // simply stops heartbeating and the coordinator re-queues its tasks. A
 // worker whose registration is lost (404 on lease or heartbeat after a
 // coordinator restart) cancels its in-flight tasks and re-registers
@@ -30,8 +33,8 @@ type Worker struct {
 	Coord string
 	// Name labels the worker in coordinator diagnostics.
 	Name string
-	// Parallel is the number of tasks run concurrently (and the worker
-	// pool size); <= 0 means GOMAXPROCS.
+	// Parallel is the number of tasks run concurrently, reported to the
+	// coordinator at registration; <= 0 means GOMAXPROCS.
 	Parallel int
 	// Token authenticates against a token-protected coordinator
 	// (pifcoord -auth-token); "" for an open one.
@@ -177,7 +180,7 @@ func (w *Worker) registerFirst(ctx context.Context) (registerWorkerResponse, err
 func (w *Worker) register(ctx context.Context) (registerWorkerResponse, error) {
 	var reg registerWorkerResponse
 	if err := httpJSON(ctx, w.hc, http.MethodPost, w.base+"/v1/workers",
-		registerWorkerRequest{V: WireVersion, Name: w.Name}, &reg); err != nil {
+		registerWorkerRequest{V: WireVersion, Name: w.Name, Slots: runner.Workers(w.Parallel)}, &reg); err != nil {
 		return reg, fmt.Errorf("remote: worker register: %w", err)
 	}
 	w.mu.Lock()
@@ -200,33 +203,18 @@ func (w *Worker) cancelInflight() {
 	}
 }
 
-// runTask executes one leased task and posts its result. A task whose
-// context dies (worker shutdown or lost lease) is abandoned: the result
-// is never posted, and the coordinator's lease deadline re-queues it.
+// runTask executes one leased task and posts its results. A task whose
+// context dies (worker shutdown or lost lease) is abandoned: the results
+// are never posted, and the coordinator's lease deadline re-queues it.
 func (w *Worker) runTask(ctx context.Context, workerID string, lease Lease) {
 	defer func() {
 		w.mu.Lock()
 		delete(w.inflight, lease.TaskID)
 		w.mu.Unlock()
 	}()
-	var res runner.Result
-	job, err := lease.Spec.Job()
-	if err != nil {
-		// An undecodable job is a hard, deterministic failure: post it,
-		// re-leasing elsewhere cannot help.
-		res = runner.Result{Index: 0, Label: lease.Spec.Label, Err: err}
-	} else {
-		// Each task gets a private single-worker LocalBackend: job
-		// contexts stay independently cancelable (lost lease cancels
-		// this task only) at the cost of one goroutine per task.
-		be := runner.NewLocalBackend(1)
-		results, rerr := runner.RunOn(ctx, be, []runner.Job{job}, nil)
-		be.Close()
-		if len(results) == 1 {
-			res = results[0]
-		} else {
-			res = runner.Result{Label: lease.Spec.Label, Err: rerr}
-		}
+	results := make([]WireResult, len(lease.Specs))
+	for k, r := range runUnit(ctx, lease.Specs) {
+		results[k] = EncodeResult(r)
 	}
 	if ctx.Err() != nil {
 		// Shutdown or lost lease: abandon. Posting now could race a
@@ -240,7 +228,7 @@ func (w *Worker) runTask(ctx context.Context, workerID string, lease Lease) {
 	for attempt := 0; attempt < 3; attempt++ {
 		var cr completeResponse
 		err := httpJSON(ctx, w.hc, http.MethodPost, w.base+"/v1/complete",
-			completeRequest{V: WireVersion, WorkerID: workerID, TaskID: lease.TaskID, Result: EncodeResult(res)}, &cr)
+			completeRequest{V: WireVersion, WorkerID: workerID, TaskID: lease.TaskID, Results: results}, &cr)
 		if err == nil {
 			return
 		}
@@ -256,6 +244,32 @@ func (w *Worker) runTask(ctx context.Context, workerID string, lease Lease) {
 			return
 		}
 	}
+}
+
+// runUnit decodes a leased unit and runs it as one row. A unit that does
+// not decode, or whose members do not all share the first one's front
+// half, fails whole: a row replays its first job's source, so a mixed
+// unit would give silently wrong results.
+func runUnit(ctx context.Context, specs []JobSpec) []runner.Result {
+	jobs := make([]runner.Job, len(specs))
+	var err error
+	for k, spec := range specs {
+		if jobs[k], err = spec.Job(); err != nil {
+			break
+		}
+		if !sim.SameFront(jobs[0], jobs[k]) {
+			err = fmt.Errorf("remote: unit member %d (%s) does not share the front half of member 0 (%s)", k, spec.Label, specs[0].Label)
+			break
+		}
+	}
+	if err != nil {
+		out := make([]runner.Result, len(specs))
+		for k, spec := range specs {
+			out[k] = runner.Result{Label: spec.Label, Err: err}
+		}
+		return out
+	}
+	return runner.RunRow(ctx, jobs)
 }
 
 // heartbeatLoop extends the worker's leases and cancels tasks the

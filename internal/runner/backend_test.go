@@ -34,7 +34,7 @@ func TestLocalBackendProtocol(t *testing.T) {
 	for i, j := range jobs {
 		// Indices are caller-chosen: tag with a stride to prove the
 		// backend echoes rather than invents them.
-		if err := b.Submit(context.Background(), i*10, j); err != nil {
+		if err := b.Submit(context.Background(), []int{i * 10}, []Job{j}); err != nil {
 			t.Fatalf("Submit(%d): %v", i, err)
 		}
 	}
@@ -62,17 +62,17 @@ func TestLocalBackendProtocol(t *testing.T) {
 	}
 }
 
-// countingBackend wraps a Backend and counts Submits — the stand-in for
-// an alternative Backend implementation, proving the interface (not the
-// concrete pool) is what drivers program against.
+// countingBackend wraps a Backend and counts the jobs submitted — the
+// stand-in for an alternative Backend implementation, proving the
+// interface (not the concrete pool) is what drivers program against.
 type countingBackend struct {
 	Backend
 	submits atomic.Int32
 }
 
-func (c *countingBackend) Submit(ctx context.Context, idx int, j Job) error {
-	c.submits.Add(1)
-	return c.Backend.Submit(ctx, idx, j)
+func (c *countingBackend) Submit(ctx context.Context, idx []int, jobs []Job) error {
+	c.submits.Add(int32(len(jobs)))
+	return c.Backend.Submit(ctx, idx, jobs)
 }
 
 // TestRunOnCustomBackend drives RunOn through a wrapped backend and
@@ -203,11 +203,11 @@ type refusingBackend struct {
 
 var errRefused = errors.New("backend connection lost")
 
-func (b *refusingBackend) Submit(ctx context.Context, idx int, j Job) error {
+func (b *refusingBackend) Submit(ctx context.Context, idx []int, jobs []Job) error {
 	if int(b.seen.Add(1)) > b.accept {
 		return errRefused
 	}
-	return b.LocalBackend.Submit(ctx, idx, j)
+	return b.LocalBackend.Submit(ctx, idx, jobs)
 }
 
 // TestRunOnSubmitRefusal asserts a backend refusing work mid-batch (with
@@ -249,7 +249,7 @@ func TestSubmitAfterCloseSentinel(t *testing.T) {
 	// the result stream.
 	for range b.Results() {
 	}
-	err := b.Submit(context.Background(), 0, testJobs(t, 1)[0])
+	err := b.Submit(context.Background(), []int{0}, testJobs(t, 1))
 	if !errors.Is(err, ErrBackendClosed) {
 		t.Fatalf("Submit after Close = %v, want ErrBackendClosed", err)
 	}
@@ -257,7 +257,7 @@ func TestSubmitAfterCloseSentinel(t *testing.T) {
 	// gone either way, and "closed" is the actionable diagnosis.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := b.Submit(ctx, 1, testJobs(t, 1)[0]); !errors.Is(err, ErrBackendClosed) {
+	if err := b.Submit(ctx, []int{1}, testJobs(t, 1)); !errors.Is(err, ErrBackendClosed) {
 		t.Fatalf("Submit after Close with canceled ctx = %v, want ErrBackendClosed", err)
 	}
 }
@@ -284,7 +284,7 @@ func newScriptedBackend(accept int, submitErr error) *scriptedBackend {
 	}
 }
 
-func (b *scriptedBackend) Submit(ctx context.Context, idx int, j Job) error {
+func (b *scriptedBackend) Submit(ctx context.Context, idx []int, jobs []Job) error {
 	b.seen++
 	if b.seen > b.accept && b.submitErr != nil {
 		close(b.refused)
@@ -293,6 +293,7 @@ func (b *scriptedBackend) Submit(ctx context.Context, idx int, j Job) error {
 	return nil
 }
 
+func (b *scriptedBackend) Width() int             { return 1 }
 func (b *scriptedBackend) Results() <-chan Result { return b.results }
 func (b *scriptedBackend) Close() error           { return nil }
 

@@ -81,22 +81,28 @@ func Workers(n int) int {
 // multi-node backend shipping Job/Result as its wire unit drops
 // in without touching any driver.
 //
-// The protocol: Submit enqueues jobs tagged with caller-chosen indices,
-// Results delivers one Result per successful Submit in completion order
-// (each echoing its index), and Close waits for in-flight jobs and then
-// closes the Results channel. A backend serves one run at a time —
+// The protocol: Submit enqueues units of jobs tagged with caller-chosen
+// indices, Results delivers one Result per submitted job in completion
+// order (each echoing its index), and Close waits for in-flight jobs and
+// then closes the Results channel. RunOn forms the units, rows of
+// sim.SameFront jobs, by one rule sized by the backend's Width. A
+// backend serves one run at a time —
 // RunOn is the canonical driver and callers sharing a backend across
 // runs must serialize them (experiments.Env does).
 type Backend interface {
-	// Submit enqueues job j tagged with index idx; the job's Result
-	// echoes idx. Submit may block while the backend is saturated; it
+	// Submit enqueues one unit: jobs[k] tagged with index idx[k], whose
+	// Result echoes it. The jobs are a row of sim.SameFront jobs or a
+	// single job. Submit may block while the backend is saturated; it
 	// returns ctx.Err() if the context is canceled first. Jobs accepted
-	// while ctx is already canceled may be skipped, delivering a Result
+	// while ctx is already canceled may be skipped, delivering Results
 	// carrying ctx.Err().
-	Submit(ctx context.Context, idx int, j Job) error
-	// Results is the completion stream: exactly one Result per
-	// successful Submit, in completion order. The channel is closed by
-	// Close after in-flight jobs drain.
+	Submit(ctx context.Context, idx []int, jobs []Job) error
+	// Width is the number of units the backend runs at once (at least
+	// 1): RunOn splits rows while it has fewer units than that.
+	Width() int
+	// Results is the completion stream: exactly one Result per submitted
+	// job, in completion order. The channel is closed by Close after
+	// in-flight jobs drain.
 	Results() <-chan Result
 	// Close releases the backend's resources. It must be called after
 	// all Submits have returned; it is idempotent.
@@ -163,7 +169,8 @@ func NewLocalBackend(workers int) *LocalBackend {
 					}
 					continue
 				}
-				for _, r := range runRow(lj.ctx, lj.idx, lj.jobs) {
+				for k, r := range RunRow(lj.ctx, lj.jobs) {
+					r.Index = lj.idx[k]
 					b.results <- r
 				}
 			}
@@ -174,14 +181,7 @@ func NewLocalBackend(workers int) *LocalBackend {
 
 // Submit implements Backend. Submitting to a closed backend returns
 // ErrBackendClosed.
-func (b *LocalBackend) Submit(ctx context.Context, idx int, j Job) error {
-	return b.submitRow(ctx, []int{idx}, []Job{j})
-}
-
-// submitRow enqueues a row of jobs sharing a front half as one unit,
-// jobs[k] tagged idx[k]. The Backend interface and the remote wire stay
-// one job per Submit.
-func (b *LocalBackend) submitRow(ctx context.Context, idx []int, jobs []Job) error {
+func (b *LocalBackend) Submit(ctx context.Context, idx []int, jobs []Job) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -197,6 +197,11 @@ func (b *LocalBackend) submitRow(ctx context.Context, idx []int, jobs []Job) err
 		return ctx.Err()
 	}
 }
+
+// Width implements Backend: the workers that can run at once. A worker
+// beyond GOMAXPROCS adds no parallelism, but a split row pays for its
+// front half twice.
+func (b *LocalBackend) Width() int { return min(b.workers, runtime.GOMAXPROCS(0)) }
 
 // Results implements Backend.
 func (b *LocalBackend) Results() <-chan Result { return b.results }
@@ -217,21 +222,23 @@ func (b *LocalBackend) Close() error {
 	return nil
 }
 
-// runRow executes one unit: a single job, or a row of jobs sharing a
-// front half. Every member's Elapsed is the unit's wall time divided by
-// its size, so a run's Elapsed values still sum to its wall time.
-func runRow(ctx context.Context, idx []int, jobs []Job) []Result {
+// RunRow executes one unit, a single job or a row of jobs sharing a
+// front half, and returns its results in job order, each with its job's
+// label; the caller sets their indices. Every member's Elapsed is the
+// unit's wall time divided by its size, so a run's Elapsed values still
+// sum to its wall time. LocalBackend's workers and remote workers call it.
+func RunRow(ctx context.Context, jobs []Job) []Result {
 	start := time.Now()
 	sims, errs := sim.RunRow(ctx, jobs)
 	each := time.Since(start) / time.Duration(len(jobs))
 	out := make([]Result, len(jobs))
 	for k, j := range jobs {
-		out[k] = Result{Index: idx[k], Label: j.Label, Sim: sims[k], Err: errs[k], Elapsed: each}
+		out[k] = Result{Label: j.Label, Sim: sims[k], Err: errs[k], Elapsed: each}
 	}
 	return out
 }
 
-// units groups jobs into units of job indices for a LocalBackend of the
+// units groups jobs into units of job indices for a backend of the
 // given width: jobs sharing a front half (sim.SameFront) form one row.
 // Rows must not idle workers, so while units are fewer than workers the
 // largest is split in two. Units are ordered by their first job.
@@ -293,14 +300,8 @@ func RunOn(ctx context.Context, b Backend, jobs []Job, onProgress func(Progress)
 	// a saturated backend; report how many jobs were actually accepted
 	// and why submission stopped, so a backend refusing work mid-batch
 	// surfaces as an error instead of unrun jobs posing as completed
-	// zero-valued simulations.
-	//
-	// A LocalBackend receives units: rows of jobs that share a front
-	// half, each run through one executor and front end. Only the
-	// concrete type does: a wrapper embedding it may override Submit,
-	// and must see every job. Rows split only down to the workers that
-	// can run at once: a worker beyond GOMAXPROCS adds no parallelism,
-	// but a split row pays for its front half twice.
+	// zero-valued simulations. Jobs travel in units (rows of jobs that
+	// share a front half), split down to the backend's width.
 	type submitOutcome struct {
 		n       int
 		err     error
@@ -309,26 +310,15 @@ func RunOn(ctx context.Context, b Backend, jobs []Job, onProgress func(Progress)
 	submitted := make(chan submitOutcome, 1)
 	go func() {
 		out := submitOutcome{}
-		local, rows := b.(*LocalBackend)
-		workers := len(jobs) // one job per unit
-		if rows {
-			workers = min(local.workers, runtime.GOMAXPROCS(0))
-		}
-		for _, u := range units(jobs, workers) {
+		for _, u := range units(jobs, b.Width()) {
 			if ctx.Err() != nil {
 				break
 			}
-			var err error
-			if rows {
-				row := make([]Job, len(u))
-				for k, i := range u {
-					row[k] = jobs[i]
-				}
-				err = local.submitRow(ctx, u, row)
-			} else {
-				err = b.Submit(ctx, u[0], jobs[u[0]])
+			unit := make([]Job, len(u))
+			for k, i := range u {
+				unit[k] = jobs[i]
 			}
-			if err != nil {
+			if err := b.Submit(ctx, u, unit); err != nil {
 				out.err, out.refused = err, u[0]
 				break
 			}

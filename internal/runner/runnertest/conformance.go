@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/prefetch"
@@ -45,6 +46,7 @@ func Jobs(tb testing.TB, n int) []runner.Job {
 // Closed by the suite.
 func Conformance(t *testing.T, mk func(t *testing.T) runner.Backend) {
 	t.Run("EchoesIndicesOnce", func(t *testing.T) { testEcho(t, mk(t)) })
+	t.Run("RunsUnits", func(t *testing.T) { testUnit(t, mk(t)) })
 	t.Run("ReusableAcrossRuns", func(t *testing.T) { testReuse(t, mk(t)) })
 	t.Run("SubmitAfterCloseSentinel", func(t *testing.T) { testClosedSentinel(t, mk(t)) })
 }
@@ -77,6 +79,36 @@ func testEcho(t *testing.T, b runner.Backend) {
 	}
 }
 
+// testUnit submits one multi-job unit under strided indices: every job
+// reports exactly once, under its own index and label, and the backend
+// reports a width.
+func testUnit(t *testing.T, b runner.Backend) {
+	defer b.Close()
+	if b.Width() < 1 {
+		t.Errorf("Width() = %d, want at least 1", b.Width())
+	}
+	jobs, idx := Jobs(t, 3), []int{10, 20, 30}
+	for k, e := range []string{"none", "tifs", "pif"} { // one row
+		jobs[k].Workload, jobs[k].Engine = jobs[0].Workload, prefetch.Spec{Name: e}
+	}
+	if err := b.Submit(context.Background(), idx, jobs); err != nil {
+		t.Fatal(err)
+	}
+	open := slices.Clone(idx) // the backend may keep idx
+	for range jobs {
+		r, ok := <-b.Results()
+		k := slices.Index(open, r.Index)
+		if !ok || k < 0 {
+			t.Fatalf("result %+v (stream open: %v) answers no outstanding index of %v", r, ok, open)
+		}
+		if r.Label != jobs[k].Label || r.Err != nil || r.Sim.Instructions == 0 {
+			t.Errorf("index %d: label %q, err %v, %d instructions; want %q, no error, a real result",
+				r.Index, r.Label, r.Err, r.Sim.Instructions, jobs[k].Label)
+		}
+		open[k] = -1 // answered
+	}
+}
+
 // testReuse checks that one backend serves sequential RunOn batches:
 // the results stream spans runs and only Close ends it.
 func testReuse(t *testing.T, b runner.Backend) {
@@ -104,7 +136,7 @@ func testClosedSentinel(t *testing.T, b runner.Backend) {
 	}
 	for range b.Results() {
 	}
-	err := b.Submit(context.Background(), 0, Jobs(t, 1)[0])
+	err := b.Submit(context.Background(), []int{0}, Jobs(t, 1))
 	if !errors.Is(err, runner.ErrBackendClosed) {
 		t.Fatalf("Submit after Close = %v, want runner.ErrBackendClosed", err)
 	}

@@ -87,16 +87,16 @@ func TestSourceAxis(t *testing.T) {
 	}
 }
 
-// countingBackend wraps runner's local backend, counting submissions —
-// the stand-in for a custom Backend implementation.
+// countingBackend wraps runner's local backend, counting submitted
+// jobs — the stand-in for a custom Backend implementation.
 type countingBackend struct {
 	*runner.LocalBackend
 	submits atomic.Int32
 }
 
-func (b *countingBackend) Submit(ctx context.Context, idx int, j runner.Job) error {
-	b.submits.Add(1)
-	return b.LocalBackend.Submit(ctx, idx, j)
+func (b *countingBackend) Submit(ctx context.Context, idx []int, jobs []runner.Job) error {
+	b.submits.Add(int32(len(jobs)))
+	return b.LocalBackend.Submit(ctx, idx, jobs)
 }
 
 // TestEngineBackendOption proves sweep.Run executes through whatever

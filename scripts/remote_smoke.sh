@@ -6,11 +6,14 @@
 # same sweep run locally (experiments diff exit-code contract: 0 within
 # tolerance, and per-job JSON is byte-identical by construction).
 #
-# The kill is forced to land mid-run: only the victim worker exists when
-# the remote sweep starts, the coordinator streams each accepted result
-# to disk (-results), and the victim is SIGKILLed as soon as the first
-# result file appears — its remaining leases must be re-queued after the
-# lease TTL and finished by a survivor started after the kill.
+# The kill is forced to land mid-row: the sweep's jobs form two rows
+# (four engines over each slice), and a one-slot worker leases, runs and
+# completes a row as one unit. Only the victim worker exists when the
+# remote sweep starts, the coordinator streams each accepted result to
+# disk (-results), and the victim is SIGKILLed as soon as the first
+# result file appears — by then it has posted its first row and leased
+# the second, whose lease must be re-queued whole after the lease TTL and
+# finished by a survivor started after the kill.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -50,8 +53,8 @@ sweep_args=(sweep -quick -name smoke
 # Local reference run.
 "$bin/experiments" "${sweep_args[@]}" -out "$work/local"
 
-# The victim is the only worker when the sweep starts, one task at a
-# time so it cannot drain the queue before the kill.
+# The victim is the only worker when the sweep starts, one row at a time
+# so it cannot drain the queue before the kill.
 "$bin/pifworker" -coord "$addr" -name victim -parallel 1 &
 victim=$!
 
