@@ -1,9 +1,12 @@
 // Command pifworker runs simulation jobs leased from a pifcoord
 // coordinator. It registers with its -parallel slot count, pulls up to
-// -parallel tasks at a time, heartbeats while they run, and posts each
-// task's results keyed by its task ID so retried posts deduplicate. A
-// task is a unit: a row of jobs that share a front half, run through one
-// program image, executor and front end, or a single job.
+// -parallel tasks at a time, heartbeats (idle or not, so the coordinator
+// counts its slots as live), and posts each task's results keyed by its
+// task ID so retried posts deduplicate. A task is a unit: a row of jobs
+// that share a front half, run through one program image, executor and
+// front end, or a single job. A client splits its rows for the slots
+// live when its run opens, so start workers before the client; the
+// coordinator's /v1/healthz reports the live slots.
 //
 // Usage:
 //

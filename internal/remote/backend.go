@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/httpapi"
@@ -27,7 +28,7 @@ type Backend struct {
 	base  string
 	hc    *http.Client
 	runID string
-	width int // worker slots registered when the run opened
+	width atomic.Int64 // live worker slots, as of the run's opening or latest results poll
 
 	results chan runner.Result
 	stop    chan struct{} // closed by Close: poller exits after drain
@@ -59,7 +60,8 @@ func DialAuth(addr, token string) (*Backend, error) {
 	}{WireVersion}, &resp); err != nil {
 		return nil, fmt.Errorf("remote: dial %s: %w", addr, err)
 	}
-	b.runID, b.width = resp.RunID, max(resp.Slots, 1)
+	b.runID = resp.RunID
+	b.width.Store(int64(max(resp.Slots, 1)))
 	go b.poll()
 	return b, nil
 }
@@ -130,9 +132,9 @@ func (b *Backend) Submit(ctx context.Context, idx []int, jobs []runner.Job) erro
 	return b.post(ctx, "/v1/runs/"+b.runID+"/jobs", submitUnitRequest{V: WireVersion, Indices: idx, Specs: specs}, nil)
 }
 
-// Width implements runner.Backend: the worker slots registered at the
-// coordinator when the run opened (at least 1).
-func (b *Backend) Width() int { return b.width }
+// Width implements runner.Backend: the coordinator's live worker slots
+// (Core.Slots) as of the run's opening or its latest results poll.
+func (b *Backend) Width() int { return int(b.width.Load()) }
 
 // Results implements runner.Backend.
 func (b *Backend) Results() <-chan runner.Result { return b.results }
@@ -183,6 +185,7 @@ func (b *Backend) poll() {
 				continue
 			}
 		}
+		b.width.Store(int64(max(resp.Slots, 1)))
 		for _, wr := range resp.Results {
 			res, rerr := wr.Result()
 			if rerr != nil {

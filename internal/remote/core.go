@@ -35,9 +35,8 @@ const DefaultLeaseTTL = 15 * time.Second
 // a hard error result — never a silent zero-valued sim.Result.
 const DefaultMaxAttempts = 3
 
-// taskState is the lease state machine of a task (one unit): pending ->
-// leased -> done, with leased -> pending again on heartbeat expiry while
-// attempts remain. A unit moves through it whole.
+// taskState is a task's lease state machine: pending -> leased -> done,
+// with leased -> pending again on heartbeat expiry while attempts remain.
 type taskState int
 
 const (
@@ -46,8 +45,7 @@ const (
 	taskDone
 )
 
-// task is one submitted unit inside the coordinator: a row of jobs
-// sharing a front half, or a single job, leased and completed together.
+// task is one submitted unit inside the coordinator, leased and completed whole.
 type task struct {
 	id       int // coordinator-wide monotonic task ID (the idempotency key)
 	runID    string
@@ -76,12 +74,13 @@ func (r *run) done() bool { return r.closed && len(r.results) == r.jobs }
 
 // workerState is one registered worker.
 type workerState struct {
-	id   string
-	name string
+	id    string
+	name  string
+	slots int       // units it runs at once
+	seen  time.Time // its registration or latest heartbeat
 }
 
-// Lease is one task (a unit of jobs) handed to a worker. The worker
-// posts one result per spec, in order.
+// Lease is one task handed to a worker, which posts one result per spec.
 type Lease struct {
 	TaskID int       `json:"task_id"`
 	Specs  []JobSpec `json:"specs"`
@@ -120,7 +119,6 @@ type Core struct {
 
 	runs                          map[string]*run
 	workers                       map[string]*workerState
-	slots                         int           // worker slots registered so far
 	pending                       taskHeap      // tasks awaiting a lease, oldest ID first
 	leased                        map[int]*task // tasks under lease, by ID: all expire looks at
 	incarnation                   string        // unique per Core; stamped into run IDs
@@ -205,15 +203,12 @@ func (c *Core) Changed() <-chan struct{} {
 }
 
 // expire re-queues tasks whose lease deadline has passed: the worker
-// missed its heartbeat, so the whole unit goes back to pending for
-// another worker — unless its lease budget is spent, in which case every
+// missed its heartbeat, so the whole unit goes back to pending (waking
+// the long-polls) — unless its lease budget is spent, in which case every
 // job of the unit completes with a hard error result. It looks only at
-// leased tasks, so it costs nothing per queued task. A re-queue wakes the
-// long-polls, so a waiting worker leases the unit at once. Callers hold
-// c.mu.
+// leased tasks. Callers hold c.mu.
 func (c *Core) expire() {
 	now := c.now()
-	requeued := false
 	for _, t := range c.leased {
 		if now.Before(t.deadline) {
 			continue
@@ -227,9 +222,6 @@ func (c *Core) expire() {
 		delete(c.leased, t.id)
 		t.state = taskPending
 		heap.Push(&c.pending, t)
-		requeued = true
-	}
-	if requeued {
 		c.bump()
 	}
 }
@@ -254,20 +246,33 @@ func (c *Core) finish(t *task, results []WireResult) {
 	c.bump()
 }
 
-// OpenRun starts a new run (one client batch) and returns its ID and
-// the worker slots registered so far (at least 1), the width the run's
-// client splits its grid for.
-func (c *Core) OpenRun() (string, int, error) {
+// OpenRun starts a new run (one client batch) and returns its ID.
+func (c *Core) OpenRun() (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return "", 0, ErrClosed
+		return "", ErrClosed
 	}
 	c.nextRun++
 	id := fmt.Sprintf("run-%s-%d", c.incarnation, c.nextRun)
 	c.runs[id] = &run{id: id, tasks: make(map[int]*task)}
 	c.bump()
-	return id, max(c.slots, 1), nil
+	return id, nil
+}
+
+// Slots returns the slots of the workers seen within the lease TTL (at
+// least 1), the width a client splits its grid for: workers heartbeat at
+// a third of it, idle or not, so a dead worker's slots stop counting.
+func (c *Core) Slots() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, now := 0, c.now()
+	for _, w := range c.workers {
+		if now.Sub(w.seen) < c.leaseTTL {
+			n += w.slots
+		}
+	}
+	return max(n, 1)
 }
 
 // SubmitUnit enqueues one unit on a run: a row of jobs sharing a front
@@ -358,9 +363,8 @@ func (c *Core) RegisterWorker(name string, slots int) (string, error) {
 		return "", ErrClosed
 	}
 	c.nextWorker++
-	c.slots += max(slots, 1)
 	id := fmt.Sprintf("w-%d", c.nextWorker)
-	c.workers[id] = &workerState{id: id, name: name}
+	c.workers[id] = &workerState{id: id, name: name, slots: max(slots, 1), seen: c.now()}
 	c.bump()
 	return id, nil
 }
@@ -408,10 +412,12 @@ func (c *Core) Heartbeat(workerID string, taskIDs []int) ([]int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expire()
-	if _, ok := c.workers[workerID]; !ok {
+	w, ok := c.workers[workerID]
+	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoWorker, workerID)
 	}
-	deadline := c.now().Add(c.leaseTTL)
+	w.seen = c.now()
+	deadline := w.seen.Add(c.leaseTTL)
 	var lost []int
 	for _, id := range taskIDs {
 		t := c.findTask(id)

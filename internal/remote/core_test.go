@@ -54,7 +54,7 @@ func testWireResult(label string) WireResult {
 // openRunWithJobs opens a run and submits n jobs indexed 0..n-1.
 func openRunWithJobs(t *testing.T, c *Core, n int) string {
 	t.Helper()
-	runID, _, err := c.OpenRun()
+	runID, err := c.OpenRun()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestCoreRefusalsAfterClose(t *testing.T) {
 	c, _ := testCore(t, CoreOptions{})
 	runID := openRunWithJobs(t, c, 0)
 	c.Close()
-	if _, _, err := c.OpenRun(); !errors.Is(err, ErrClosed) {
+	if _, err := c.OpenRun(); !errors.Is(err, ErrClosed) {
 		t.Errorf("OpenRun after Close = %v", err)
 	}
 	if err := c.SubmitUnit(runID, []int{0}, []JobSpec{testSpec("x")}); !errors.Is(err, ErrClosed) {
@@ -330,11 +330,11 @@ func TestCoreRunEvictedAfterDrain(t *testing.T) {
 func TestCoreRunIDsUniqueAcrossIncarnations(t *testing.T) {
 	c1, _ := testCore(t, CoreOptions{})
 	c2, _ := testCore(t, CoreOptions{})
-	id1, _, err := c1.OpenRun()
+	id1, err := c1.OpenRun()
 	if err != nil {
 		t.Fatal(err)
 	}
-	id2, _, err := c2.OpenRun()
+	id2, err := c2.OpenRun()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,16 +611,44 @@ func TestCoreExpiryLooksOnlyAtLeased(t *testing.T) {
 	}
 }
 
-// TestCoreOpenRunReportsSlots: a run opens with the worker slots
-// registered so far, and at least 1.
-func TestCoreOpenRunReportsSlots(t *testing.T) {
-	c, _ := testCore(t, CoreOptions{})
-	if _, slots, _ := c.OpenRun(); slots != 1 {
-		t.Errorf("slots with no worker = %d, want 1", slots)
+// TestCoreSlotsCountLiveWorkers: Slots sums the slots of the workers
+// that registered or heartbeated within the lease TTL, and is at least
+// 1. A worker that falls silent stops counting, and a restarted one (a
+// fresh registration) counts once.
+func TestCoreSlotsCountLiveWorkers(t *testing.T) {
+	c, clk := testCore(t, CoreOptions{LeaseTTL: 10 * time.Second})
+	if n := c.Slots(); n != 1 {
+		t.Errorf("slots with no worker = %d, want 1", n)
 	}
-	c.RegisterWorker("a", 2)
+	a, _ := c.RegisterWorker("a", 2)
+	b, _ := c.RegisterWorker("b", 3)
+	if n := c.Slots(); n != 5 {
+		t.Errorf("slots = %d, want 5", n)
+	}
+	// Idle heartbeats (no task) keep both live.
+	clk.Advance(6 * time.Second)
+	for _, w := range []string{a, b} {
+		if _, err := c.Heartbeat(w, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(6 * time.Second)
+	if n := c.Slots(); n != 5 {
+		t.Errorf("slots after idle heartbeats = %d, want 5", n)
+	}
+	// b falls silent for a whole TTL: only a counts.
+	clk.Advance(5 * time.Second)
+	c.Heartbeat(a, nil)
+	if n := c.Slots(); n != 2 {
+		t.Errorf("slots with b silent = %d, want 2", n)
+	}
+	// b restarts: its new registration counts, its old one does not.
 	c.RegisterWorker("b", 3)
-	if _, slots, _ := c.OpenRun(); slots != 5 {
-		t.Errorf("slots = %d, want 5", slots)
+	if n := c.Slots(); n != 5 {
+		t.Errorf("slots after b re-registers = %d, want 5", n)
+	}
+	clk.Advance(10 * time.Second)
+	if n := c.Slots(); n != 1 {
+		t.Errorf("slots with every worker silent = %d, want 1", n)
 	}
 }

@@ -71,14 +71,12 @@ func gridJobs(t *testing.T, workloads, engines int) []runner.Job {
 	return jobs
 }
 
-// waitSlots waits until workers with n slots in all have registered, so
-// a run opened next has the fleet's full width.
+// waitSlots waits until live workers have n slots in all, so a run
+// opened next has the fleet's full width.
 func (h *harness) waitSlots(t *testing.T, n int) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		h.core.mu.Lock()
-		slots := h.core.slots
-		h.core.mu.Unlock()
+		slots := h.core.Slots()
 		if slots >= n {
 			return
 		}
@@ -156,15 +154,16 @@ func TestLocalBackendConformance(t *testing.T) {
 }
 
 // TestRemoteMatchesLocal is the distribution-correctness anchor: the
-// same grid through the remote stack and through LocalBackend produces
-// identical simulation results. Its two rows of four split into four
-// units of two for the fleet's four slots.
+// same jobs through the remote stack and through LocalBackend produce
+// identical simulation results. A grid's two rows of four split into
+// four units of two for the fleet's four slots, and one job of each of
+// the six standard workloads runs as six single-job units.
 func TestRemoteMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test runs real simulations")
 	}
-	jobs := gridJobs(t, 2, 4)
-	want := runLocal(t, jobs)
+	jobs, standard := gridJobs(t, 2, 4), runnertest.Jobs(t, 6)
+	want, wantStandard := runLocal(t, jobs), runLocal(t, standard)
 
 	h := newHarness(t, CoreOptions{})
 	h.startWorker("w1", 2)
@@ -179,6 +178,87 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		t.Errorf("Width() = %d, want the fleet's 4 slots", b.Width())
 	}
 	runOnce(t, b, jobs, want)
+	runOnce(t, b, standard, wantStandard)
+}
+
+// TestRowIsOneTaskAndOneLease: on a one-slot fleet, a two-engine row
+// travels as one task, leased once, and both jobs come back.
+func TestRowIsOneTaskAndOneLease(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test runs real simulations")
+	}
+	jobs := gridJobs(t, 1, 2)
+	h := newHarness(t, CoreOptions{})
+	h.startWorker("w", 1)
+	h.waitSlots(t, 1)
+	b, err := DialAuth(h.srv.URL, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	runOnce(t, b, jobs, runLocal(t, jobs))
+	h.core.mu.Lock()
+	defer h.core.mu.Unlock()
+	tasks := h.core.runs[b.runID].tasks
+	if len(tasks) != 1 {
+		t.Fatalf("the row travelled as %d tasks, want one", len(tasks))
+	}
+	for _, task := range tasks {
+		if task.att != 1 || len(task.specs) != 2 {
+			t.Errorf("task %d: %d jobs, leased %d times; want 2 jobs, leased once", task.id, len(task.specs), task.att)
+		}
+	}
+}
+
+// TestRemoteWidthFollowsFleet: a client that dials before any worker
+// registers reports width 1, takes up a worker's slots once it
+// registers, and drops them once the worker dies, without redialing.
+func TestRemoteWidthFollowsFleet(t *testing.T) {
+	h := newHarness(t, CoreOptions{LeaseTTL: 300 * time.Millisecond})
+	b, err := DialAuth(h.srv.URL, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	waitWidth := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); b.Width() != want; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("Width() = %d, want %d", b.Width(), want)
+			}
+		}
+	}
+	waitWidth(1)
+	kill := h.startWorker("w", 3)
+	waitWidth(3)
+	kill()
+	waitWidth(1)
+}
+
+// TestWorkerDecodesMembersApart: a unit member that does not decode (an
+// engine the worker's registry lacks) fails alone, as in a local row, and
+// the other member runs and matches its local result.
+func TestWorkerDecodesMembersApart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test runs a real simulation")
+	}
+	jobs := gridJobs(t, 1, 2)
+	want := runLocal(t, jobs[:1])
+	specs := make([]JobSpec, len(jobs))
+	for k, j := range jobs {
+		var err error
+		if specs[k], err = EncodeJob(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	specs[1].Engine.Name = "no-such-engine"
+	got := runUnit(context.Background(), specs)
+	if got[0].Err != nil || got[0].Sim != want[0].Sim || got[0].Label != jobs[0].Label {
+		t.Errorf("decoded member: %+v, want the local result %+v", got[0], want[0])
+	}
+	if got[1].Err == nil || !strings.Contains(got[1].Err.Error(), "no-such-engine") || got[1].Label != jobs[1].Label {
+		t.Errorf("undecodable member: label %q, err %v; want its own engine error", got[1].Label, got[1].Err)
+	}
 }
 
 // TestWorkerRefusesMixedFrontUnit: a unit whose members do not share a

@@ -31,6 +31,7 @@ type resultsResponse struct {
 	V       int          `json:"v"`
 	Results []WireResult `json:"results"`
 	Done    bool         `json:"done"`
+	Slots   int          `json:"slots"`
 }
 
 type registerWorkerRequest struct {
@@ -100,7 +101,7 @@ func NewServer(core *Core) *Server {
 	s.mux.HandleFunc("POST /v1/heartbeat", s.handleHeartbeat)
 	s.mux.HandleFunc("POST /v1/complete", s.handleComplete)
 	s.mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"v": WireVersion})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"v": WireVersion, "slots": s.core.Slots()})
 	})
 	return s
 }
@@ -134,12 +135,12 @@ func decode[T any](r *http.Request, v *T, version func(T) int) error {
 }
 
 func (s *Server) handleOpenRun(w http.ResponseWriter, r *http.Request) {
-	id, slots, err := s.core.OpenRun()
+	id, err := s.core.OpenRun()
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, openRunResponse{V: WireVersion, RunID: id, Slots: slots})
+	httpapi.WriteJSON(w, http.StatusOK, openRunResponse{V: WireVersion, RunID: id, Slots: s.core.Slots()})
 }
 
 func (s *Server) handleSubmitUnit(w http.ResponseWriter, r *http.Request) {
@@ -180,12 +181,8 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		if len(results) > 0 || done || time.Now().After(deadline) {
-			httpapi.WriteJSON(w, http.StatusOK, resultsResponse{V: WireVersion, Results: results, Done: done})
-			return
-		}
-		if !httpapi.WaitChange(r, changed, deadline) {
-			httpapi.WriteJSON(w, http.StatusOK, resultsResponse{V: WireVersion, Results: nil, Done: false})
+		if len(results) > 0 || done || !httpapi.WaitChange(r, changed, deadline) {
+			httpapi.WriteJSON(w, http.StatusOK, resultsResponse{V: WireVersion, Results: results, Done: done, Slots: s.core.Slots()})
 			return
 		}
 	}
@@ -225,12 +222,8 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		if len(leases) > 0 || time.Now().After(deadline) {
+		if len(leases) > 0 || !httpapi.WaitChange(r, changed, deadline) {
 			httpapi.WriteJSON(w, http.StatusOK, leaseResponse{V: WireVersion, Leases: leases})
-			return
-		}
-		if !httpapi.WaitChange(r, changed, deadline) {
-			httpapi.WriteJSON(w, http.StatusOK, leaseResponse{V: WireVersion})
 			return
 		}
 	}

@@ -1,11 +1,10 @@
 // Package remote is the first multi-node runner.Backend: a coordinator/
 // worker pair speaking runner.Job/runner.Result over HTTP. The
 // coordinator (see Core, Server) owns a lease-based queue of units (a
-// row of jobs sharing a front half, or a single job) — workers register,
-// lease units, heartbeat while running them, and post each unit's
-// results with its task ID as the idempotency key; a worker that misses
-// its heartbeat deadline has its units re-queued whole (bounded retries,
-// then a hard error for every job of the unit). The
+// row of jobs sharing a front half, or one job) — workers register,
+// lease units, heartbeat, and post each unit's results keyed by its task
+// ID; a worker that misses its heartbeat deadline has its units
+// re-queued whole (bounded retries, then a hard error per job). The
 // client side (see Backend) implements runner.Backend, so every existing
 // driver — experiments, pifsim -shards, sweeps — distributes unchanged
 // via -backend remote@ADDR.
@@ -41,10 +40,10 @@ import (
 //	3: sim.Config gained MeasureOffsetInstrs (exact sharded replay): a
 //	   v2 worker would silently drop the offset and measure the wrong
 //	   interval, so shard jobs must not reach one.
-//	4: the unit of remote work is a row: a submission carries a unit's
-//	   specs and indices, a lease hands out a whole unit, a completion
-//	   posts all of its results, and workers report their slots at
-//	   registration so a run learns the fleet's width when it opens.
+//	4: the unit of remote work is a row: a submission, a lease and a
+//	   completion carry a whole unit; workers report their slots at
+//	   registration, and a run's open and results answers carry the
+//	   live workers' slots, the client's width.
 const WireVersion = 4
 
 // JobSpec is the wire form of a runner.Job: everything a worker needs to

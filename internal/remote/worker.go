@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -18,12 +19,12 @@ import (
 const leasePollMS = 2000
 
 // Worker pulls tasks from a coordinator and runs them on the local
-// machine: register, lease up to Parallel tasks, heartbeat while they
-// run, post each task's results with its task ID as the idempotency key.
-// A task is a unit: a row of jobs sharing a front half, run through one
-// program image, executor and front end (runner.RunRow), or a single
-// job. A worker that loses a lease (the heartbeat response disowns the
-// task) cancels the local run and never posts its results; a worker that dies
+// machine: register, heartbeat, lease up to Parallel tasks, and post each
+// task's results with its task ID as the idempotency key. A task is a
+// unit: a row of jobs sharing a front half, run through one program
+// image, executor and front end (runner.RunRow), or a single job. A
+// worker that loses a lease (the heartbeat response disowns the task)
+// cancels the local run and never posts its results; a worker that dies
 // simply stops heartbeating and the coordinator re-queues its tasks. A
 // worker whose registration is lost (404 on lease or heartbeat after a
 // coordinator restart) cancels its in-flight tasks and re-registers
@@ -246,34 +247,38 @@ func (w *Worker) runTask(ctx context.Context, workerID string, lease Lease) {
 	}
 }
 
-// runUnit decodes a leased unit and runs it as one row. A unit that does
-// not decode, or whose members do not all share the first one's front
-// half, fails whole: a row replays its first job's source, so a mixed
+// runUnit decodes a leased unit and runs the members that decode as one
+// row; a member that does not decode fails alone, as it would in a local
+// row. If the decoded members do not all share the first one's front
+// half, they all fail: a row replays its first job's source, so a mixed
 // unit would give silently wrong results.
 func runUnit(ctx context.Context, specs []JobSpec) []runner.Result {
-	jobs := make([]runner.Job, len(specs))
-	var err error
+	out := make([]runner.Result, len(specs))
+	var jobs []runner.Job
+	var at []int // at[i] is the member jobs[i] decoded from
 	for k, spec := range specs {
-		if jobs[k], err = spec.Job(); err != nil {
-			break
-		}
-		if !sim.SameFront(jobs[0], jobs[k]) {
-			err = fmt.Errorf("remote: unit member %d (%s) does not share the front half of member 0 (%s)", k, spec.Label, specs[0].Label)
-			break
+		j, err := spec.Job()
+		out[k] = runner.Result{Label: spec.Label, Err: err}
+		if err == nil {
+			jobs, at = append(jobs, j), append(at, k)
 		}
 	}
-	if err != nil {
-		out := make([]runner.Result, len(specs))
-		for k, spec := range specs {
-			out[k] = runner.Result{Label: spec.Label, Err: err}
+	if slices.ContainsFunc(jobs, func(j runner.Job) bool { return !sim.SameFront(jobs[0], j) }) {
+		err := fmt.Errorf("remote: the members of unit %s do not share a front half", specs[0].Label)
+		for _, k := range at {
+			out[k].Err = err
 		}
-		return out
+	} else if len(jobs) > 0 {
+		for _, r := range runner.RunRow(ctx, at, jobs) {
+			out[r.Index] = r
+		}
 	}
-	return runner.RunRow(ctx, jobs)
+	return out
 }
 
 // heartbeatLoop extends the worker's leases and cancels tasks the
-// coordinator has disowned.
+// coordinator has disowned. It beats while idle too: the coordinator
+// counts a worker's slots only while it heartbeats.
 func (w *Worker) heartbeatLoop(ctx context.Context, every time.Duration) {
 	if every <= 0 {
 		every = time.Second
@@ -293,9 +298,6 @@ func (w *Worker) heartbeatLoop(ctx context.Context, every time.Duration) {
 		}
 		workerID := w.workerID
 		w.mu.Unlock()
-		if len(ids) == 0 {
-			continue
-		}
 		var resp heartbeatResponse
 		err := httpJSON(ctx, w.hc, http.MethodPost, w.base+"/v1/heartbeat",
 			heartbeatRequest{V: WireVersion, WorkerID: workerID, TaskIDs: ids}, &resp)

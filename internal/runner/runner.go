@@ -85,10 +85,9 @@ func Workers(n int) int {
 // indices, Results delivers one Result per submitted job in completion
 // order (each echoing its index), and Close waits for in-flight jobs and
 // then closes the Results channel. RunOn forms the units, rows of
-// sim.SameFront jobs, by one rule sized by the backend's Width. A
-// backend serves one run at a time —
-// RunOn is the canonical driver and callers sharing a backend across
-// runs must serialize them (experiments.Env does).
+// sim.SameFront jobs, by one rule sized by the backend's Width. A backend
+// serves one run at a time — RunOn is the canonical driver and callers
+// sharing a backend across runs must serialize them (experiments.Env does).
 type Backend interface {
 	// Submit enqueues one unit: jobs[k] tagged with index idx[k], whose
 	// Result echoes it. The jobs are a row of sim.SameFront jobs or a
@@ -169,8 +168,7 @@ func NewLocalBackend(workers int) *LocalBackend {
 					}
 					continue
 				}
-				for k, r := range RunRow(lj.ctx, lj.jobs) {
-					r.Index = lj.idx[k]
+				for _, r := range RunRow(lj.ctx, lj.idx, lj.jobs) {
 					b.results <- r
 				}
 			}
@@ -223,17 +221,17 @@ func (b *LocalBackend) Close() error {
 }
 
 // RunRow executes one unit, a single job or a row of jobs sharing a
-// front half, and returns its results in job order, each with its job's
-// label; the caller sets their indices. Every member's Elapsed is the
-// unit's wall time divided by its size, so a run's Elapsed values still
-// sum to its wall time. LocalBackend's workers and remote workers call it.
-func RunRow(ctx context.Context, jobs []Job) []Result {
+// front half, and returns its results in job order, jobs[k]'s under
+// index idx[k]. Every member's Elapsed is the unit's wall time divided
+// by its size, so a run's Elapsed values still sum to its wall time.
+// LocalBackend's workers and remote workers call it.
+func RunRow(ctx context.Context, idx []int, jobs []Job) []Result {
 	start := time.Now()
 	sims, errs := sim.RunRow(ctx, jobs)
 	each := time.Since(start) / time.Duration(len(jobs))
 	out := make([]Result, len(jobs))
 	for k, j := range jobs {
-		out[k] = Result{Label: j.Label, Sim: sims[k], Err: errs[k], Elapsed: each}
+		out[k] = Result{Index: idx[k], Label: j.Label, Sim: sims[k], Err: errs[k], Elapsed: each}
 	}
 	return out
 }
